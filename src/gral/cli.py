@@ -109,9 +109,6 @@ def cmd_localize(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     name, spec = _load_scenario_arg(args.scenario)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     results = run_experiment(spec, variants, args.instances, args.seed0, scenario_name=name)
 
     buf = io.StringIO()

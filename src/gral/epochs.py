@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
 from .packages import Package, strongest
@@ -41,6 +41,8 @@ class Epoch:
     anchor: Optional[str] = None  # gateway id shared by the observing packages
     start_pos: Optional[GraphPosition] = None
     final_pos: Optional[GraphPosition] = None
+    # Trend of `packages` as `integrate` last saw them; see `_trend_of`.
+    _trend: Optional["_Trend"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t_first(self) -> float:
@@ -88,9 +90,8 @@ def classify(packages: list[Package]) -> Optional[EpochKind]:
     return None
 
 
-def _anchor_for(kind: Optional[EpochKind], packages: list[Package]) -> Optional[str]:
-    if kind == EpochKind.SILENT:
-        return None
+def anchor_of(packages: list[Package]) -> Optional[str]:
+    """Strongest gateway of the first observing package; None for silence."""
     for p in packages:
         top = strongest(p)
         if top is not None:
@@ -98,10 +99,63 @@ def _anchor_for(kind: Optional[EpochKind], packages: list[Package]) -> Optional[
     return None
 
 
-def _fresh_epoch(package: Package) -> Epoch:
-    kind = classify([package])
-    assert kind is not None
-    return Epoch(kind, [package], anchor=_anchor_for(kind, [package]))
+class _Trend(NamedTuple):
+    """`classify` of a package run, extended by one package in O(1).
+
+    Every flag only ever turns one way, so if a trend describes `packages`,
+    `trend.add(p).kind` equals `classify(packages + [p])`.
+    """
+
+    count: int = 0
+    silent: bool = False  # some package heard nothing
+    multi: bool = False  # a second strongest gateway was heard
+    rising: bool = True  # strengths strictly increasing
+    falling: bool = True  # strengths non-increasing
+    gateway: Optional[str] = None  # first strongest gateway heard
+    last: float = 0.0  # last strength heard
+
+    def add(self, package: Package) -> "_Trend":
+        top = strongest(package)
+        count = self.count + 1
+        if top is None:
+            return _Trend(count, True, self.multi, self.rising, self.falling, self.gateway, self.last)
+        if self.gateway is None:
+            return _Trend(count, self.silent, False, True, True, top.gateway, top.strength)
+        return _Trend(
+            count,
+            self.silent,
+            self.multi or top.gateway != self.gateway,
+            self.rising and top.strength > self.last,
+            self.falling and top.strength <= self.last,
+            self.gateway,
+            top.strength,
+        )
+
+    @property
+    def kind(self) -> Optional[EpochKind]:
+        if self.gateway is None:
+            return EpochKind.SILENT
+        if self.silent or self.multi:
+            return None
+        return EpochKind.RISING if self.rising else EpochKind.FALLING if self.falling else None
+
+
+def _trend_of(epoch: Epoch) -> _Trend:
+    # The trend `integrate` cached on the epoch; rebuilt when a caller has
+    # changed its package count since. A new Epoch object starts without one.
+    trend = epoch._trend
+    if trend is None or trend.count != len(epoch.packages):
+        trend = _Trend()
+        for p in epoch.packages:
+            trend = trend.add(p)
+        epoch._trend = trend
+    return trend
+
+
+def _epoch_with(trend: _Trend, packages: list[Package]) -> Epoch:
+    epoch = Epoch(trend.kind or EpochKind.MIXED, packages, anchor=trend.gateway)
+    epoch._trend = trend
+    return epoch
 
 
 def integrate(epoch_set: EpochSet, package: Package) -> EpochSet:
@@ -112,52 +166,54 @@ def integrate(epoch_set: EpochSet, package: Package) -> EpochSet:
     and started at the same gateway the package now hears, that whole stretch
     coalesces with the package into a single epoch (the node lingered at one
     gateway's range boundary). Failing both, a fresh epoch is opened.
-    """
-    if epoch_set.epochs:
-        last_t = epoch_set.epochs[-1].t_last
-        if package.t < last_t:
-            raise EpochError(
-                f"out-of-order package for node {epoch_set.node!r}: t={package.t} after {last_t}"
-            )
-    if not epoch_set.epochs:
-        epoch_set.epochs.append(_fresh_epoch(package))
-        return epoch_set
 
-    last = epoch_set.epochs[-1]
-    combined_kind = classify(last.packages + [package])
-    if combined_kind is not None:
+    Each epoch caches its trend, so a package costs O(1) plus, when it
+    coalesces, the packages it brings into the observing epoch.
+    """
+    epochs = epoch_set.epochs
+    if not epochs:
+        epochs.append(_epoch_with(_Trend().add(package), [package]))
+        return epoch_set
+    last = epochs[-1]
+    if package.t < last.t_last:
+        raise EpochError(
+            f"out-of-order package for node {epoch_set.node!r}: t={package.t} after {last.t_last}"
+        )
+    grown = _trend_of(last).add(package)
+    if grown.kind is not None:
         last.packages.append(package)
-        last.kind = combined_kind
-        last.anchor = _anchor_for(combined_kind, last.packages)
+        last.kind, last.anchor, last._trend = grown.kind, grown.gateway, grown
         return epoch_set
 
     top = strongest(package)
     if top is not None:
         candidate = None
-        for i in range(len(epoch_set.epochs) - 1, -1, -1):
-            if epoch_set.epochs[i].kind != EpochKind.SILENT:
+        for i in range(len(epochs) - 1, -1, -1):
+            if epochs[i].kind != EpochKind.SILENT:
                 candidate = i
                 break
         # Coalesce only when the gateway actually went away and came back:
         # the observing epoch must be followed by at least one silent epoch.
-        if candidate is not None and candidate < len(epoch_set.epochs) - 1:
-            first_top = strongest(epoch_set.epochs[candidate].packages[0])
+        if candidate is not None and candidate < len(epochs) - 1:
+            head = epochs[candidate]
+            first_top = strongest(head.packages[0])
             if first_top is not None and first_top.gateway == top.gateway:
-                merged = [p for e in epoch_set.epochs[candidate:] for p in e.packages]
-                merged.append(package)
-                kind = classify(merged) or EpochKind.MIXED
-                epoch_set.epochs[candidate:] = [
-                    Epoch(kind, merged, anchor=top.gateway)
-                ]
+                tail = [p for e in epochs[candidate + 1 :] for p in e.packages]
+                tail.append(package)
+                trend = _trend_of(head)
+                for p in tail:
+                    trend = trend.add(p)
+                head.packages.extend(tail)
+                epochs[candidate:] = [_epoch_with(trend, head.packages)]
                 return epoch_set
 
-    fresh = _fresh_epoch(package)
+    fresh = _epoch_with(_Trend().add(package), [package])
     if top is not None and last.anchor == top.gateway:
         prev_top = strongest(last.packages[-1])
         if prev_top is not None and prev_top.strength >= top.strength:
             # Dropping below the peak at the same gateway: departure begins.
             fresh.kind = EpochKind.FALLING
-    epoch_set.epochs.append(fresh)
+    epochs.append(fresh)
     return epoch_set
 
 
@@ -211,11 +267,6 @@ def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
             )
         i = end
     return EpochSet(epoch_set.node, merged)
-
-
-def max_strength(graph: EnvironmentGraph, gateway_id: str) -> float:
-    """Strength heard directly under a gateway (the propagation model's peak)."""
-    return graph.gateways[gateway_id].radius
 
 
 def _initial_start(graph: EnvironmentGraph, epoch: Epoch) -> Optional[GraphPosition]:
@@ -275,34 +326,32 @@ def resolve_positions(
 
         if epoch.final_pos is None:
             if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:
-                junction = graph.gateways[epoch.anchor].junction
+                gateway = graph.gateways[epoch.anchor]
                 if idx < len(epochs) - 1:
-                    epoch.final_pos = graph.position_at(junction)
+                    epoch.final_pos = graph.position_at(gateway.junction)
                 else:
+                    # Full strength, heard right under the gateway, is its radius.
                     top = strongest(epoch.packages[-1])
-                    if (
-                        top is not None
-                        and top.strength >= max_strength(graph, epoch.anchor) - POSITION_TOL
-                    ):
-                        epoch.final_pos = graph.position_at(junction)
+                    if top is not None and top.strength >= gateway.radius - POSITION_TOL:
+                        epoch.final_pos = graph.position_at(gateway.junction)
             if epoch.final_pos is None and idx < len(epochs) - 1:
                 nxt = epochs[idx + 1]
                 if nxt.anchor is not None and nxt.anchor in graph.gateways:
                     origin = epoch.start_pos
                     if origin is None:
-                        origin = _last_known_junction(graph, epochs, idx)
+                        junction = anchor_junction(graph, reversed(epochs[: idx + 1]))
+                        if junction is not None:
+                            origin = graph.position_at(junction)
                     if origin is not None:
                         epoch.final_pos = _boundary_before(graph, origin, nxt.anchor)
     return epoch_set
 
 
-def _last_known_junction(
-    graph: EnvironmentGraph, epochs: list[Epoch], idx: int
-) -> Optional[GraphPosition]:
-    for i in range(idx, -1, -1):
-        anchor = epochs[i].anchor
-        if anchor is not None and anchor in graph.gateways:
-            return graph.position_at(graph.gateways[anchor].junction)
+def anchor_junction(graph: EnvironmentGraph, epochs: Iterable[Epoch]) -> Optional[str]:
+    """Junction of the first of `epochs` anchored at a gateway of the graph."""
+    for epoch in epochs:
+        if epoch.anchor in graph.gateways:
+            return graph.gateways[epoch.anchor].junction
     return None
 
 

@@ -271,9 +271,9 @@ class Route:
         self.graph = graph
         self.start = graph.canonicalize(start)
         self.end = graph.canonicalize(end)
-        self.total = graph.geodesic_distance(self.start, self.end)
         # Decompose into: leg on the start link, junction-to-junction path,
-        # leg on the end link. Degenerate legs collapse to zero length.
+        # leg on the end link. Degenerate legs collapse to zero length. The
+        # total comes out of the same arithmetic as `geodesic_distance`.
         if (
             not self.start.at_junction()
             and not self.end.at_junction()
@@ -281,6 +281,12 @@ class Route:
         ):
             self._same_link = True
             self._exit = self._enter = None
+            self._off_end = (
+                self.end.offset
+                if (self.start.u, self.start.v) == (self.end.u, self.end.v)
+                else self.end.span - self.end.offset
+            )
+            self.total = abs(self.start.offset - self._off_end)
         else:
             self._same_link = False
             best = None
@@ -290,8 +296,9 @@ class Route:
                     if best is None or d < best[0]:
                         best = (d, ja, jb, da, db)
             assert best is not None
-            _, self._exit, self._enter, self._head, self._tail = best
+            self.total, self._exit, self._enter, self._head, self._tail = best
             self._mid_path = graph.shortest_path(self._exit, self._enter)
+            self._mid_len = graph.path_length(self._mid_path)
 
     def point_at(self, arclength: float) -> GraphPosition:
         """Position `arclength` units from the route start (clamped to ends)."""
@@ -300,12 +307,7 @@ class Route:
         if self.total <= POSITION_TOL:
             return self.start
         if self._same_link:
-            off_end = (
-                self.end.offset
-                if (self.start.u, self.start.v) == (self.end.u, self.end.v)
-                else self.end.span - self.end.offset
-            )
-            direction = 1.0 if off_end >= self.start.offset else -1.0
+            direction = 1.0 if self._off_end >= self.start.offset else -1.0
             return GraphPosition(
                 self.start.u, self.start.v, self.start.offset + direction * s, self.start.span
             )
@@ -315,7 +317,7 @@ class Route:
             off = self.start.offset + direction * min(s, self._head)
             return GraphPosition(self.start.u, self.start.v, min(max(off, 0.0), self.start.span), self.start.span)
         s_mid = s - self._head
-        mid_len = g.path_length(self._mid_path)
+        mid_len = self._mid_len
         if s_mid <= mid_len + POSITION_TOL and len(self._mid_path) > 1:
             return g.point_at(self._mid_path, min(s_mid, mid_len))
         if self.end.at_junction():

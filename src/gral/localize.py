@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import groupby, takewhile
 from typing import Optional
 
 from .epochs import (
     Epoch,
     EpochKind,
     EpochSet,
+    anchor_junction,
+    anchor_of,
     classify,
     integrate_stream,
     is_complete,
@@ -26,11 +29,9 @@ from .epochs import (
     resolve_positions,
 )
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
-from .packages import Checkpoint, LocalizedMeasurement, Package, strongest
+from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package, strongest
 
 log = logging.getLogger(__name__)
-
-VARIANTS = ("baseline", "gral", "gral+cp", "gral+pr", "gral+cp+pr")
 
 
 @dataclass
@@ -40,7 +41,6 @@ class BackendState:
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    provenance: dict[str, str] = field(default_factory=dict)  # node -> junction id
     initial_positions: dict[str, GraphPosition] = field(default_factory=dict)
 
 
@@ -100,42 +100,39 @@ def baseline_localize(
     window pin to the nearest anchor.
     """
     anchors: list[tuple[int, GraphPosition]] = []
-    i = 0
-    while i < len(packages):
-        top = strongest(packages[i])
-        if top is None or top.gateway not in graph.gateways:
-            i += 1
-            continue
-        gateway = top.gateway
-        j = i
-        while j + 1 < len(packages):
-            nxt = strongest(packages[j + 1])
-            if nxt is None or nxt.gateway != gateway:
-                break
-            j += 1
-        junction_pos = graph.position_at(graph.gateways[gateway].junction)
-        anchors.append((i, junction_pos))
-        if j > i:
-            anchors.append((j, junction_pos))
-        i = j + 1
+    i = 0  # index of the run's first package
+    # Runs of consecutive packages with the same strongest gateway (None: silent).
+    for gateway, run in groupby(packages, key=lambda p: getattr(strongest(p), "gateway", None)):
+        n = len(list(run))
+        if gateway in graph.gateways:
+            junction_pos = graph.position_at(graph.gateways[gateway].junction)
+            anchors.append((i, junction_pos))
+            if n > 1:
+                anchors.append((i + n - 1, junction_pos))
+        i += n
     if not anchors:
         log.info("baseline: no gateway contact in stream; nothing localizable")
         return []
     out = []
+    # Walk the anchor pairs in step with the packages. A package on the index
+    # two pairs share belongs to the earlier pair, so each pair owns (i0, i1].
+    pair = 0
+    route = None
     for k, pkg in enumerate(packages):
         if k <= anchors[0][0]:
             pos = anchors[0][1]
         elif k >= anchors[-1][0]:
             pos = anchors[-1][1]
         else:
-            pos = None
-            for (i0, p0), (i1, p1) in zip(anchors, anchors[1:]):
-                if i0 <= k <= i1:
-                    t0, t1 = packages[i0].t, packages[i1].t
-                    fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
-                    pos = graph.route(p0, p1).point_at_fraction(fraction)
-                    break
-            assert pos is not None
+            while k > anchors[pair + 1][0]:
+                pair += 1
+                route = None
+            (i0, p0), (i1, p1) = anchors[pair], anchors[pair + 1]
+            if route is None:
+                route = graph.route(p0, p1)
+            t0, t1 = packages[i0].t, packages[i1].t
+            fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
+            pos = route.point_at_fraction(fraction)
         out.append(LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method))
     return out
 
@@ -154,15 +151,7 @@ def localize_node(
     for epoch in epoch_set.epochs:
         if is_complete(epoch):
             out.extend(interpolate_epoch(state.graph, epoch, method))
-    _update_provenance(state, node)
     return out
-
-
-def _update_provenance(state: BackendState, node: str) -> None:
-    for epoch in reversed(state.epoch_sets[node].epochs):
-        if epoch.anchor is not None and epoch.anchor in state.graph.gateways:
-            state.provenance[node] = state.graph.gateways[epoch.anchor].junction
-            return
 
 
 def issue_checkpoints(
@@ -193,31 +182,14 @@ def issue_checkpoints(
 
 
 def _split_epoch(epoch: Epoch, index: int, boundary: GraphPosition) -> list[Epoch]:
-    head_pkgs = epoch.packages[:index]
-    tail_pkgs = epoch.packages[index:]
-    head = Epoch(
-        classify(head_pkgs) or EpochKind.MIXED,
-        head_pkgs,
-        anchor=_sub_anchor(head_pkgs),
-        start_pos=epoch.start_pos,
-        final_pos=boundary,
-    )
-    tail = Epoch(
-        classify(tail_pkgs) or EpochKind.MIXED,
-        tail_pkgs,
-        anchor=_sub_anchor(tail_pkgs),
-        start_pos=boundary,
-        final_pos=epoch.final_pos,
-    )
-    return [head, tail]
-
-
-def _sub_anchor(packages: list[Package]) -> Optional[str]:
-    for pkg in packages:
-        top = strongest(pkg)
-        if top is not None:
-            return top.gateway
-    return None
+    parts = [
+        (epoch.packages[:index], epoch.start_pos, boundary),
+        (epoch.packages[index:], boundary, epoch.final_pos),
+    ]
+    return [
+        Epoch(classify(pkgs) or EpochKind.MIXED, pkgs, anchor_of(pkgs), start, final)
+        for pkgs, start, final in parts
+    ]
 
 
 def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
@@ -270,22 +242,8 @@ def _provenance_before(
     epoch_set = state.epoch_sets.get(node)
     if epoch_set is None:
         return None
-    result = None
-    for epoch in epoch_set.epochs:
-        if epoch.t_first > t:
-            break
-        if epoch.anchor is not None and epoch.anchor in state.graph.gateways:
-            result = state.graph.gateways[epoch.anchor].junction
-    return result
-
-
-def _next_anchor_junction(
-    state: BackendState, epoch_set: EpochSet, idx: int
-) -> Optional[str]:
-    for later in epoch_set.epochs[idx + 1 :]:
-        if later.anchor is not None and later.anchor in state.graph.gateways:
-            return state.graph.gateways[later.anchor].junction
-    return None
+    begun = list(takewhile(lambda e: e.t_first <= t, epoch_set.epochs))
+    return anchor_junction(state.graph, reversed(begun))
 
 
 def rectify_paths(
@@ -308,7 +266,7 @@ def rectify_paths(
     for idx, epoch in enumerate(epoch_set.epochs):
         if not is_complete(epoch):
             continue
-        v_f = _next_anchor_junction(state, epoch_set, idx)
+        v_f = anchor_junction(graph, epoch_set.epochs[idx + 1 :])
         if v_f is None:
             continue
         v_f_pos = graph.position_at(v_f)

@@ -106,7 +106,7 @@ def run_experiment(
         raise ValueError("need at least one instance")
     for variant in variants:
         if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}

@@ -84,7 +84,8 @@ class Checkpoint:
             raise ValueError("checkpoint issuer and target must differ")
 
 
-METHODS = ("baseline", "gral", "gral+cp", "gral+pr", "gral+cp+pr")
+# Localization variants, also the method tag each estimate carries.
+VARIANTS = ("baseline", "gral", "gral+cp", "gral+pr", "gral+cp+pr")
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class LocalizedMeasurement:
     method: str
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in VARIANTS:
             raise ValueError(f"unknown method tag {self.method!r}")
 
 

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import gral.epochs
 from gral.epochs import (
+    Epoch,
     EpochError,
     EpochKind,
     EpochSet,
@@ -16,7 +18,7 @@ from gral.epochs import (
     resolve_positions,
 )
 from gral.graph import GraphPosition
-from gral.packages import GatewayObservation, Package
+from gral.packages import GatewayObservation, Package, strongest
 
 R = math.sqrt(10.0)
 
@@ -125,15 +127,153 @@ def test_integrate_rejects_out_of_order():
         integrate(es, mk(3, seq=2))
 
 
-def random_stream(rng, n):
+def random_stream(rng, n, gateways=3, levels=None, tie=0.0):
+    """Random stream: silence, or one gateway at a random strength.
+
+    `levels` draws strengths from a few values, so equal strengths repeat;
+    few `gateways` make switches and coalescing re-entries frequent; `tie` is
+    the chance of a second gateway heard as strongly, which the tie-break
+    decides. Options at their defaults make no extra random draws, so the
+    seeded streams of the tests that use none of them stay the same.
+    """
     pkgs = []
     for i in range(n):
         if rng.random() < 0.4:
             obs = []
         else:
-            obs = [(f"g{rng.randrange(3)}", rng.uniform(0.0, 5.0))]
+            gateway = f"g{rng.randrange(gateways)}"
+            strength = rng.uniform(0.0, 5.0) if levels is None else rng.choice(levels)
+            obs = [(gateway, strength)]
+            if tie and rng.random() < tie:
+                obs.append((f"g{rng.randrange(gateways)}", strength))
         pkgs.append(mk(i, *obs, seq=i + 1))
     return pkgs
+
+
+def wide_stream(rng, n):
+    return random_stream(rng, n, gateways=2, levels=(1.0, 2.0, 3.0), tie=0.2)
+
+
+def first_gateway(packages):
+    return next((strongest(p).gateway for p in packages if strongest(p)), None)
+
+
+def reference_integrate(epochs, package):
+    """Reference segmentation: fold `package` into a list of epochs by
+    classifying the whole open epoch again, which is quadratic but plain."""
+    top = strongest(package)
+    if epochs:
+        last = epochs[-1]
+        kind = classify(last.packages + [package])
+        if kind is not None:
+            last.packages.append(package)
+            last.kind = kind
+            last.anchor = None if kind == EpochKind.SILENT else first_gateway(last.packages)
+            return
+        observing = [i for i, e in enumerate(epochs) if e.kind != EpochKind.SILENT]
+        if top is not None and observing and observing[-1] < len(epochs) - 1:
+            candidate = observing[-1]
+            if first_gateway(epochs[candidate].packages[:1]) == top.gateway:
+                merged = [p for e in epochs[candidate:] for p in e.packages] + [package]
+                kind = classify(merged) or EpochKind.MIXED
+                epochs[candidate:] = [Epoch(kind, merged, anchor=top.gateway)]
+                return
+    fresh = Epoch(classify([package]), [package], anchor=top.gateway if top else None)
+    if epochs and top is not None and epochs[-1].anchor == top.gateway:
+        prev = strongest(epochs[-1].packages[-1])
+        if prev is not None and prev.strength >= top.strength:
+            fresh.kind = EpochKind.FALLING
+    epochs.append(fresh)
+
+
+def shape(epochs):
+    return [(e.kind, e.anchor, [p.seq for p in e.packages]) for e in epochs]
+
+
+def test_integrate_matches_reference_fold():
+    rng = random.Random(11)
+    for trial in range(300):
+        gen = random_stream if trial % 3 == 0 else wide_stream
+        pkgs = gen(rng, rng.randint(1, 80))
+        expected = []
+        for pkg in pkgs:
+            reference_integrate(expected, pkg)
+        got = integrate_stream("n", pkgs)
+        assert shape(got.epochs) == shape(expected)
+        assert shape(merge_same_gateway(got).epochs) == shape(
+            merge_same_gateway(EpochSet("n", expected)).epochs
+        )
+
+
+def test_wide_streams_cover_every_integration_case():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(100):
+        for e in integrate_stream("n", wide_stream(rng, 60)).epochs:
+            kinds.add(e.kind)
+    assert kinds == set(EpochKind)  # MIXED only arises from coalescing
+
+
+def _drop_last_package(es):
+    es.epochs[-1].packages.pop()
+
+
+def _replace_last_epoch(es):
+    # Same package count, new object and the opposite trend.
+    es.epochs[-1] = Epoch(EpochKind.FALLING, [mk(0, ("gA", 5.0), seq=1), mk(1, ("gA", 4.0), seq=2)])
+
+
+def _append_silence_in_place(es):
+    es.epochs[-1].packages.append(mk(1.5, seq=3))
+
+
+@pytest.mark.parametrize(
+    "edit, strength",
+    [(_drop_last_package, 0.5), (_replace_last_epoch, 0.5), (_append_silence_in_place, 3.5)],
+)
+def test_integrate_after_caller_edits_last_epoch(edit, strength):
+    # Each follow-up strength extends the edited epoch under exactly one of
+    # the edited and the unedited package runs.
+    pkgs = stream([(0, [("gA", 1.0)]), (1, [("gA", 3.0)])])
+    es = integrate_stream("n", pkgs)
+    expected = EpochSet("n")
+    for pkg in pkgs:
+        reference_integrate(expected.epochs, pkg)
+    edit(es)
+    edit(expected)
+    for pkg in [mk(2, ("gA", strength), seq=4), mk(3, ("gA", 0.25), seq=5), mk(4, seq=6)]:
+        integrate(es, pkg)
+        reference_integrate(expected.epochs, pkg)
+        assert shape(es.epochs) == shape(expected.epochs)
+
+
+def test_segmentation_work_is_linear_in_stream_length(monkeypatch):
+    # Count the packages classify scans and the strongest-signal lookups that
+    # segmentation makes; re-scanning the open epoch per package would make
+    # either grow with the square of the stream length.
+    counts = {"scanned": 0, "lookups": 0}
+    real_classify, real_strongest = gral.epochs.classify, gral.epochs.strongest
+
+    def counting_classify(packages):
+        counts["scanned"] += len(packages)
+        return real_classify(packages)
+
+    def counting_strongest(package):
+        counts["lookups"] += 1
+        return real_strongest(package)
+
+    monkeypatch.setattr(gral.epochs, "classify", counting_classify)
+    monkeypatch.setattr(gral.epochs, "strongest", counting_strongest)
+    pkgs = wide_stream(random.Random(12), 1250)
+    # A node lingering at a range boundary: gA heard on every other package,
+    # so each reading coalesces with the stretch before it.
+    pkgs += [mk(1250 + i, *([("gA", 1.0)] if i % 2 else []), seq=1251 + i) for i in range(1250)]
+    pkgs += [mk(2500 + i, seq=2501 + i) for i in range(2500)]  # a long silent stretch
+    assert len(pkgs) == 5000
+    merged = merge_same_gateway(gral.epochs.integrate_stream("n", pkgs))
+    assert merged.all_packages() == pkgs
+    assert counts["scanned"] <= 2 * len(pkgs)
+    assert counts["lookups"] <= 5 * len(pkgs)
 
 
 def test_partition_invariant_over_random_streams():

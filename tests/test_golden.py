@@ -1,0 +1,52 @@
+"""Golden outputs: `gral evaluate` CSVs must stay byte-identical.
+
+The hashes pin the summary and per-instance CSVs of scenarios 1-4 (3
+instances from seed 0). A change that alters any estimate, score or number
+format fails here; one that does so on purpose updates the hashes and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from gral.cli import main
+
+GOLDEN = {
+    1: (
+        "4f3167c84157705cd336397be5976a0f8c6d000cf61696ff957f5223b3acd279",
+        "8f027e60b34b3b5fb796eed316e0ef002f0939de6eaa6addb4632134687998ad",
+    ),
+    2: (
+        "4f744436c17001d1f06c2db9fb14eecded1704b7b94f8cad88735b8f297439c7",
+        "e4addb9a5f3a2d4595ce26a484e8947ed9794ae472bcd1d77883babd84fab944",
+    ),
+    3: (
+        "01f5eb1b3ea919454ddd64ebceff8594e5bb68f4e9a8ce99ebe110b8b6d84ecd",
+        "7671fc6c10a04bd7332a2112bcc776eca4f30473fe5d8e6c6d0d05d1f44eb423",
+    ),
+    4: (
+        "aadf9f3d941058714d385da091348bd69105a0a548ca6ebc0311b760385e2fa0",
+        "97cdda594b49fd865df0b1d124281704580411b5878017f4be006434d7d6960a",
+    ),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN))
+def test_evaluate_csvs_match_golden_hashes(scenario, tmp_path, capsys):
+    summary, per_instance = tmp_path / "summary.csv", tmp_path / "per_instance.csv"
+    code = main(
+        [
+            "evaluate",
+            "--scenario", str(scenario),
+            "--instances", "3",
+            "--seed0", "0",
+            "--out", str(summary),
+            "--per-instance-out", str(per_instance),
+        ]
+    )
+    assert code == 0
+    assert (sha256(summary), sha256(per_instance)) == GOLDEN[scenario]

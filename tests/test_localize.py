@@ -13,7 +13,7 @@ from gral.localize import (
     localize_node,
     run_pipeline,
 )
-from gral.packages import Checkpoint, Package
+from gral.packages import Checkpoint, GatewayObservation, Package
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
 
 from conftest import chain_trajectory, craft_streams, line_position
@@ -113,6 +113,88 @@ def test_baseline_three_gateways_piecewise(chain_graph):
 def test_baseline_no_contact_returns_nothing(chain_graph):
     pkgs = [Package("n", i + 1, float(i)) for i in range(5)]
     assert baseline_localize(chain_graph, pkgs) == []
+
+
+def heard(times_and_gateways):
+    """Packages at the given times, each hearing the named gateway or nothing."""
+    return [
+        Package("n", i + 1, float(t), (GatewayObservation(g, 1.0),) if g else ())
+        for i, (t, g) in enumerate(times_and_gateways)
+    ]
+
+
+def expected_baseline(graph, packages, anchors):
+    # Per-package reference: pin outside the anchored window, else the first
+    # anchor pair (i0, i1) with i0 <= k <= i1, on a route built for the package.
+    out = []
+    for k, pkg in enumerate(packages):
+        if k <= anchors[0][0]:
+            out.append(graph.position_at(anchors[0][1]))
+            continue
+        if k >= anchors[-1][0]:
+            out.append(graph.position_at(anchors[-1][1]))
+            continue
+        (i0, j0), (i1, j1) = next(
+            (a, b) for a, b in zip(anchors, anchors[1:]) if a[0] <= k <= b[0]
+        )
+        t0, t1 = packages[i0].t, packages[i1].t
+        fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
+        route = graph.route(graph.position_at(j0), graph.position_at(j1))
+        out.append(route.point_at_fraction(fraction))
+    return out
+
+
+def counted_routes(graph, monkeypatch):
+    calls = []
+    real_route = graph.route
+
+    def route(start, end):
+        calls.append((start, end))
+        return real_route(start, end)
+
+    monkeypatch.setattr(graph, "route", route)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "times_and_gateways, anchors",
+    [
+        # one-package contacts (first == last contact), an unknown gateway
+        # interpolated like silence, and packages on indices two pairs share
+        (
+            [(0, "gw-a"), (1, None), (2, "gw-x"), (4, "gw-b"), (5, None), (8, "gw-c")],
+            [(0, "a"), (3, "b"), (5, "c")],
+        ),
+        # multi-package contacts: both contact ends anchor, shared indices 1, 3, 4
+        (
+            [(0, "gw-a"), (1, "gw-a"), (2, None), (3, "gw-b"), (5, "gw-b"), (6, None), (7, "gw-c")],
+            [(0, "a"), (1, "a"), (3, "b"), (4, "b"), (6, "c")],
+        ),
+        # zero-duration anchor pairs (t1 <= t0) between a and b, then b and c
+        (
+            [(0, None), (2, "gw-a"), (2, None), (2, "gw-b"), (3, None), (3, "gw-c"), (4, None)],
+            [(1, "a"), (3, "b"), (5, "c")],
+        ),
+    ],
+)
+def test_baseline_matches_per_package_routes(chain_graph, monkeypatch, times_and_gateways, anchors):
+    pkgs = heard(times_and_gateways)
+    expected = expected_baseline(chain_graph, pkgs, anchors)
+    calls = counted_routes(chain_graph, monkeypatch)
+    out = baseline_localize(chain_graph, pkgs)
+    assert [m.position for m in out] == expected
+    assert [(m.seq, m.t, m.method) for m in out] == [(p.seq, p.t, "baseline") for p in pkgs]
+    assert len(calls) <= len(anchors) - 1
+
+
+def test_baseline_builds_one_route_per_anchor_pair(chain_graph, monkeypatch):
+    silence = [(t, None) for t in range(1, 1000)]
+    pkgs = heard([(0, "gw-a")] + silence + [(1000, "gw-c")])
+    calls = counted_routes(chain_graph, monkeypatch)
+    out = baseline_localize(chain_graph, pkgs)
+    assert len(out) == len(pkgs)
+    assert len(calls) == 1
+    assert chain_graph.geodesic_distance(out[500].position, line_position(50.0)) <= 1e-9
 
 
 # -- vanilla localization over simulated scenarios ----------------------------------

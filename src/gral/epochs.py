@@ -231,7 +231,8 @@ def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
     no other gateway is seen, absorbing rise/fall jitter at that gateway and
     the silent epochs that follow it, up to (not including) the next epoch
     anchored elsewhere. Trailing silence at the very end of the stream stays
-    separate: nothing downstream bounds it yet.
+    separate: nothing downstream bounds it yet. It runs on segmentation that
+    is not yet resolved, so merged epochs carry no boundary positions.
     """
     epochs = epoch_set.epochs
     merged: list[Epoch] = []
@@ -255,16 +256,7 @@ def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
             merged.append(e)
         else:
             packages = [p for part in run for p in part.packages]
-            kind = classify(packages) or EpochKind.MIXED
-            merged.append(
-                Epoch(
-                    kind,
-                    packages,
-                    anchor=gateway,
-                    start_pos=run[0].start_pos,
-                    final_pos=run[-1].final_pos,
-                )
-            )
+            merged.append(Epoch(classify(packages) or EpochKind.MIXED, packages, anchor=gateway))
         i = end
     return EpochSet(epoch_set.node, merged)
 
@@ -308,6 +300,9 @@ def resolve_positions(
 ) -> EpochSet:
     """Fill in epoch boundary positions where the completion rules allow.
 
+    Returns a new set of new epochs; `epoch_set` and its epochs are left as
+    they were, so one segmentation can be resolved for several variants.
+
     An epoch's final position comes from (in order): a pre-set value
     (checkpoints, rectification), its own gateway's junction for a rising
     epoch that either is not the last epoch or peaked at full strength, or
@@ -317,34 +312,37 @@ def resolve_positions(
     full-strength first package as its fix.
     """
     epochs = epoch_set.epochs
+    resolved: list[Epoch] = []
     for idx, epoch in enumerate(epochs):
-        if epoch.start_pos is None:
+        start, final = epoch.start_pos, epoch.final_pos
+        if start is None:
             if idx == 0:
-                epoch.start_pos = initial_position or _initial_start(graph, epoch)
-            elif epochs[idx - 1].final_pos is not None:
-                epoch.start_pos = epochs[idx - 1].final_pos
+                start = initial_position or _initial_start(graph, epoch)
+            else:
+                start = resolved[-1].final_pos
 
-        if epoch.final_pos is None:
+        if final is None:
             if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:
                 gateway = graph.gateways[epoch.anchor]
                 if idx < len(epochs) - 1:
-                    epoch.final_pos = graph.position_at(gateway.junction)
+                    final = graph.position_at(gateway.junction)
                 else:
                     # Full strength, heard right under the gateway, is its radius.
                     top = strongest(epoch.packages[-1])
                     if top is not None and top.strength >= gateway.radius - POSITION_TOL:
-                        epoch.final_pos = graph.position_at(gateway.junction)
-            if epoch.final_pos is None and idx < len(epochs) - 1:
+                        final = graph.position_at(gateway.junction)
+            if final is None and idx < len(epochs) - 1:
                 nxt = epochs[idx + 1]
                 if nxt.anchor is not None and nxt.anchor in graph.gateways:
-                    origin = epoch.start_pos
+                    origin = start
                     if origin is None:
                         junction = anchor_junction(graph, reversed(epochs[: idx + 1]))
                         if junction is not None:
                             origin = graph.position_at(junction)
                     if origin is not None:
-                        epoch.final_pos = _boundary_before(graph, origin, nxt.anchor)
-    return epoch_set
+                        final = _boundary_before(graph, origin, nxt.anchor)
+        resolved.append(Epoch(epoch.kind, epoch.packages, epoch.anchor, start, final))
+    return EpochSet(epoch_set.node, resolved)
 
 
 def anchor_junction(graph: EnvironmentGraph, epochs: Iterable[Epoch]) -> Optional[str]:

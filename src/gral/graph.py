@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
@@ -69,9 +70,12 @@ class GraphPosition:
     @classmethod
     def from_json(cls, obj: dict) -> "GraphPosition":
         try:
-            return cls(str(obj["from"]), str(obj["to"]), float(obj["offset"]), float(obj["span"]))
+            pos = cls(str(obj["from"]), str(obj["to"]), float(obj["offset"]), float(obj["span"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed position object: {obj!r}") from exc
+        if not (math.isfinite(pos.offset) and math.isfinite(pos.span)):
+            raise GraphError(f"non-finite offset or span in position object: {obj!r}")
+        return pos
 
 
 class EnvironmentGraph:
@@ -346,16 +350,19 @@ def build_graph(
 ) -> EnvironmentGraph:
     """Validate and assemble an EnvironmentGraph.
 
-    Rejects duplicate ids, nonpositive lengths, dangling link endpoints,
-    cycles, disconnected components and a missing root.
+    Rejects duplicate ids, nonpositive or non-finite lengths and radii,
+    dangling link endpoints, cycles, disconnected components and a missing
+    root.
     """
     jmap: dict[str, Junction] = {}
     for j in junctions:
         if j.id in jmap:
             raise GraphError(f"duplicate junction id: {j.id!r}")
         if j.gateway is not None:
-            if j.gateway.radius <= 0:
-                raise GraphError(f"gateway {j.gateway.id!r} has nonpositive radius")
+            if not 0 < j.gateway.radius < math.inf:
+                raise GraphError(
+                    f"gateway {j.gateway.id!r} has non-finite or nonpositive radius {j.gateway.radius}"
+                )
             if j.gateway.junction != j.id:
                 raise GraphError(
                     f"gateway {j.gateway.id!r} attached to {j.gateway.junction!r}, not {j.id!r}"
@@ -371,8 +378,10 @@ def build_graph(
     for link in link_list:
         if link.u == link.v:
             raise GraphError(f"self-loop at {link.u!r}")
-        if link.length <= 0:
-            raise GraphError(f"nonpositive length on link {link.u!r}-{link.v!r}")
+        if not 0 < link.length < math.inf:
+            raise GraphError(
+                f"non-finite or nonpositive length {link.length} on link {link.u!r}-{link.v!r}"
+            )
         for end in (link.u, link.v):
             if end not in jmap:
                 raise GraphError(f"link endpoint {end!r} is not a junction")

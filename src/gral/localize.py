@@ -142,11 +142,14 @@ def localize_node(
 ) -> list[LocalizedMeasurement]:
     """Resolve a node's epoch boundaries and interpolate every complete epoch.
 
+    The resolved set replaces the node's entry in `state.epoch_sets`.
     Incomplete epochs (typically a trailing stretch still waiting for an
     anchor) yield no output yet.
     """
-    epoch_set = state.epoch_sets[node]
-    resolve_positions(epoch_set, state.graph, state.initial_positions.get(node))
+    epoch_set = resolve_positions(
+        state.epoch_sets[node], state.graph, state.initial_positions.get(node)
+    )
+    state.epoch_sets[node] = epoch_set
     out: list[LocalizedMeasurement] = []
     for epoch in epoch_set.epochs:
         if is_complete(epoch):
@@ -198,18 +201,20 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
     A checkpoint splits its containing epoch at the first package strictly
     later than the checkpoint; both fragments adopt the checkpoint position as
     their shared boundary. Checkpoints outside any complete epoch, beyond its
-    last package, or off the epoch's interpolation path are discarded.
+    last package, or off the epoch's interpolation path are discarded. The
+    on-path test needs boundaries, so the node's epochs are resolved first;
+    the resolved, split set replaces the node's entry in `state.epoch_sets`.
     """
-    epoch_set = state.epoch_sets[node]
+    epochs = resolve_positions(
+        state.epoch_sets[node], state.graph, state.initial_positions.get(node)
+    ).epochs
     pending = sorted(
         (c for c in state.checkpoints if c.target == node), key=lambda c: (c.t, c.issuer)
     )
     for ck in pending:
-        placed = False
-        for idx, epoch in enumerate(epoch_set.epochs):
+        for idx, epoch in enumerate(epochs):
             if not (epoch.t_first <= ck.t <= epoch.t_last):
                 continue
-            placed = True
             if not is_complete(epoch):
                 log.info("checkpoint %s->%s at t=%s in incomplete epoch; discarded",
                          ck.issuer, ck.target, ck.t)
@@ -227,12 +232,13 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
                 log.info("checkpoint %s->%s at t=%s leaves an empty fragment; discarded",
                          ck.issuer, ck.target, ck.t)
                 break
-            epoch_set.epochs[idx : idx + 1] = _split_epoch(epoch, split_at, ck.position)
+            epochs[idx : idx + 1] = _split_epoch(epoch, split_at, ck.position)
             break
-        if not placed:
+        else:
             log.info("checkpoint %s->%s at t=%s outside all epochs; discarded",
                      ck.issuer, ck.target, ck.t)
-    return epoch_set
+    state.epoch_sets[node] = EpochSet(node, epochs)
+    return state.epoch_sets[node]
 
 
 def _provenance_before(
@@ -254,10 +260,10 @@ def rectify_paths(
     Two nodes heading for a common destination can only have met at or after
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
-    earliest such package with the confluence junction as the boundary, and
-    the node is re-interpolated. The detection runs on the normal estimates;
-    splits never move a package past the confluence, so the correction cannot
-    overshoot.
+    earliest such package with the confluence junction as the boundary; the
+    split set replaces the node's entry in `state.epoch_sets` and the node is
+    localized again. The detection runs on the normal estimates; splits never
+    move a package past the confluence, so the correction cannot overshoot.
     """
     graph = state.graph
     by_seq = {m.seq: m for m in localized}
@@ -294,29 +300,22 @@ def rectify_paths(
                 if graph.geodesic_distance(est.position, v_f_pos) > limit + POSITION_TOL:
                     splits.append((pkg.seq, v_c_pos))
                     break
-    if not splits:
-        return localized
     # Detection ran on the normal estimates; apply splits in stream order,
     # locating each flagged package in whatever fragment now contains it.
     splits.sort(key=lambda s: s[0])
-    applied = 0
+    epochs = list(epoch_set.epochs)
     for seq, v_c_pos in splits:
-        for idx, epoch in enumerate(epoch_set.epochs):
+        for idx, epoch in enumerate(epochs):
             pkg_idx = next((i for i, p in enumerate(epoch.packages) if p.seq == seq), None)
             if pkg_idx is None:
                 continue
             if pkg_idx > 0:
-                epoch_set.epochs[idx : idx + 1] = _split_epoch(epoch, pkg_idx, v_c_pos)
-                applied += 1
+                epochs[idx : idx + 1] = _split_epoch(epoch, pkg_idx, v_c_pos)
             break
-    if not applied:
+    if len(epochs) == len(epoch_set.epochs):
         return localized
-    resolve_positions(epoch_set, graph, state.initial_positions.get(node))
-    out = []
-    for epoch in epoch_set.epochs:
-        if is_complete(epoch):
-            out.extend(interpolate_epoch(graph, epoch, method))
-    return out
+    state.epoch_sets[node] = EpochSet(node, epochs)
+    return localize_node(state, node, method)
 
 
 def run_pipeline(
@@ -344,9 +343,6 @@ def run_pipeline(
             results[node] = []
             continue
         if use_cp:
-            # Resolve first: the on-path test needs epoch boundaries.
-            resolve_positions(state.epoch_sets[node], state.graph,
-                              state.initial_positions.get(node))
             apply_checkpoints(state, node)
         localized = localize_node(state, node, method=variant)
         if use_pr:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import EnvironmentGraph, GraphPosition
-from .localize import VARIANTS, build_state, run_pipeline
+from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
 from .sim import InstanceResult, ScenarioSpec, run_instance
 
@@ -101,7 +101,7 @@ def run_experiment(
     seed0: int = 0,
     scenario_name: str = "custom",
 ) -> list[VariantResult]:
-    """Simulate seeds seed0..seed0+n-1 once and localize each with every variant."""
+    """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant."""
     if n_instances < 1:
         raise ValueError("need at least one instance")
     for variant in variants:
@@ -110,19 +110,18 @@ def run_experiment(
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}
-    per_variant_localized: dict[str, int] = {v: 0 for v in variants}
     total_packages = 0
     for i in range(n_instances):
         result = run_instance(spec, seed0 + i)
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
+        segmented = build_state(spec.graph, streams)
         for variant in variants:
-            state = build_state(spec.graph, streams)
+            state = BackendState(spec.graph, dict(segmented.epoch_sets))
             estimates = run_pipeline(state, streams, variant)
             samples, _missing = instance_errors(spec.graph, result, estimates)
             errors = [s.error for s in samples]
             per_variant_errors[variant].extend(errors)
-            per_variant_localized[variant] += len(errors)
             if errors:
                 per_variant_irmse[variant].append(rmse(errors))
     out = []
@@ -136,7 +135,7 @@ def run_experiment(
                 variant=variant,
                 instances=n_instances,
                 packages_total=total_packages,
-                packages_localized=per_variant_localized[variant],
+                packages_localized=len(errors),
                 instance_rmse=per_variant_irmse[variant],
                 pooled_rmse=pooled,
                 mae=mae_value,

@@ -9,6 +9,7 @@ JSON, one package per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -118,7 +119,7 @@ def _package_from_json(obj: dict, line: int) -> Package:
     try:
         observations = tuple(GatewayObservation(str(g), float(s)) for g, s in obj["obs"])
         contacts = tuple(NodeContact(str(p), float(s)) for p, s in obj["contacts"])
-        return Package(
+        pkg = Package(
             node=str(obj["node"]),
             seq=int(obj["seq"]),
             t=float(obj["t"]),
@@ -128,6 +129,12 @@ def _package_from_json(obj: dict, line: int) -> Package:
         )
     except (TypeError, ValueError) as exc:
         raise StreamFormatError(str(exc), line) from exc
+    if not math.isfinite(pkg.t):
+        raise StreamFormatError(f"non-finite timestamp {pkg.t}", line)
+    for signal in observations + contacts:
+        if not math.isfinite(signal.strength):
+            raise StreamFormatError(f"non-finite strength {signal.strength}", line)
+    return pkg
 
 
 def parse_package_stream(data: str | bytes) -> list[Package]:

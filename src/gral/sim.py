@@ -60,12 +60,12 @@ class ScenarioSpec:
     max_ticks: int = 5000
 
     def __post_init__(self) -> None:
-        if self.base_step <= 0:
-            raise ScenarioError("base_step must be positive")
+        if not 0 < self.base_step < math.inf:
+            raise ScenarioError("base_step must be positive and finite")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ScenarioError("noise_p must be a probability")
-        if self.contact_radius is not None and self.contact_radius <= 0:
-            raise ScenarioError("contact radius must be positive")
+        if not 0 < self.effective_contact_radius < math.inf:
+            raise ScenarioError("contact radius must be positive and finite")
         if self.measurement_interval < 1:
             raise ScenarioError("measurement interval must be >= 1")
         seen = set()
@@ -183,18 +183,24 @@ def step(world: WorldState, spec: ScenarioSpec) -> WorldState:
     return world
 
 
+def _gateway_observations(
+    graph: EnvironmentGraph, position: GraphPosition
+) -> tuple[GatewayObservation, ...]:
+    observations = []
+    for gw_id in sorted(graph.gateways):
+        gateway = graph.gateways[gw_id]
+        d = graph.geodesic_distance(position, graph.position_at(gateway.junction))
+        if d <= gateway.radius:
+            observations.append(GatewayObservation(gw_id, gateway.radius - d))
+    return tuple(observations)
+
+
 def observe(
     world: WorldState, spec: ScenarioSpec, node: str
 ) -> tuple[tuple[GatewayObservation, ...], tuple[NodeContact, ...]]:
     """Radio snapshot for one node: gateway signals and peer contacts in range."""
     graph = spec.graph
     st = world.nodes[node]
-    observations = []
-    for gw_id in sorted(graph.gateways):
-        gateway = graph.gateways[gw_id]
-        d = graph.geodesic_distance(st.position, graph.position_at(gateway.junction))
-        if d <= gateway.radius:
-            observations.append(GatewayObservation(gw_id, gateway.radius - d))
     contacts = []
     radius = spec.effective_contact_radius
     for peer in world.active_nodes():
@@ -203,17 +209,7 @@ def observe(
         d = graph.geodesic_distance(st.position, world.nodes[peer].position)
         if d <= radius:
             contacts.append(NodeContact(peer, radius - d))
-    return tuple(observations), tuple(contacts)
-
-
-def _in_gateway_range(world: WorldState, spec: ScenarioSpec, node: str) -> bool:
-    graph = spec.graph
-    pos = world.nodes[node].position
-    for gateway in graph.gateways.values():
-        d = graph.geodesic_distance(pos, graph.position_at(gateway.junction))
-        if d <= gateway.radius:
-            return True
-    return False
+    return _gateway_observations(graph, st.position), tuple(contacts)
 
 
 def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
@@ -225,10 +221,13 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
     """
     batches = []
     due = world.tick % spec.measurement_interval == 0
+    # Nodes do not move before the flush, so it reuses these observations.
+    heard: dict[str, tuple[GatewayObservation, ...]] = {}
     for node in world.active_nodes():
         st = world.nodes[node]
         if due or st.at_root:
             obs, contacts = observe(world, spec, node)
+            heard[node] = obs
             st.seq += 1
             st.buffer.append(
                 Package(node, st.seq, float(world.tick), obs, contacts, payload={"tick": world.tick})
@@ -236,7 +235,10 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
             world.ground_truth.append(GroundTruthRecord(node, st.seq, world.tick, st.position))
     for node in world.active_nodes():
         st = world.nodes[node]
-        if st.buffer and _in_gateway_range(world, spec, node):
+        if not st.buffer:
+            continue
+        obs = heard[node] if node in heard else _gateway_observations(spec.graph, st.position)
+        if obs:
             batches.append(Batch(node, world.tick, tuple(st.buffer)))
             st.buffer.clear()
     for node in world.active_nodes():
@@ -398,18 +400,18 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
     for key in ("graph", "insertions"):
         if key not in obj:
             raise ScenarioError(f"scenario object missing field {key!r}")
+    insertions = []
     try:
         graph = graph_from_json(obj["graph"])
+        for iobj in obj["insertions"]:
+            unknown = set(iobj) - _INSERTION_KEYS
+            if unknown:
+                raise ScenarioError(f"unknown field(s) {sorted(unknown)} in insertion object")
+            insertions.append(
+                Insertion(str(iobj["node"]), GraphPosition.from_json(iobj["at"]), int(iobj["tick"]))
+            )
     except GraphError as exc:
         raise ScenarioError(str(exc)) from exc
-    insertions = []
-    for iobj in obj["insertions"]:
-        unknown = set(iobj) - _INSERTION_KEYS
-        if unknown:
-            raise ScenarioError(f"unknown field(s) {sorted(unknown)} in insertion object")
-        insertions.append(
-            Insertion(str(iobj["node"]), GraphPosition.from_json(iobj["at"]), int(iobj["tick"]))
-        )
     kwargs = {}
     for key in _SCENARIO_KEYS - {"graph", "insertions"}:
         if key in obj and obj[key] is not None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -156,6 +157,61 @@ def test_localize_rejects_malformed_stream(tmp_path):
         str(tmp_path / "r.csv"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda graph, pkgs: graph["junctions"][0]["gateway"].update(radius=math.nan),
+        lambda graph, pkgs: graph["links"][0].update(length=math.inf),
+        lambda graph, pkgs: pkgs[3].update(t=math.nan),
+        lambda graph, pkgs: pkgs[3].update(obs=[["gw-a", math.nan]]),
+        lambda graph, pkgs: pkgs[3].update(contacts=[["n2", math.inf]]),
+    ],
+    ids=["gateway-radius", "link-length", "package-t", "gateway-strength", "contact-strength"],
+)
+def test_localize_rejects_non_finite_input(tmp_path, mutate):
+    out = tmp_path / "inst"
+    run_cli("simulate", "--scenario", "1", "--seed", "0", "--out", str(out))
+    graph = json.loads((out / "graph.json").read_text())
+    pkgs = [json.loads(line) for line in (out / "packages.ndjson").read_text().splitlines()]
+    mutate(graph, pkgs)
+    (out / "graph.json").write_text(json.dumps(graph))
+    (out / "packages.ndjson").write_text("".join(json.dumps(p) + "\n" for p in pkgs))
+    code = run_cli(
+        "localize",
+        "--variant",
+        "gral",
+        "--graph",
+        str(out / "graph.json"),
+        "--packages",
+        str(out / "packages.ndjson"),
+        "--out",
+        str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o: o.update(base_step=math.nan),
+        lambda o: o.update(contact_radius=math.inf),
+        lambda o: o["insertions"][0]["at"].update(offset=math.nan),
+    ],
+    ids=["base_step", "contact_radius", "insertion-offset"],
+)
+def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):
+    from gral.sim import make_scenario, scenario_to_json
+
+    obj = scenario_to_json(make_scenario(1))
+    mutate(obj)
+    scenario_file = tmp_path / "custom.json"
+    scenario_file.write_text(json.dumps(obj))
+    out = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", str(scenario_file), "--seed", "0", "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_flag_errors_exit_1():

@@ -382,7 +382,7 @@ def test_merge_absorbs_silence_between_gateways():
 def test_resolve_rising_not_last_pins_junction(chain_graph):
     pkgs = stream([(0, [("gw-a", 1.0)]), (1, [("gw-a", 2.0)]), (2, []), (3, [])])
     es = integrate_stream("n", pkgs)
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     rising = es.epochs[0]
     assert rising.kind == EpochKind.RISING
     assert rising.final_pos is not None
@@ -403,7 +403,7 @@ def test_resolve_boundary_before_next_gateway(chain_graph):
         ]
     )
     es = merge_same_gateway(integrate_stream("n", pkgs))
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     first = es.epochs[0]
     assert first.anchor == "gw-a"
     assert first.start_pos is not None
@@ -418,7 +418,7 @@ def test_resolve_boundary_before_next_gateway(chain_graph):
 def test_resolve_last_rising_below_max_stays_incomplete(chain_graph):
     pkgs = stream([(0, [("gw-a", R)]), (1, [("gw-a", 1.0)]), (2, []), (3, [("gw-b", 0.5)])])
     es = merge_same_gateway(integrate_stream("n", pkgs))
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     last = es.epochs[-1]
     assert last.kind == EpochKind.RISING
     assert last.final_pos is None
@@ -428,7 +428,7 @@ def test_resolve_last_rising_below_max_stays_incomplete(chain_graph):
 def test_resolve_last_rising_at_max_completes(chain_graph):
     pkgs = stream([(0, [("gw-a", R)]), (1, [("gw-a", 1.0)]), (2, []), (3, [("gw-b", R)])])
     es = merge_same_gateway(integrate_stream("n", pkgs))
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     last = es.epochs[-1]
     assert last.final_pos is not None
     assert chain_graph.same_point(last.final_pos, chain_graph.position_at("b"))
@@ -440,7 +440,7 @@ def test_resolve_keeps_preset_positions(chain_graph):
     es = integrate_stream("n", pkgs)
     preset = GraphPosition("a", "b", 5.0, 50.0)
     es.epochs[0].final_pos = preset
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     assert es.epochs[0].final_pos == preset
 
 
@@ -457,7 +457,7 @@ def test_is_complete_cases(chain_graph):
 
 def test_epoch_dump_shape(chain_graph):
     es = integrate_stream("n", stream([(0, [("gw-a", R)]), (1, [])]))
-    resolve_positions(es, chain_graph)
+    es = resolve_positions(es, chain_graph)
     dump = epoch_set_to_json(es)
     assert dump["node"] == "n"
     assert [e["type"] for e in dump["epochs"]] == ["rising", "silent"]

@@ -248,6 +248,31 @@ def test_graph_loader_rejects_unknown_fields(chain_graph, mutate, message):
         load_graph(json.dumps(obj))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda o, bad: o["junctions"][0]["gateway"].update(radius=bad),
+        lambda o, bad: o["links"][0].update(length=bad),
+    ],
+    ids=["radius", "length"],
+)
+def test_graph_loader_rejects_non_finite(chain_graph, mutate, bad):
+    obj = graph_to_json(chain_graph)
+    mutate(obj, bad)
+    with pytest.raises(GraphError, match="non-finite or nonpositive"):
+        load_graph(json.dumps(obj))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["offset", "span"])
+def test_position_from_json_rejects_non_finite(field, bad):
+    obj = GraphPosition("a", "b", 10.0, 50.0).to_json()
+    obj[field] = bad
+    with pytest.raises(GraphError, match="non-finite"):
+        GraphPosition.from_json(obj)
+
+
 def test_gateway_validation():
     with pytest.raises(GraphError, match="nonpositive radius"):
         build_graph([Junction("a", Gateway("g", "a", 0.0))], [], "a")

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from gral.epochs import Epoch, EpochKind, integrate_stream
+from gral.epochs import Epoch, EpochKind, epoch_set_to_json, integrate_stream
 from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
 from gral.localize import (
+    VARIANTS,
+    BackendState,
     apply_checkpoints,
     baseline_localize,
     build_state,
@@ -343,6 +345,19 @@ def test_apply_checkpoint_off_path_discarded(chain_graph):
     assert [len(e.packages) for e in state.epoch_sets["n"].epochs] == before
 
 
+def test_apply_checkpoint_resolves_unresolved_state(chain_graph):
+    resolved, streams = resolved_single_node_state(chain_graph)
+    unresolved = build_state(chain_graph, streams)
+    epochs_before = len(unresolved.epoch_sets["n"].epochs)
+    for state in (resolved, unresolved):
+        state.checkpoints.append(Checkpoint("peer", "n", 10.0, line_position(22.0)))
+        apply_checkpoints(state, "n")
+    assert len(unresolved.epoch_sets["n"].epochs) == epochs_before + 1
+    assert epoch_set_to_json(unresolved.epoch_sets["n"]) == epoch_set_to_json(
+        resolved.epoch_sets["n"]
+    )
+
+
 def test_two_checkpoints_compose_like_sequential_splits(chain_graph):
     state_a, _ = resolved_single_node_state(chain_graph)
     ck1 = Checkpoint("p1", "n", 8.0, line_position(18.0))
@@ -459,6 +474,20 @@ def test_pipeline_single_node_cp_equals_vanilla():
         est = run_pipeline(build_state(spec.graph, streams), streams, variant)
         outputs[variant] = [(m.node, m.seq, m.position) for m in est["n1"]]
     assert outputs["gral"] == outputs["gral+cp"] == outputs["gral+pr"] == outputs["gral+cp+pr"]
+
+
+@pytest.mark.parametrize("scenario", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_pipeline_never_rewrites_shared_segmentation(scenario, seed):
+    spec = make_scenario(scenario)
+    streams = run_instance(spec, seed).streams()
+    segmented = build_state(spec.graph, streams)
+    before = {n: epoch_set_to_json(es) for n, es in segmented.epoch_sets.items()}
+    for variant in VARIANTS:
+        shared = run_pipeline(BackendState(spec.graph, dict(segmented.epoch_sets)), streams, variant)
+        fresh = run_pipeline(build_state(spec.graph, streams), streams, variant)
+        assert shared == fresh, variant
+    assert {n: epoch_set_to_json(es) for n, es in segmented.epoch_sets.items()} == before
 
 
 def test_pipeline_deterministic():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from gral import metrics
 from gral.metrics import mae, normalized_mae, rmse, run_experiment
 from gral.sim import make_scenario
 
@@ -81,6 +82,19 @@ def test_experiment_directional_small():
     baseline, gral = run_experiment(spec, ["baseline", "gral"], 20, seed0=0, scenario_name="s1")
     assert gral.pooled_rmse < baseline.pooled_rmse
     assert gral.coverage_pct == 100.0
+
+
+def test_experiment_segments_each_instance_once(monkeypatch):
+    calls = []
+    build_state = metrics.build_state
+
+    def counting_build_state(*args, **kwargs):
+        calls.append(args)
+        return build_state(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "build_state", counting_build_state)
+    run_experiment(make_scenario(2), metrics.VARIANTS, 3, seed0=0)
+    assert len(calls) == 3
 
 
 def test_experiment_validates_inputs():

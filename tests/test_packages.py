@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -83,6 +84,25 @@ def test_negative_strength_rejected():
     )
     with pytest.raises(StreamFormatError, match="line 1.*negative strength"):
         parse_package_stream(line)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t", math.nan),
+        ("t", math.inf),
+        ("t", -math.inf),
+        ("obs", [["g", math.nan]]),
+        ("obs", [["g", math.inf]]),
+        ("contacts", [["p", math.nan]]),
+        ("contacts", [["p", math.inf]]),
+    ],
+)
+def test_non_finite_values_rejected(field, value):
+    obj = {"node": "n1", "seq": 1, "t": 0.0, "obs": [], "contacts": [], "payload": None}
+    obj[field] = value
+    with pytest.raises(StreamFormatError, match="line 1.*non-finite"):
+        parse_package_stream(json.dumps(obj))
 
 
 def test_malformed_json_reports_line():

@@ -165,6 +165,22 @@ def test_batch_on_entering_range_carries_backlog():
     assert all(len(b.packages) == 1 for b in result.batches[1:])
 
 
+def test_batch_between_records_flushes_on_entering_range():
+    # Recording every third tick, the node enters range at tick 40, off the grid.
+    g = build_graph(
+        [Junction("s"), Junction("r", Gateway("gw-r", "r", 2.5))],
+        [Link("s", "r", 42.0)],
+        "r",
+    )
+    spec = ScenarioSpec(
+        g, [Insertion("n", g.position_at("s"), 0)], noise_p=0.0, measurement_interval=3
+    )
+    result = run_instance(spec, 0)
+    first = result.batches[0]
+    assert first.tick == 40
+    assert [p.t for p in first.packages] == [float(t) for t in range(0, 40, 3)]
+
+
 def test_make_scenario_1_geometry():
     spec = make_scenario(1)
     assert len(spec.graph.junctions) == 3
@@ -272,6 +288,24 @@ def test_scenario_json_rejects_unknown_fields():
     obj["wind"] = 3
     with pytest.raises(ScenarioError, match="unknown field"):
         scenario_from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o, bad: o.update(base_step=bad), "base_step"),
+        (lambda o, bad: o.update(contact_radius=bad), "contact radius"),
+        (lambda o, bad: o.update(gateway_radius_default=bad), "contact radius"),
+        (lambda o, bad: o["insertions"][0]["at"].update(offset=bad), "non-finite"),
+    ],
+    ids=["base_step", "contact_radius", "gateway_radius_default", "insertion_offset"],
+)
+def test_load_scenario_rejects_non_finite(mutate, message, bad):
+    obj = scenario_to_json(make_scenario(1))
+    mutate(obj, bad)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(json.dumps(obj))
 
 
 def test_scenario_validation():

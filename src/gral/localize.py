@@ -41,7 +41,6 @@ class BackendState:
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    initial_positions: dict[str, GraphPosition] = field(default_factory=dict)
 
 
 def build_state(
@@ -49,10 +48,16 @@ def build_state(
     streams: dict[str, list[Package]],
     initial_positions: Optional[dict[str, GraphPosition]] = None,
 ) -> BackendState:
-    """Integrate every node's stream into merged (but unresolved) epoch sets."""
-    state = BackendState(graph, initial_positions=dict(initial_positions or {}))
+    """Segment every node's stream into merged epochs and resolve their bounds.
+
+    Boundaries follow from the map and the gateway geometry alone, so they are
+    fixed here once; the encounter refinements only split resolved epochs.
+    """
+    initial_positions = initial_positions or {}
+    state = BackendState(graph)
     for node, packages in streams.items():
-        state.epoch_sets[node] = merge_same_gateway(integrate_stream(node, packages))
+        segmented = merge_same_gateway(integrate_stream(node, packages))
+        state.epoch_sets[node] = resolve_positions(segmented, graph, initial_positions.get(node))
     return state
 
 
@@ -140,18 +145,13 @@ def baseline_localize(
 def localize_node(
     state: BackendState, node: str, method: str = "gral"
 ) -> list[LocalizedMeasurement]:
-    """Resolve a node's epoch boundaries and interpolate every complete epoch.
+    """Interpolate every complete epoch of the node's resolved epoch set.
 
-    The resolved set replaces the node's entry in `state.epoch_sets`.
     Incomplete epochs (typically a trailing stretch still waiting for an
     anchor) yield no output yet.
     """
-    epoch_set = resolve_positions(
-        state.epoch_sets[node], state.graph, state.initial_positions.get(node)
-    )
-    state.epoch_sets[node] = epoch_set
     out: list[LocalizedMeasurement] = []
-    for epoch in epoch_set.epochs:
+    for epoch in state.epoch_sets[node].epochs:
         if is_complete(epoch):
             out.extend(interpolate_epoch(state.graph, epoch, method))
     return out
@@ -202,12 +202,9 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
     later than the checkpoint; both fragments adopt the checkpoint position as
     their shared boundary. Checkpoints outside any complete epoch, beyond its
     last package, or off the epoch's interpolation path are discarded. The
-    on-path test needs boundaries, so the node's epochs are resolved first;
-    the resolved, split set replaces the node's entry in `state.epoch_sets`.
+    split set replaces the node's entry in `state.epoch_sets`.
     """
-    epochs = resolve_positions(
-        state.epoch_sets[node], state.graph, state.initial_positions.get(node)
-    ).epochs
+    epochs = list(state.epoch_sets[node].epochs)
     pending = sorted(
         (c for c in state.checkpoints if c.target == node), key=lambda c: (c.t, c.issuer)
     )
@@ -261,8 +258,8 @@ def rectify_paths(
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
     earliest such package with the confluence junction as the boundary; the
-    split set replaces the node's entry in `state.epoch_sets` and the node is
-    localized again. The detection runs on the normal estimates; splits never
+    split set replaces the node's entry in `state.epoch_sets` and is
+    interpolated again. Detection runs on the normal estimates; splits never
     move a package past the confluence, so the correction cannot overshoot.
     """
     graph = state.graph

@@ -221,26 +221,24 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
     """
     batches = []
     due = world.tick % spec.measurement_interval == 0
-    # Nodes do not move before the flush, so it reuses these observations.
-    heard: dict[str, tuple[GatewayObservation, ...]] = {}
     for node in world.active_nodes():
         st = world.nodes[node]
+        obs = None
         if due or st.at_root:
             obs, contacts = observe(world, spec, node)
-            heard[node] = obs
             st.seq += 1
             st.buffer.append(
                 Package(node, st.seq, float(world.tick), obs, contacts, payload={"tick": world.tick})
             )
             world.ground_truth.append(GroundTruthRecord(node, st.seq, world.tick, st.position))
-    for node in world.active_nodes():
-        st = world.nodes[node]
         if not st.buffer:
             continue
-        obs = heard[node] if node in heard else _gateway_observations(spec.graph, st.position)
+        if obs is None:
+            obs = _gateway_observations(spec.graph, st.position)
         if obs:
             batches.append(Batch(node, world.tick, tuple(st.buffer)))
             st.buffer.clear()
+    # Leaving only after every node recorded lets peers hear a node's final tick.
     for node in world.active_nodes():
         st = world.nodes[node]
         if st.at_root:
@@ -391,6 +389,15 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
     }
 
 
+def _integer(value: object, name: str) -> int:
+    # A JSON number with no fractional part; 3.0 reads as 3, 2.7 and NaN fail.
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ScenarioError(f"{name} must be an integer, got {value!r}")
+
+
 def scenario_from_json(obj: dict) -> ScenarioSpec:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario file must contain a JSON object")
@@ -407,16 +414,18 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
             unknown = set(iobj) - _INSERTION_KEYS
             if unknown:
                 raise ScenarioError(f"unknown field(s) {sorted(unknown)} in insertion object")
-            insertions.append(
-                Insertion(str(iobj["node"]), GraphPosition.from_json(iobj["at"]), int(iobj["tick"]))
-            )
+            at = GraphPosition.from_json(iobj["at"])
+            tick = _integer(iobj["tick"], "insertion tick")
+            insertions.append(Insertion(str(iobj["node"]), at, tick))
     except GraphError as exc:
         raise ScenarioError(str(exc)) from exc
     kwargs = {}
     for key in _SCENARIO_KEYS - {"graph", "insertions"}:
         if key in obj and obj[key] is not None:
-            caster = int if key in ("measurement_interval", "max_ticks") else float
-            kwargs[key] = caster(obj[key])
+            if key in ("measurement_interval", "max_ticks"):
+                kwargs[key] = _integer(obj[key], key)
+            else:
+                kwargs[key] = float(obj[key])
     return ScenarioSpec(graph, insertions, **kwargs)
 
 

@@ -21,13 +21,16 @@ measures near 1%, and no flow in that model has been seen to reach 4.81%
 import csv
 import dataclasses
 import math
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import gral
 from gral.epochs import EpochKind, classify, integrate_stream, is_complete
 from gral.graph import Gateway, Junction, Link, build_graph
 from gral.localize import build_state, interpolate_epoch, localize_node, run_pipeline
@@ -307,6 +310,9 @@ def test_criterion_9_fault_tolerance_middle_gateway_removed(
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    # The child process imports the same gral as this test, installed or not.
+    source = str(Path(gral.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     outputs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
@@ -329,6 +335,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())

@@ -199,8 +199,18 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o.update(base_step=math.nan),
         lambda o: o.update(contact_radius=math.inf),
         lambda o: o["insertions"][0]["at"].update(offset=math.nan),
+        lambda o: o["insertions"][0].update(tick=2.7),
+        lambda o: o.update(measurement_interval=1.9),
+        lambda o: o.update(max_ticks=math.nan),
     ],
-    ids=["base_step", "contact_radius", "insertion-offset"],
+    ids=[
+        "base_step",
+        "contact_radius",
+        "insertion-offset",
+        "insertion-tick",
+        "measurement_interval",
+        "max_ticks",
+    ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):
     from gral.sim import make_scenario, scenario_to_json

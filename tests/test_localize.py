@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from gral.epochs import Epoch, EpochKind, epoch_set_to_json, integrate_stream
+from gral import localize
+from gral.epochs import (
+    Epoch,
+    EpochKind,
+    epoch_set_to_json,
+    integrate_stream,
+    merge_same_gateway,
+    resolve_positions,
+)
 from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
 from gral.localize import (
     VARIANTS,
@@ -345,16 +353,16 @@ def test_apply_checkpoint_off_path_discarded(chain_graph):
     assert [len(e.packages) for e in state.epoch_sets["n"].epochs] == before
 
 
-def test_apply_checkpoint_resolves_unresolved_state(chain_graph):
-    resolved, streams = resolved_single_node_state(chain_graph)
-    unresolved = build_state(chain_graph, streams)
-    epochs_before = len(unresolved.epoch_sets["n"].epochs)
-    for state in (resolved, unresolved):
+def test_apply_checkpoint_same_before_and_after_localize_node(chain_graph):
+    localized, streams = resolved_single_node_state(chain_graph)
+    fresh = build_state(chain_graph, streams)
+    epochs_before = len(fresh.epoch_sets["n"].epochs)
+    for state in (localized, fresh):
         state.checkpoints.append(Checkpoint("peer", "n", 10.0, line_position(22.0)))
         apply_checkpoints(state, "n")
-    assert len(unresolved.epoch_sets["n"].epochs) == epochs_before + 1
-    assert epoch_set_to_json(unresolved.epoch_sets["n"]) == epoch_set_to_json(
-        resolved.epoch_sets["n"]
+    assert len(fresh.epoch_sets["n"].epochs) == epochs_before + 1
+    assert epoch_set_to_json(fresh.epoch_sets["n"]) == epoch_set_to_json(
+        localized.epoch_sets["n"]
     )
 
 
@@ -488,6 +496,33 @@ def test_pipeline_never_rewrites_shared_segmentation(scenario, seed):
         fresh = run_pipeline(build_state(spec.graph, streams), streams, variant)
         assert shared == fresh, variant
     assert {n: epoch_set_to_json(es) for n, es in segmented.epoch_sets.items()} == before
+
+
+@pytest.mark.parametrize("scenario", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(5))
+def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monkeypatch):
+    spec = make_scenario(scenario)
+    streams = run_instance(spec, seed).streams()
+    expected = {
+        node: epoch_set_to_json(
+            resolve_positions(merge_same_gateway(integrate_stream(node, pkgs)), spec.graph)
+        )
+        for node, pkgs in streams.items()
+    }
+    calls = []
+
+    def counting_resolve(epoch_set, *args, **kwargs):
+        calls.append(epoch_set.node)
+        return resolve_positions(epoch_set, *args, **kwargs)
+
+    monkeypatch.setattr(localize, "resolve_positions", counting_resolve)
+    for variant in VARIANTS:
+        state = build_state(spec.graph, streams)
+        assert {n: epoch_set_to_json(es) for n, es in state.epoch_sets.items()} == expected
+        assert sorted(calls) == sorted(streams)
+        calls.clear()
+        run_pipeline(state, streams, variant)
+        assert calls == [], variant
 
 
 def test_pipeline_deterministic():

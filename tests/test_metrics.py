@@ -2,10 +2,11 @@ import csv
 import io
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from gral import metrics
+from gral import localize, metrics
 from gral.metrics import mae, normalized_mae, rmse, run_experiment
 from gral.sim import make_scenario
 
@@ -95,6 +96,19 @@ def test_experiment_segments_each_instance_once(monkeypatch):
     monkeypatch.setattr(metrics, "build_state", counting_build_state)
     run_experiment(make_scenario(2), metrics.VARIANTS, 3, seed0=0)
     assert len(calls) == 3
+
+
+def test_experiment_resolves_each_node_once_per_instance(monkeypatch):
+    calls = []
+    resolve_positions = localize.resolve_positions
+
+    def counting_resolve(epoch_set, *args, **kwargs):
+        calls.append(epoch_set.node)
+        return resolve_positions(epoch_set, *args, **kwargs)
+
+    monkeypatch.setattr(localize, "resolve_positions", counting_resolve)
+    run_experiment(make_scenario(2), metrics.VARIANTS, 3, seed0=0)
+    assert Counter(calls) == {"n1": 3, "n2": 3}
 
 
 def test_experiment_validates_inputs():

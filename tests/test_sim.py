@@ -308,6 +308,33 @@ def test_load_scenario_rejects_non_finite(mutate, message, bad):
         load_scenario(json.dumps(obj))
 
 
+@pytest.mark.parametrize("bad", [2.7, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o, bad: o["insertions"][0].update(tick=bad), "insertion tick"),
+        (lambda o, bad: o.update(measurement_interval=bad), "measurement_interval"),
+        (lambda o, bad: o.update(max_ticks=bad), "max_ticks"),
+    ],
+    ids=["insertion_tick", "measurement_interval", "max_ticks"],
+)
+def test_load_scenario_rejects_non_integral(mutate, message, bad):
+    obj = scenario_to_json(make_scenario(1))
+    mutate(obj, bad)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(json.dumps(obj))
+
+
+def test_load_scenario_reads_whole_floats_as_integers():
+    obj = scenario_to_json(make_scenario(2))
+    obj["insertions"][1]["tick"] = 5.0
+    obj.update(measurement_interval=1.0, max_ticks=5000.0)
+    loaded = load_scenario(json.dumps(obj))
+    assert [i.tick for i in loaded.insertions] == [0, 5]
+    assert (loaded.measurement_interval, loaded.max_ticks) == (1, 5000)
+    assert run_instance(loaded, 3).ground_truth == run_instance(make_scenario(2), 3).ground_truth
+
+
 def test_scenario_validation():
     g = long_pipe()
     with pytest.raises(ScenarioError, match="base_step"):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .epochs import EpochError
 from .graph import GraphError, graph_to_json, load_graph
-from .localize import VARIANTS, build_state, run_pipeline
+from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .metrics import run_experiment
 from .packages import (
     LocalizedMeasurement,
@@ -97,7 +97,8 @@ def cmd_localize(args: argparse.Namespace) -> int:
     streams: dict[str, list] = {}
     for pkg in packages:
         streams.setdefault(pkg.node, []).append(pkg)
-    state = build_state(graph, streams)
+    # The baseline reads only the map, so it gets no segmentation.
+    state = BackendState(graph) if args.variant == "baseline" else build_state(graph, streams)
     results = run_pipeline(state, streams, args.variant)
     rows = [m for node in sorted(results) for m in results[node]]
     Path(args.out).write_text(_localized_csv(rows), encoding="utf-8")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
 from .packages import Package, strongest
@@ -34,15 +34,13 @@ class EpochKind(enum.Enum):
         return self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class Epoch:
     kind: EpochKind
-    packages: list[Package]
+    packages: tuple[Package, ...]
     anchor: Optional[str] = None  # gateway id shared by the observing packages
     start_pos: Optional[GraphPosition] = None
     final_pos: Optional[GraphPosition] = None
-    # Trend of `packages` as `integrate` last saw them; see `_trend_of`.
-    _trend: Optional["_Trend"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t_first(self) -> float:
@@ -53,16 +51,16 @@ class Epoch:
         return self.packages[-1].t
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochSet:
     node: str
-    epochs: list[Epoch] = field(default_factory=list)
+    epochs: tuple[Epoch, ...] = ()
 
     def all_packages(self) -> list[Package]:
         return [p for e in self.epochs for p in e.packages]
 
 
-def classify(packages: list[Package]) -> Optional[EpochKind]:
+def classify(packages: Sequence[Package]) -> Optional[EpochKind]:
     """Trend classification of an ordered package run.
 
     Silent when nothing was heard anywhere; rising/falling when every package
@@ -90,7 +88,7 @@ def classify(packages: list[Package]) -> Optional[EpochKind]:
     return None
 
 
-def anchor_of(packages: list[Package]) -> Optional[str]:
+def anchor_of(packages: Sequence[Package]) -> Optional[str]:
     """Strongest gateway of the first observing package; None for silence."""
     for p in packages:
         top = strongest(p)
@@ -140,88 +138,58 @@ class _Trend(NamedTuple):
         return EpochKind.RISING if self.rising else EpochKind.FALLING if self.falling else None
 
 
-def _trend_of(epoch: Epoch) -> _Trend:
-    # The trend `integrate` cached on the epoch; rebuilt when a caller has
-    # changed its package count since. A new Epoch object starts without one.
-    trend = epoch._trend
-    if trend is None or trend.count != len(epoch.packages):
-        trend = _Trend()
-        for p in epoch.packages:
-            trend = trend.add(p)
-        epoch._trend = trend
-    return trend
+def integrate_stream(node: str, packages: Iterable[Package]) -> EpochSet:
+    """Segment a node's time-ordered stream into epochs.
 
-
-def _epoch_with(trend: _Trend, packages: list[Package]) -> Epoch:
-    epoch = Epoch(trend.kind or EpochKind.MIXED, packages, anchor=trend.gateway)
-    epoch._trend = trend
-    return epoch
-
-
-def integrate(epoch_set: EpochSet, package: Package) -> EpochSet:
-    """Fold one package into a node's epoch set.
-
-    The package extends the last epoch when the combined run still classifies;
+    A package extends the last epoch when the combined run still classifies;
     otherwise, if the most recent observing epoch is followed only by silence
     and started at the same gateway the package now hears, that whole stretch
     coalesces with the package into a single epoch (the node lingered at one
     gateway's range boundary). Failing both, a fresh epoch is opened.
 
-    Each epoch caches its trend, so a package costs O(1) plus, when it
-    coalesces, the packages it brings into the observing epoch.
+    Each open run keeps its trend beside it, so a package costs O(1) plus,
+    when it coalesces, the packages it brings into the observing epoch.
     """
-    epochs = epoch_set.epochs
-    if not epochs:
-        epochs.append(_epoch_with(_Trend().add(package), [package]))
-        return epoch_set
-    last = epochs[-1]
-    if package.t < last.t_last:
-        raise EpochError(
-            f"out-of-order package for node {epoch_set.node!r}: t={package.t} after {last.t_last}"
-        )
-    grown = _trend_of(last).add(package)
-    if grown.kind is not None:
-        last.packages.append(package)
-        last.kind, last.anchor, last._trend = grown.kind, grown.gateway, grown
-        return epoch_set
-
-    top = strongest(package)
-    if top is not None:
-        candidate = None
-        for i in range(len(epochs) - 1, -1, -1):
-            if epochs[i].kind != EpochKind.SILENT:
-                candidate = i
-                break
-        # Coalesce only when the gateway actually went away and came back:
-        # the observing epoch must be followed by at least one silent epoch.
-        if candidate is not None and candidate < len(epochs) - 1:
-            head = epochs[candidate]
-            first_top = strongest(head.packages[0])
-            if first_top is not None and first_top.gateway == top.gateway:
-                tail = [p for e in epochs[candidate + 1 :] for p in e.packages]
-                tail.append(package)
-                trend = _trend_of(head)
-                for p in tail:
-                    trend = trend.add(p)
-                head.packages.extend(tail)
-                epochs[candidate:] = [_epoch_with(trend, head.packages)]
-                return epoch_set
-
-    fresh = _epoch_with(_Trend().add(package), [package])
-    if top is not None and last.anchor == top.gateway:
-        prev_top = strongest(last.packages[-1])
-        if prev_top is not None and prev_top.strength >= top.strength:
-            # Dropping below the peak at the same gateway: departure begins.
-            fresh.kind = EpochKind.FALLING
-    epochs.append(fresh)
-    return epoch_set
-
-
-def integrate_stream(node: str, packages: list[Package]) -> EpochSet:
-    epoch_set = EpochSet(node)
+    runs: list[tuple[EpochKind, _Trend, list[Package]]] = []
     for package in packages:
-        integrate(epoch_set, package)
-    return epoch_set
+        if runs:
+            _, trend, last = runs[-1]
+            if package.t < last[-1].t:
+                raise EpochError(
+                    f"out-of-order package for node {node!r}: t={package.t} after {last[-1].t}"
+                )
+            grown = trend.add(package)
+            if grown.kind is not None:
+                last.append(package)
+                runs[-1] = (grown.kind, grown, last)
+                continue
+        top = strongest(package)
+        if top is not None:
+            head = next(
+                (i for i in range(len(runs) - 1, -1, -1) if runs[i][0] != EpochKind.SILENT), None
+            )
+            # Coalesce only when the gateway actually went away and came back:
+            # the observing epoch must be followed by at least one silent epoch.
+            if head is not None and head < len(runs) - 1 and runs[head][1].gateway == top.gateway:
+                _, trend, merged = runs[head]
+                for _, _, silent in runs[head + 1 :]:
+                    merged.extend(silent)
+                merged.append(package)
+                for p in merged[trend.count :]:
+                    trend = trend.add(p)
+                runs[head:] = [(trend.kind or EpochKind.MIXED, trend, merged)]
+                continue
+        trend = _Trend().add(package)
+        kind = trend.kind
+        if top is not None and runs and runs[-1][1].gateway == top.gateway:
+            prev_top = strongest(runs[-1][2][-1])
+            if prev_top is not None and prev_top.strength >= top.strength:
+                # Dropping below the peak at the same gateway: departure begins.
+                kind = EpochKind.FALLING
+        runs.append((kind, trend, [package]))
+    return EpochSet(
+        node, tuple(Epoch(kind, tuple(run), trend.gateway) for kind, trend, run in runs)
+    )
 
 
 def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
@@ -255,10 +223,10 @@ def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
         if len(run) == 1:
             merged.append(e)
         else:
-            packages = [p for part in run for p in part.packages]
+            packages = tuple(p for part in run for p in part.packages)
             merged.append(Epoch(classify(packages) or EpochKind.MIXED, packages, anchor=gateway))
         i = end
-    return EpochSet(epoch_set.node, merged)
+    return EpochSet(epoch_set.node, tuple(merged))
 
 
 def _initial_start(graph: EnvironmentGraph, epoch: Epoch) -> Optional[GraphPosition]:
@@ -341,8 +309,8 @@ def resolve_positions(
                             origin = graph.position_at(junction)
                     if origin is not None:
                         final = _boundary_before(graph, origin, nxt.anchor)
-        resolved.append(Epoch(epoch.kind, epoch.packages, epoch.anchor, start, final))
-    return EpochSet(epoch_set.node, resolved)
+        resolved.append(replace(epoch, start_pos=start, final_pos=final))
+    return EpochSet(epoch_set.node, tuple(resolved))
 
 
 def anchor_junction(graph: EnvironmentGraph, epochs: Iterable[Epoch]) -> Optional[str]:

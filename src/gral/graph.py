@@ -409,31 +409,48 @@ _GATEWAY_KEYS = {"id", "radius"}
 _LINK_KEYS = {"u", "v", "length"}
 
 
-def _check_keys(obj: dict, allowed: set[str], what: str) -> None:
+def check_object(obj: object, allowed: set[str], required: set[str], what: str) -> dict:
+    """`obj` if it is a JSON object with only `allowed` and all `required` fields."""
+    if not isinstance(obj, dict):
+        raise GraphError(f"{what}: expected a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise GraphError(f"unknown field(s) {sorted(unknown)} in {what}")
+    missing = required - set(obj)
+    if missing:
+        raise GraphError(f"{what} missing field {min(missing)!r}")
+    return obj
+
+
+def check_array(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise GraphError(f"{what}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def check_number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"{what} must be a number, got {value!r}") from exc
 
 
 def graph_from_json(obj: dict) -> EnvironmentGraph:
-    if not isinstance(obj, dict):
-        raise GraphError("graph file must contain a JSON object")
-    _check_keys(obj, _GRAPH_KEYS, "graph object")
-    for key in _GRAPH_KEYS:
-        if key not in obj:
-            raise GraphError(f"graph object missing field {key!r}")
+    check_object(obj, _GRAPH_KEYS, _GRAPH_KEYS, "graph object")
     junctions = []
-    for jobj in obj["junctions"]:
-        _check_keys(jobj, _JUNCTION_KEYS, "junction object")
+    for jobj in check_array(obj["junctions"], "graph junctions"):
+        check_object(jobj, _JUNCTION_KEYS, {"id"}, "junction object")
         gateway = None
         if jobj.get("gateway") is not None:
-            gobj = jobj["gateway"]
-            _check_keys(gobj, _GATEWAY_KEYS, "gateway object")
-            gateway = Gateway(str(gobj["id"]), str(jobj["id"]), float(gobj["radius"]))
+            gobj = check_object(jobj["gateway"], _GATEWAY_KEYS, _GATEWAY_KEYS, "gateway object")
+            radius = check_number(gobj["radius"], "gateway radius")
+            gateway = Gateway(str(gobj["id"]), str(jobj["id"]), radius)
         junctions.append(Junction(str(jobj["id"]), gateway))
-    links = [Link(str(l["u"]), str(l["v"]), float(l["length"])) for l in obj["links"]]
-    for lobj in obj["links"]:
-        _check_keys(lobj, _LINK_KEYS, "link object")
+    links = []
+    for lobj in check_array(obj["links"], "graph links"):
+        check_object(lobj, _LINK_KEYS, _LINK_KEYS, "link object")
+        length = check_number(lobj["length"], "link length")
+        links.append(Link(str(lobj["u"]), str(lobj["v"]), length))
     return build_graph(junctions, links, str(obj["root"]))
 
 

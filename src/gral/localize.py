@@ -234,7 +234,7 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
         else:
             log.info("checkpoint %s->%s at t=%s outside all epochs; discarded",
                      ck.issuer, ck.target, ck.t)
-    state.epoch_sets[node] = EpochSet(node, epochs)
+    state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return state.epoch_sets[node]
 
 
@@ -311,7 +311,7 @@ def rectify_paths(
             break
     if len(epochs) == len(epoch_set.epochs):
         return localized
-    state.epoch_sets[node] = EpochSet(node, epochs)
+    state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return localize_node(state, node, method)
 
 

@@ -23,6 +23,9 @@ from .graph import (
     Junction,
     Link,
     build_graph,
+    check_array,
+    check_number,
+    check_object,
     graph_from_json,
     graph_to_json,
 )
@@ -399,33 +402,24 @@ def _integer(value: object, name: str) -> int:
 
 
 def scenario_from_json(obj: dict) -> ScenarioSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioError("scenario file must contain a JSON object")
-    unknown = set(obj) - _SCENARIO_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown field(s) {sorted(unknown)} in scenario object")
-    for key in ("graph", "insertions"):
-        if key not in obj:
-            raise ScenarioError(f"scenario object missing field {key!r}")
     insertions = []
+    kwargs = {}
     try:
+        check_object(obj, _SCENARIO_KEYS, {"graph", "insertions"}, "scenario object")
         graph = graph_from_json(obj["graph"])
-        for iobj in obj["insertions"]:
-            unknown = set(iobj) - _INSERTION_KEYS
-            if unknown:
-                raise ScenarioError(f"unknown field(s) {sorted(unknown)} in insertion object")
+        for iobj in check_array(obj["insertions"], "scenario insertions"):
+            check_object(iobj, _INSERTION_KEYS, _INSERTION_KEYS, "insertion object")
             at = GraphPosition.from_json(iobj["at"])
             tick = _integer(iobj["tick"], "insertion tick")
             insertions.append(Insertion(str(iobj["node"]), at, tick))
+        for key in _SCENARIO_KEYS - {"graph", "insertions"}:
+            if key in obj and obj[key] is not None:
+                if key in ("measurement_interval", "max_ticks"):
+                    kwargs[key] = _integer(obj[key], key)
+                else:
+                    kwargs[key] = check_number(obj[key], key)
     except GraphError as exc:
         raise ScenarioError(str(exc)) from exc
-    kwargs = {}
-    for key in _SCENARIO_KEYS - {"graph", "insertions"}:
-        if key in obj and obj[key] is not None:
-            if key in ("measurement_interval", "max_ticks"):
-                kwargs[key] = _integer(obj[key], key)
-            else:
-                kwargs[key] = float(obj[key])
     return ScenarioSpec(graph, insertions, **kwargs)
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import gral.cli
 from gral.cli import main
 
 
@@ -140,6 +141,33 @@ def test_input_errors_exit_1(tmp_path, argv):
     assert run_cli(*argv) == 1
 
 
+@pytest.mark.parametrize("variant, builds", [("baseline", 0), ("gral", 1)])
+def test_localize_segments_only_for_graph_variants(tmp_path, monkeypatch, variant, builds):
+    out = tmp_path / "inst"
+    run_cli("simulate", "--scenario", "4", "--seed", "0", "--out", str(out))
+    real_build_state = gral.cli.build_state
+    calls = []
+
+    def counting_build_state(*args):
+        calls.append(args)
+        return real_build_state(*args)
+
+    monkeypatch.setattr(gral.cli, "build_state", counting_build_state)
+    result_csv = tmp_path / "r.csv"
+    argv = ["--graph", str(out / "graph.json"), "--packages", str(out / "packages.ndjson")]
+    assert run_cli("localize", "--variant", variant, *argv, "--out", str(result_csv)) == 0
+    assert len(calls) == builds
+    # The same rows as localizing from a fully segmented state.
+    graph = gral.cli.load_graph((out / "graph.json").read_text())
+    streams = {}
+    for pkg in gral.cli.parse_package_stream((out / "packages.ndjson").read_text()):
+        streams.setdefault(pkg.node, []).append(pkg)
+    results = gral.cli.run_pipeline(real_build_state(graph, streams), streams, variant)
+    rows = [m for node in sorted(results) for m in results[node]]
+    assert rows
+    assert result_csv.read_text() == gral.cli._localized_csv(rows)
+
+
 def test_localize_rejects_malformed_stream(tmp_path):
     out = tmp_path / "inst"
     run_cli("simulate", "--scenario", "1", "--seed", "0", "--out", str(out))
@@ -167,8 +195,20 @@ def test_localize_rejects_malformed_stream(tmp_path):
         lambda graph, pkgs: pkgs[3].update(t=math.nan),
         lambda graph, pkgs: pkgs[3].update(obs=[["gw-a", math.nan]]),
         lambda graph, pkgs: pkgs[3].update(contacts=[["n2", math.inf]]),
+        lambda graph, pkgs: graph["junctions"][0].pop("id"),
+        lambda graph, pkgs: graph["links"][0].pop("u"),
+        lambda graph, pkgs: graph["links"][0].pop("length"),
     ],
-    ids=["gateway-radius", "link-length", "package-t", "gateway-strength", "contact-strength"],
+    ids=[
+        "gateway-radius",
+        "link-length",
+        "package-t",
+        "gateway-strength",
+        "contact-strength",
+        "junction-without-id",
+        "link-without-u",
+        "link-without-length",
+    ],
 )
 def test_localize_rejects_non_finite_input(tmp_path, mutate):
     out = tmp_path / "inst"
@@ -202,6 +242,9 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o["insertions"][0].update(tick=2.7),
         lambda o: o.update(measurement_interval=1.9),
         lambda o: o.update(max_ticks=math.nan),
+        lambda o: o["insertions"][0].pop("at"),
+        lambda o: o["insertions"][0].pop("node"),
+        lambda o: o.update(insertions=5),
     ],
     ids=[
         "base_step",
@@ -210,6 +253,9 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         "insertion-tick",
         "measurement_interval",
         "max_ticks",
+        "insertion-without-at",
+        "insertion-without-node",
+        "insertions-not-array",
     ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):

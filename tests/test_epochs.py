@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
+from typing import Optional
 
 import pytest
 
+import gral
 import gral.epochs
 from gral.epochs import (
     Epoch,
@@ -11,14 +14,15 @@ from gral.epochs import (
     EpochSet,
     classify,
     epoch_set_to_json,
-    integrate,
     integrate_stream,
     is_complete,
     merge_same_gateway,
     resolve_positions,
 )
 from gral.graph import GraphPosition
+from gral.localize import build_state
 from gral.packages import GatewayObservation, Package, strongest
+from gral.sim import make_scenario, run_instance
 
 R = math.sqrt(10.0)
 
@@ -77,14 +81,15 @@ def test_classify_empty_raises():
 
 
 def test_integrate_first_package():
-    es = integrate(EpochSet("n"), mk(0, ("gA", 1.0)))
+    es = integrate_stream("n", [mk(0, ("gA", 1.0))])
     assert [(e.kind, e.anchor) for e in es.epochs] == [(EpochKind.RISING, "gA")]
 
 
 def test_integrate_drop_after_rise_opens_falling_epoch():
-    es = integrate_stream("n", stream([(0, [("gA", 1.0)]), (1, [("gA", 3.0)])]))
+    pkgs = stream([(0, [("gA", 1.0)]), (1, [("gA", 3.0)])])
+    es = integrate_stream("n", pkgs)
     assert [e.kind for e in es.epochs] == [EpochKind.RISING]
-    integrate(es, mk(2, ("gA", 2.0), seq=3))
+    es = integrate_stream("n", pkgs + [mk(2, ("gA", 2.0), seq=3)])
     assert [(e.kind, e.anchor) for e in es.epochs] == [
         (EpochKind.RISING, "gA"),
         (EpochKind.FALLING, "gA"),
@@ -102,7 +107,7 @@ def test_integrate_coalesces_reappearing_gateway():
     )
     es = integrate_stream("n", pkgs)
     assert [e.kind for e in es.epochs] == [EpochKind.FALLING, EpochKind.SILENT]
-    integrate(es, mk(4, ("gA", 1.5), seq=5))
+    es = integrate_stream("n", pkgs + [mk(4, ("gA", 1.5), seq=5)])
     assert len(es.epochs) == 1
     merged = es.epochs[0]
     assert merged.anchor == "gA"
@@ -112,8 +117,7 @@ def test_integrate_coalesces_reappearing_gateway():
 
 def test_integrate_other_gateway_opens_new_epoch():
     pkgs = stream([(0, [("gA", 3.0)]), (1, [("gA", 2.0)]), (2, []), (3, [])])
-    es = integrate_stream("n", pkgs)
-    integrate(es, mk(4, ("gB", 1.0), seq=5))
+    es = integrate_stream("n", pkgs + [mk(4, ("gB", 1.0), seq=5)])
     assert [(e.kind, e.anchor) for e in es.epochs] == [
         (EpochKind.FALLING, "gA"),
         (EpochKind.SILENT, None),
@@ -122,9 +126,10 @@ def test_integrate_other_gateway_opens_new_epoch():
 
 
 def test_integrate_rejects_out_of_order():
-    es = integrate_stream("n", stream([(5, [])]))
+    pkgs = stream([(5, [])])
+    integrate_stream("n", pkgs)
     with pytest.raises(EpochError, match="out-of-order"):
-        integrate(es, mk(3, seq=2))
+        integrate_stream("n", pkgs + [mk(3, seq=2)])
 
 
 def random_stream(rng, n, gateways=3, levels=None, tie=0.0):
@@ -158,8 +163,17 @@ def first_gateway(packages):
     return next((strongest(p).gateway for p in packages if strongest(p)), None)
 
 
+@dataclasses.dataclass
+class Row:
+    """A mutable epoch that the reference fold edits in place."""
+
+    kind: EpochKind
+    packages: list
+    anchor: Optional[str] = None
+
+
 def reference_integrate(epochs, package):
-    """Reference segmentation: fold `package` into a list of epochs by
+    """Reference segmentation: fold `package` into a list of `Row`s by
     classifying the whole open epoch again, which is quadratic but plain."""
     top = strongest(package)
     if epochs:
@@ -176,9 +190,9 @@ def reference_integrate(epochs, package):
             if first_gateway(epochs[candidate].packages[:1]) == top.gateway:
                 merged = [p for e in epochs[candidate:] for p in e.packages] + [package]
                 kind = classify(merged) or EpochKind.MIXED
-                epochs[candidate:] = [Epoch(kind, merged, anchor=top.gateway)]
+                epochs[candidate:] = [Row(kind, merged, anchor=top.gateway)]
                 return
-    fresh = Epoch(classify([package]), [package], anchor=top.gateway if top else None)
+    fresh = Row(classify([package]), [package], anchor=top.gateway if top else None)
     if epochs and top is not None and epochs[-1].anchor == top.gateway:
         prev = strongest(epochs[-1].packages[-1])
         if prev is not None and prev.strength >= top.strength:
@@ -200,8 +214,9 @@ def test_integrate_matches_reference_fold():
             reference_integrate(expected, pkg)
         got = integrate_stream("n", pkgs)
         assert shape(got.epochs) == shape(expected)
+        frozen = tuple(Epoch(r.kind, tuple(r.packages), r.anchor) for r in expected)
         assert shape(merge_same_gateway(got).epochs) == shape(
-            merge_same_gateway(EpochSet("n", expected)).epochs
+            merge_same_gateway(EpochSet("n", frozen)).epochs
         )
 
 
@@ -212,39 +227,6 @@ def test_wide_streams_cover_every_integration_case():
         for e in integrate_stream("n", wide_stream(rng, 60)).epochs:
             kinds.add(e.kind)
     assert kinds == set(EpochKind)  # MIXED only arises from coalescing
-
-
-def _drop_last_package(es):
-    es.epochs[-1].packages.pop()
-
-
-def _replace_last_epoch(es):
-    # Same package count, new object and the opposite trend.
-    es.epochs[-1] = Epoch(EpochKind.FALLING, [mk(0, ("gA", 5.0), seq=1), mk(1, ("gA", 4.0), seq=2)])
-
-
-def _append_silence_in_place(es):
-    es.epochs[-1].packages.append(mk(1.5, seq=3))
-
-
-@pytest.mark.parametrize(
-    "edit, strength",
-    [(_drop_last_package, 0.5), (_replace_last_epoch, 0.5), (_append_silence_in_place, 3.5)],
-)
-def test_integrate_after_caller_edits_last_epoch(edit, strength):
-    # Each follow-up strength extends the edited epoch under exactly one of
-    # the edited and the unedited package runs.
-    pkgs = stream([(0, [("gA", 1.0)]), (1, [("gA", 3.0)])])
-    es = integrate_stream("n", pkgs)
-    expected = EpochSet("n")
-    for pkg in pkgs:
-        reference_integrate(expected.epochs, pkg)
-    edit(es)
-    edit(expected)
-    for pkg in [mk(2, ("gA", strength), seq=4), mk(3, ("gA", 0.25), seq=5), mk(4, seq=6)]:
-        integrate(es, pkg)
-        reference_integrate(expected.epochs, pkg)
-        assert shape(es.epochs) == shape(expected.epochs)
 
 
 def test_segmentation_work_is_linear_in_stream_length(monkeypatch):
@@ -439,7 +421,9 @@ def test_resolve_keeps_preset_positions(chain_graph):
     pkgs = stream([(0, [("gw-a", 1.0)]), (1, [("gw-a", 2.0)]), (2, [])])
     es = integrate_stream("n", pkgs)
     preset = GraphPosition("a", "b", 5.0, 50.0)
-    es.epochs[0].final_pos = preset
+    es = dataclasses.replace(
+        es, epochs=(dataclasses.replace(es.epochs[0], final_pos=preset),) + es.epochs[1:]
+    )
     es = resolve_positions(es, chain_graph)
     assert es.epochs[0].final_pos == preset
 
@@ -449,9 +433,9 @@ def test_is_complete_cases(chain_graph):
     es = integrate_stream("n", pkgs)
     epoch = es.epochs[0]
     assert not is_complete(epoch)
-    epoch.final_pos = chain_graph.position_at("a")
+    epoch = dataclasses.replace(epoch, final_pos=chain_graph.position_at("a"))
     assert not is_complete(epoch)
-    epoch.start_pos = chain_graph.position_at("a")
+    epoch = dataclasses.replace(epoch, start_pos=chain_graph.position_at("a"))
     assert is_complete(epoch)
 
 
@@ -463,3 +447,24 @@ def test_epoch_dump_shape(chain_graph):
     assert [e["type"] for e in dump["epochs"]] == ["rising", "silent"]
     assert dump["epochs"][0]["seq_first"] == 1
     assert dump["epochs"][0]["start"]["from"] == "a"
+
+
+# -- immutability -----------------------------------------------------------------
+
+
+def test_segmentation_from_build_state_is_frozen():
+    spec = make_scenario(4)
+    state = build_state(spec.graph, run_instance(spec, 0).streams())
+    assert state.epoch_sets
+    for epoch_set in state.epoch_sets.values():
+        assert isinstance(epoch_set.epochs, tuple)
+        for f in dataclasses.fields(EpochSet):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(epoch_set, f.name, getattr(epoch_set, f.name))
+        for epoch in epoch_set.epochs:
+            assert isinstance(epoch.packages, tuple)
+            for f in dataclasses.fields(Epoch):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(epoch, f.name, getattr(epoch, f.name))
+    missing = [name for name in gral.__all__ if not hasattr(gral, name)]
+    assert missing == []

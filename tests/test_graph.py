@@ -239,6 +239,13 @@ def test_graph_json_round_trip(chain_graph):
         (lambda o: o["junctions"][0]["gateway"].update(power=3), "unknown field"),
         (lambda o: o["links"][0].update(speed=2), "unknown field"),
         (lambda o: o.pop("root"), "missing field"),
+        (lambda o: o["junctions"][0].pop("id"), "junction object missing field 'id'"),
+        (lambda o: o["junctions"][1]["gateway"].pop("radius"), "missing field 'radius'"),
+        (lambda o: o["links"][0].pop("u"), "link object missing field 'u'"),
+        (lambda o: o["links"][0].pop("length"), "link object missing field 'length'"),
+        (lambda o: o["links"][0].update(length=[1]), "link length must be a number"),
+        (lambda o: o.update(junctions=5), "graph junctions: expected a JSON array, got int"),
+        (lambda o: o.update(links=[5]), "link object: expected a JSON object, got int"),
     ],
 )
 def test_graph_loader_rejects_unknown_fields(chain_graph, mutate, message):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -35,7 +36,7 @@ def span_epoch(chain_graph, times, x0, x1):
     pkgs = [Package("n", i + 1, float(t)) for i, t in enumerate(times)]
     return Epoch(
         EpochKind.SILENT,
-        pkgs,
+        tuple(pkgs),
         start_pos=line_position(x0),
         final_pos=line_position(x1),
     )
@@ -83,8 +84,7 @@ def test_interpolation_zero_timespan_pins_at_final(chain_graph, caplog):
 
 
 def test_interpolation_requires_complete_epoch(chain_graph):
-    epoch = span_epoch(chain_graph, [0, 1], 0.0, 10.0)
-    epoch.final_pos = None
+    epoch = dataclasses.replace(span_epoch(chain_graph, [0, 1], 0.0, 10.0), final_pos=None)
     with pytest.raises(ValueError, match="incomplete"):
         interpolate_epoch(chain_graph, epoch)
 

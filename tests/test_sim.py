@@ -325,6 +325,32 @@ def test_load_scenario_rejects_non_integral(mutate, message, bad):
         load_scenario(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o["insertions"][0].pop("at"), "insertion object missing field 'at'"),
+        (lambda o: o["insertions"][0].pop("node"), "insertion object missing field 'node'"),
+        (lambda o: o.update(insertions=5), "scenario insertions: expected a JSON array, got int"),
+        (lambda o: o.update(insertions=[5]), "insertion object: expected a JSON object, got int"),
+        (lambda o: o["graph"]["links"][0].pop("u"), "link object missing field 'u'"),
+        (lambda o: o.update(base_step=[1]), "base_step must be a number"),
+    ],
+    ids=[
+        "insertion-at",
+        "insertion-node",
+        "insertions-not-array",
+        "insertion-not-object",
+        "link-u",
+        "base_step-not-number",
+    ],
+)
+def test_load_scenario_names_missing_field_or_container(mutate, message):
+    obj = scenario_to_json(make_scenario(1))
+    mutate(obj)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(json.dumps(obj))
+
+
 def test_load_scenario_reads_whole_floats_as_integers():
     obj = scenario_to_json(make_scenario(2))
     obj["insertions"][1]["tick"] = 5.0

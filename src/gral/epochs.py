@@ -1,10 +1,11 @@
 """Epoch segmentation of package streams and boundary-position resolution.
 
-Each node's stream is partitioned into epochs by the qualitative trend of its
-strongest gateway signal: silent stretches, a rising signal while approaching
-one gateway, or a falling signal while leaving it. Interpolation needs every
-epoch bounded by known positions, so this module also derives those boundary
-positions from gateway geometry and chains them across consecutive epochs.
+Each node's stream is partitioned into one epoch per gateway visit: a run of
+packages whose strongest gateway is the same, or a silent stretch. A visit's
+kind is the qualitative trend of its strengths: rising while approaching the
+gateway, falling while leaving it. Interpolation needs every epoch bounded by
+known positions, so this module also derives those boundary positions from
+gateway geometry and chains them across consecutive epochs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import groupby, pairwise
+from typing import Iterable, Optional, Sequence
 
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
 from .packages import Package, strongest
@@ -28,7 +30,7 @@ class EpochKind(enum.Enum):
     SILENT = "silent"      # no gateway heard in any package
     RISING = "rising"      # strongest signal strictly increasing, one gateway
     FALLING = "falling"    # strongest signal non-increasing, one gateway
-    MIXED = "mixed"        # coalesced/merged run around one gateway
+    MIXED = "mixed"        # one gateway's visit with no trend, or with silence in it
 
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         return self.value
@@ -97,135 +99,49 @@ def anchor_of(packages: Sequence[Package]) -> Optional[str]:
     return None
 
 
-class _Trend(NamedTuple):
-    """`classify` of a package run, extended by one package in O(1).
-
-    Every flag only ever turns one way, so if a trend describes `packages`,
-    `trend.add(p).kind` equals `classify(packages + [p])`.
-    """
-
-    count: int = 0
-    silent: bool = False  # some package heard nothing
-    multi: bool = False  # a second strongest gateway was heard
-    rising: bool = True  # strengths strictly increasing
-    falling: bool = True  # strengths non-increasing
-    gateway: Optional[str] = None  # first strongest gateway heard
-    last: float = 0.0  # last strength heard
-
-    def add(self, package: Package) -> "_Trend":
-        top = strongest(package)
-        count = self.count + 1
-        if top is None:
-            return _Trend(count, True, self.multi, self.rising, self.falling, self.gateway, self.last)
-        if self.gateway is None:
-            return _Trend(count, self.silent, False, True, True, top.gateway, top.strength)
-        return _Trend(
-            count,
-            self.silent,
-            self.multi or top.gateway != self.gateway,
-            self.rising and top.strength > self.last,
-            self.falling and top.strength <= self.last,
-            self.gateway,
-            top.strength,
-        )
-
-    @property
-    def kind(self) -> Optional[EpochKind]:
-        if self.gateway is None:
-            return EpochKind.SILENT
-        if self.silent or self.multi:
-            return None
-        return EpochKind.RISING if self.rising else EpochKind.FALLING if self.falling else None
-
-
 def integrate_stream(node: str, packages: Iterable[Package]) -> EpochSet:
-    """Segment a node's time-ordered stream into epochs.
+    """Segment a node's time-ordered stream into one epoch per gateway visit.
 
-    A package extends the last epoch when the combined run still classifies;
-    otherwise, if the most recent observing epoch is followed only by silence
-    and started at the same gateway the package now hears, that whole stretch
-    coalesces with the package into a single epoch (the node lingered at one
-    gateway's range boundary). Failing both, a fresh epoch is opened.
-
-    Each open run keeps its trend beside it, so a package costs O(1) plus,
-    when it coalesces, the packages it brings into the observing epoch.
+    Each run of packages with the same strongest gateway, or of silence, is an
+    epoch whose kind is the run's trend, or mixed when its strengths form none.
+    A gateway heard again right after one silent run extends its earlier epoch
+    by the silence and the new run (the node lingered at the gateway's range
+    boundary), so no two neighbouring epochs share an anchor.
     """
-    runs: list[tuple[EpochKind, _Trend, list[Package]]] = []
-    for package in packages:
-        if runs:
-            _, trend, last = runs[-1]
-            if package.t < last[-1].t:
-                raise EpochError(
-                    f"out-of-order package for node {node!r}: t={package.t} after {last[-1].t}"
-                )
-            grown = trend.add(package)
-            if grown.kind is not None:
-                last.append(package)
-                runs[-1] = (grown.kind, grown, last)
-                continue
-        top = strongest(package)
-        if top is not None:
-            head = next(
-                (i for i in range(len(runs) - 1, -1, -1) if runs[i][0] != EpochKind.SILENT), None
-            )
-            # Coalesce only when the gateway actually went away and came back:
-            # the observing epoch must be followed by at least one silent epoch.
-            if head is not None and head < len(runs) - 1 and runs[head][1].gateway == top.gateway:
-                _, trend, merged = runs[head]
-                for _, _, silent in runs[head + 1 :]:
-                    merged.extend(silent)
-                merged.append(package)
-                for p in merged[trend.count :]:
-                    trend = trend.add(p)
-                runs[head:] = [(trend.kind or EpochKind.MIXED, trend, merged)]
-                continue
-        trend = _Trend().add(package)
-        kind = trend.kind
-        if top is not None and runs and runs[-1][1].gateway == top.gateway:
-            prev_top = strongest(runs[-1][2][-1])
-            if prev_top is not None and prev_top.strength >= top.strength:
-                # Dropping below the peak at the same gateway: departure begins.
-                kind = EpochKind.FALLING
-        runs.append((kind, trend, [package]))
+    packages = tuple(packages)
+    for a, b in pairwise(packages):
+        if b.t < a.t:
+            raise EpochError(f"out-of-order package for node {node!r}: t={b.t} after {a.t}")
+    runs: list[tuple[Optional[str], list[Package]]] = []
+    for anchor, group in groupby(packages, key=lambda p: getattr(strongest(p), "gateway", None)):
+        if len(runs) > 1 and runs[-1][0] is None and runs[-2][0] == anchor:
+            _, silence = runs.pop()
+            runs[-1][1].extend(silence + list(group))
+        else:
+            runs.append((anchor, list(group)))
     return EpochSet(
-        node, tuple(Epoch(kind, tuple(run), trend.gateway) for kind, trend, run in runs)
+        node,
+        tuple(Epoch(classify(run) or EpochKind.MIXED, tuple(run), anchor) for anchor, run in runs),
     )
 
 
 def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
-    """Collapse each gateway's contiguous stretch of epochs into one.
+    """Fold the silence after each gateway's epoch into that epoch.
 
-    A stretch starts at the first epoch anchored at a gateway and runs while
-    no other gateway is seen, absorbing rise/fall jitter at that gateway and
-    the silent epochs that follow it, up to (not including) the next epoch
-    anchored elsewhere. Trailing silence at the very end of the stream stays
-    separate: nothing downstream bounds it yet. It runs on segmentation that
-    is not yet resolved, so merged epochs carry no boundary positions.
+    Silence between two gateways belongs to the visit it follows, so the
+    merged epoch runs up to the next gateway heard. Trailing silence at the
+    very end of the stream stays separate: nothing downstream bounds it yet.
+    Observing packages followed by silence form no trend, so a merged epoch is
+    mixed. It runs on segmentation that is not yet resolved, so merged epochs
+    carry no boundary positions.
     """
     epochs = epoch_set.epochs
     merged: list[Epoch] = []
-    i = 0
-    while i < len(epochs):
-        e = epochs[i]
-        if e.anchor is None:
-            merged.append(e)
-            i += 1
-            continue
-        gateway = e.anchor
-        j = i + 1
-        last_anchored = i
-        while j < len(epochs) and epochs[j].anchor in (None, gateway):
-            if epochs[j].anchor == gateway:
-                last_anchored = j
-            j += 1
-        end = j if j < len(epochs) else last_anchored + 1
-        run = epochs[i:end]
-        if len(run) == 1:
-            merged.append(e)
-        else:
-            packages = tuple(p for part in run for p in part.packages)
-            merged.append(Epoch(classify(packages) or EpochKind.MIXED, packages, anchor=gateway))
-        i = end
+    for i, epoch in enumerate(epochs):
+        if epoch.anchor is None and merged and merged[-1].anchor is not None and i + 1 < len(epochs):
+            visit = merged.pop()
+            epoch = Epoch(EpochKind.MIXED, visit.packages + epoch.packages, visit.anchor)
+        merged.append(epoch)
     return EpochSet(epoch_set.node, tuple(merged))
 
 

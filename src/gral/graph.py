@@ -127,9 +127,6 @@ class EnvironmentGraph:
         except KeyError:
             raise GraphError(f"no link between {u!r} and {v!r}") from None
 
-    def gateway_at(self, junction: str) -> Optional[Gateway]:
-        return self.junctions[junction].gateway
-
     def _lca(self, u: str, v: str) -> str:
         while self.depth[u] > self.depth[v]:
             u = self.parent[u]  # type: ignore[assignment]
@@ -341,9 +338,6 @@ class Route:
         d = g.geodesic_distance(self.start, pos) + g.geodesic_distance(pos, self.end)
         return abs(d - self.total) <= max(tol, 1e-9 * max(1.0, self.total))
 
-    def arclength_of(self, pos: GraphPosition) -> float:
-        return self.graph.geodesic_distance(self.start, pos)
-
 
 def build_graph(
     junctions: Iterable[Junction], links: Iterable[Link], root: str
@@ -433,6 +427,15 @@ def check_number(value: Any, what: str) -> float:
         return float(value)
     except (TypeError, ValueError) as exc:
         raise GraphError(f"{what} must be a number, got {value!r}") from exc
+
+
+def check_integer(value: Any, what: str) -> int:
+    # A JSON number with no fractional part; 3.0 reads as 3, 2.7 and NaN fail.
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
 def graph_from_json(obj: dict) -> EnvironmentGraph:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .graph import GraphPosition
+from .graph import GraphPosition, check_integer
 
 
 class StreamFormatError(ValueError):
@@ -121,7 +121,7 @@ def _package_from_json(obj: dict, line: int) -> Package:
         contacts = tuple(NodeContact(str(p), float(s)) for p, s in obj["contacts"])
         pkg = Package(
             node=str(obj["node"]),
-            seq=int(obj["seq"]),
+            seq=check_integer(obj["seq"], "seq"),
             t=float(obj["t"]),
             observations=observations,
             contacts=contacts,

@@ -24,6 +24,7 @@ from .graph import (
     Link,
     build_graph,
     check_array,
+    check_integer,
     check_number,
     check_object,
     graph_from_json,
@@ -392,15 +393,6 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
     }
 
 
-def _integer(value: object, name: str) -> int:
-    # A JSON number with no fractional part; 3.0 reads as 3, 2.7 and NaN fail.
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ScenarioError(f"{name} must be an integer, got {value!r}")
-
-
 def scenario_from_json(obj: dict) -> ScenarioSpec:
     insertions = []
     kwargs = {}
@@ -410,12 +402,12 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
         for iobj in check_array(obj["insertions"], "scenario insertions"):
             check_object(iobj, _INSERTION_KEYS, _INSERTION_KEYS, "insertion object")
             at = GraphPosition.from_json(iobj["at"])
-            tick = _integer(iobj["tick"], "insertion tick")
+            tick = check_integer(iobj["tick"], "insertion tick")
             insertions.append(Insertion(str(iobj["node"]), at, tick))
         for key in _SCENARIO_KEYS - {"graph", "insertions"}:
             if key in obj and obj[key] is not None:
                 if key in ("measurement_interval", "max_ticks"):
-                    kwargs[key] = _integer(obj[key], key)
+                    kwargs[key] = check_integer(obj[key], key)
                 else:
                     kwargs[key] = check_number(obj[key], key)
     except GraphError as exc:

@@ -198,6 +198,7 @@ def test_localize_rejects_malformed_stream(tmp_path):
         lambda graph, pkgs: graph["junctions"][0].pop("id"),
         lambda graph, pkgs: graph["links"][0].pop("u"),
         lambda graph, pkgs: graph["links"][0].pop("length"),
+        lambda graph, pkgs: pkgs[3].update(seq=pkgs[3]["seq"] + 0.5),
     ],
     ids=[
         "gateway-radius",
@@ -208,6 +209,7 @@ def test_localize_rejects_malformed_stream(tmp_path):
         "junction-without-id",
         "link-without-u",
         "link-without-length",
+        "package-fractional-seq",
     ],
 )
 def test_localize_rejects_non_finite_input(tmp_path, mutate):

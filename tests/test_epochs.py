@@ -85,15 +85,13 @@ def test_integrate_first_package():
     assert [(e.kind, e.anchor) for e in es.epochs] == [(EpochKind.RISING, "gA")]
 
 
-def test_integrate_drop_after_rise_opens_falling_epoch():
+def test_integrate_rise_then_drop_is_one_mixed_epoch():
     pkgs = stream([(0, [("gA", 1.0)]), (1, [("gA", 3.0)])])
     es = integrate_stream("n", pkgs)
     assert [e.kind for e in es.epochs] == [EpochKind.RISING]
     es = integrate_stream("n", pkgs + [mk(2, ("gA", 2.0), seq=3)])
-    assert [(e.kind, e.anchor) for e in es.epochs] == [
-        (EpochKind.RISING, "gA"),
-        (EpochKind.FALLING, "gA"),
-    ]
+    assert [(e.kind, e.anchor) for e in es.epochs] == [(EpochKind.MIXED, "gA")]
+    assert [p.seq for p in es.epochs[0].packages] == [1, 2, 3]
 
 
 def test_integrate_coalesces_reappearing_gateway():
@@ -200,11 +198,41 @@ def reference_integrate(epochs, package):
     epochs.append(fresh)
 
 
+def reference_merge(epochs):
+    """Reference merge over `Row`s: collapse each gateway's stretch of epochs,
+    up to the next other gateway, with the silence inside it; trailing silence
+    at the end of the stream stays separate."""
+    merged = []
+    i = 0
+    while i < len(epochs):
+        e = epochs[i]
+        if e.anchor is None:
+            merged.append(e)
+            i += 1
+            continue
+        j = i + 1
+        last_anchored = i
+        while j < len(epochs) and epochs[j].anchor in (None, e.anchor):
+            if epochs[j].anchor == e.anchor:
+                last_anchored = j
+            j += 1
+        end = j if j < len(epochs) else last_anchored + 1
+        if end == i + 1:
+            merged.append(e)
+        else:
+            packages = [p for part in epochs[i:end] for p in part.packages]
+            merged.append(Row(classify(packages) or EpochKind.MIXED, packages, e.anchor))
+        i = end
+    return merged
+
+
 def shape(epochs):
     return [(e.kind, e.anchor, [p.seq for p in e.packages]) for e in epochs]
 
 
 def test_integrate_matches_reference_fold():
+    # The reference fold splits a gateway's visit by trend and the reference
+    # merge folds it back; the merged epochs are what the pipeline reads.
     rng = random.Random(11)
     for trial in range(300):
         gen = random_stream if trial % 3 == 0 else wide_stream
@@ -212,12 +240,25 @@ def test_integrate_matches_reference_fold():
         expected = []
         for pkg in pkgs:
             reference_integrate(expected, pkg)
-        got = integrate_stream("n", pkgs)
-        assert shape(got.epochs) == shape(expected)
-        frozen = tuple(Epoch(r.kind, tuple(r.packages), r.anchor) for r in expected)
-        assert shape(merge_same_gateway(got).epochs) == shape(
-            merge_same_gateway(EpochSet("n", frozen)).epochs
-        )
+        got = merge_same_gateway(integrate_stream("n", pkgs))
+        assert shape(got.epochs) == shape(reference_merge(expected))
+
+
+def test_integrate_gives_one_epoch_per_gateway_visit():
+    rng = random.Random(13)
+    for trial in range(200):
+        gen = random_stream if trial % 2 == 0 else wide_stream
+        pkgs = gen(rng, rng.randint(1, 80))
+        es = integrate_stream("n", pkgs)
+        assert es.all_packages() == pkgs
+        anchors = [e.anchor for e in es.epochs]
+        assert all(a != b for a, b in zip(anchors, anchors[1:]))
+        kinds = [e.kind for e in es.epochs]
+        assert (EpochKind.SILENT, EpochKind.SILENT) not in set(zip(kinds, kinds[1:]))
+        for a, silence, b in zip(anchors, anchors[1:], anchors[2:]):
+            assert not (a is not None and silence is None and b == a)
+        merged = merge_same_gateway(es).epochs
+        assert all(e.kind != EpochKind.SILENT for e in merged[1:-1])
 
 
 def test_wide_streams_cover_every_integration_case():
@@ -226,7 +267,7 @@ def test_wide_streams_cover_every_integration_case():
     for _ in range(100):
         for e in integrate_stream("n", wide_stream(rng, 60)).epochs:
             kinds.add(e.kind)
-    assert kinds == set(EpochKind)  # MIXED only arises from coalescing
+    assert kinds == set(EpochKind)
 
 
 def test_segmentation_work_is_linear_in_stream_length(monkeypatch):
@@ -273,14 +314,8 @@ def test_type_soundness_after_integration():
     for _ in range(30):
         es = integrate_stream("n", random_stream(rng, rng.randint(1, 50)))
         for e in es.epochs:
-            if e.kind != EpochKind.MIXED:
-                # the claimed trend must hold for the stored package run,
-                # modulo the rising/falling relabel rule for singletons
-                got = classify(e.packages)
-                if len(e.packages) == 1 and e.kind in (EpochKind.RISING, EpochKind.FALLING):
-                    assert got == EpochKind.RISING
-                else:
-                    assert got == e.kind
+            # the claimed trend must hold for the stored package run
+            assert e.kind == (classify(e.packages) or EpochKind.MIXED)
 
 
 def test_integration_is_deterministic():
@@ -305,12 +340,10 @@ def test_merge_jitter_run_collapses():
         ]
     )
     es = integrate_stream("n", pkgs)
-    assert len(es.epochs) > 1  # jitter at one gateway creates several epochs
-    assert all(e.anchor == "gA" for e in es.epochs)
-    merged = merge_same_gateway(es)
-    assert len(merged.epochs) == 1
-    assert merged.epochs[0].anchor == "gA"
-    assert [p.seq for p in merged.epochs[0].packages] == [1, 2, 3, 4, 5]
+    # jitter at one gateway stays inside one visit, which the merge keeps
+    assert [(e.kind, e.anchor) for e in es.epochs] == [(EpochKind.MIXED, "gA")]
+    assert [p.seq for p in es.epochs[0].packages] == [1, 2, 3, 4, 5]
+    assert merge_same_gateway(es) == es
 
 
 def test_merge_stops_at_other_gateway():

@@ -124,6 +124,19 @@ def test_field_validation(mutate, message):
         parse_package_stream(json.dumps(obj))
 
 
+@pytest.mark.parametrize("seq", [1.5, True, "3"], ids=["fraction", "bool", "string"])
+def test_seq_must_be_an_integer(seq):
+    obj = {"node": "n", "seq": seq, "t": 0.0, "obs": [], "contacts": [], "payload": None}
+    with pytest.raises(StreamFormatError, match="line 1.*seq must be an integer"):
+        parse_package_stream(json.dumps(obj))
+
+
+def test_whole_float_seq_reads_as_integer():
+    obj = {"node": "n", "seq": 2.0, "t": 0.0, "obs": [], "contacts": [], "payload": None}
+    [pkg] = parse_package_stream(json.dumps(obj))
+    assert pkg.seq == 2 and isinstance(pkg.seq, int)
+
+
 def test_strongest_empty():
     assert strongest(Package("n", 1, 0.0)) is None
 

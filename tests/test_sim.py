@@ -209,7 +209,7 @@ def test_make_scenario_3_coverage_fraction():
         j: len(spec.graph.adjacency[j]) for j in spec.graph.junctions
     }
     assert junction_degrees["m"] == 3
-    assert spec.graph.gateway_at("m") is None
+    assert spec.graph.junctions["m"].gateway is None
 
 
 def test_make_scenario_4_shape():

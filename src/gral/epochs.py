@@ -36,6 +36,8 @@ class EpochKind(enum.Enum):
         return self.value
 
 
+# A fragment split off by a checkpoint or a rectification keeps the kind of the
+# visit it was cut from: kinds are read only before any split, and when dumped.
 @dataclass(frozen=True)
 class Epoch:
     kind: EpochKind

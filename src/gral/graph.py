@@ -70,7 +70,8 @@ class GraphPosition:
     @classmethod
     def from_json(cls, obj: dict) -> "GraphPosition":
         try:
-            pos = cls(str(obj["from"]), str(obj["to"]), float(obj["offset"]), float(obj["span"]))
+            offset = check_number(obj["offset"], "offset")
+            pos = cls(str(obj["from"]), str(obj["to"]), offset, check_number(obj["span"], "span"))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed position object: {obj!r}") from exc
         if not (math.isfinite(pos.offset) and math.isfinite(pos.span)):
@@ -423,10 +424,13 @@ def check_array(value: object, what: str) -> list:
 
 
 def check_number(value: Any, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise GraphError(f"{what} must be a number, got {value!r}") from exc
+    # A JSON number; true, false and numeric strings fail.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond float range
+            pass
+    raise GraphError(f"{what} must be a number, got {value!r}")
 
 
 def check_integer(value: Any, what: str) -> int:

@@ -12,17 +12,15 @@ the two nodes' paths.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from itertools import groupby, takewhile
+from dataclasses import dataclass, field, replace
+from itertools import groupby, pairwise, takewhile
 from typing import Optional
 
 from .epochs import (
     Epoch,
-    EpochKind,
     EpochSet,
     anchor_junction,
     anchor_of,
-    classify,
     integrate_stream,
     is_complete,
     merge_same_gateway,
@@ -184,13 +182,13 @@ def issue_checkpoints(
     return issued
 
 
-def _split_epoch(epoch: Epoch, index: int, boundary: GraphPosition) -> list[Epoch]:
-    parts = [
-        (epoch.packages[:index], epoch.start_pos, boundary),
-        (epoch.packages[index:], boundary, epoch.final_pos),
-    ]
+def _split_epoch(epoch: Epoch, cuts: dict[int, GraphPosition]) -> list[Epoch]:
+    # Cut before each package index in `cuts`, at that cut's boundary. The
+    # fragments keep the kind of the visit they were cut from.
+    bounds = [(0, epoch.start_pos), *sorted(cuts.items()), (len(epoch.packages), epoch.final_pos)]
+    parts = [(epoch.packages[i:j], start, final) for (i, start), (j, final) in pairwise(bounds)]
     return [
-        Epoch(classify(pkgs) or EpochKind.MIXED, pkgs, anchor_of(pkgs), start, final)
+        replace(epoch, packages=pkgs, anchor=anchor_of(pkgs), start_pos=start, final_pos=final)
         for pkgs, start, final in parts
     ]
 
@@ -204,36 +202,27 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
     last package, or off the epoch's interpolation path are discarded. The
     split set replaces the node's entry in `state.epoch_sets`.
     """
+    graph = state.graph
     epochs = list(state.epoch_sets[node].epochs)
     pending = sorted(
         (c for c in state.checkpoints if c.target == node), key=lambda c: (c.t, c.issuer)
     )
     for ck in pending:
-        for idx, epoch in enumerate(epochs):
-            if not (epoch.t_first <= ck.t <= epoch.t_last):
-                continue
-            if not is_complete(epoch):
-                log.info("checkpoint %s->%s at t=%s in incomplete epoch; discarded",
-                         ck.issuer, ck.target, ck.t)
-                break
-            assert epoch.start_pos is not None and epoch.final_pos is not None
-            route = state.graph.route(epoch.start_pos, epoch.final_pos)
-            if not route.contains(ck.position, tol=1e-6):
-                log.info("checkpoint %s->%s at t=%s off the epoch path; discarded",
-                         ck.issuer, ck.target, ck.t)
-                break
-            split_at = next(
-                (i for i, p in enumerate(epoch.packages) if p.t > ck.t), None
-            )
-            if split_at is None or split_at == 0:
-                log.info("checkpoint %s->%s at t=%s leaves an empty fragment; discarded",
-                         ck.issuer, ck.target, ck.t)
-                break
-            epochs[idx : idx + 1] = _split_epoch(epoch, split_at, ck.position)
-            break
+        idx = next((i for i, e in enumerate(epochs) if e.t_first <= ck.t <= e.t_last), None)
+        split_at = None
+        if idx is None:
+            reason = "outside all epochs"
+        elif not is_complete(epoch := epochs[idx]):
+            reason = "in incomplete epoch"
+        elif not graph.route(epoch.start_pos, epoch.final_pos).contains(ck.position, tol=1e-6):
+            reason = "off the epoch path"
         else:
-            log.info("checkpoint %s->%s at t=%s outside all epochs; discarded",
-                     ck.issuer, ck.target, ck.t)
+            reason = "leaves an empty fragment"
+            split_at = next((i for i, p in enumerate(epoch.packages) if p.t > ck.t), None)
+        if split_at is None:
+            log.info("checkpoint %s->%s at t=%s %s; discarded", ck.issuer, ck.target, ck.t, reason)
+            continue
+        epochs[idx : idx + 1] = _split_epoch(epoch, {split_at: ck.position})
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return state.epoch_sets[node]
 
@@ -249,6 +238,47 @@ def _provenance_before(
     return anchor_junction(state.graph, reversed(begun))
 
 
+def _confluence_cuts(
+    state: BackendState, node: str, idx: int, placed: dict[int, GraphPosition]
+) -> dict[int, GraphPosition]:
+    """Package index -> confluence boundary for each contact placed upstream of it.
+
+    Per peer, only the epoch's earliest flagged contact cuts; when two peers
+    flag the same package, the first peer's confluence wins.
+    """
+    graph = state.graph
+    epochs = state.epoch_sets[node].epochs
+    epoch = epochs[idx]
+    cuts: dict[int, GraphPosition] = {}
+    if not is_complete(epoch):
+        return cuts
+    v_f = anchor_junction(graph, epochs[idx + 1 :])
+    if v_f is None:
+        return cuts
+    v_f_pos = graph.position_at(v_f)
+    v_a = _provenance_before(state, node, epoch.t_first)
+    if v_a is None:
+        log.info("rectification skipped for %s: own provenance unknown", node)
+        return cuts
+    for peer in sorted({c.peer for p in epoch.packages for c in p.contacts}):
+        met = [i for i, p in enumerate(epoch.packages) if any(c.peer == peer for c in p.contacts)]
+        # The peer's origin before the encounter; a gateway it reaches
+        # after the meeting must not move the confluence downstream.
+        v_b = _provenance_before(state, peer, epoch.packages[met[0]].t)
+        if v_b is None:
+            log.info("rectification skipped for peer %s of %s: provenance unknown", peer, node)
+            continue
+        v_c_pos = graph.position_at(graph.confluence_vertex(v_a, v_b, v_f))
+        limit = graph.geodesic_distance(v_c_pos, v_f_pos)
+        for i in met:
+            pos = placed.get(epoch.packages[i].seq)
+            if pos is not None and graph.geodesic_distance(pos, v_f_pos) > limit + POSITION_TOL:
+                if i > 0:  # nothing before an epoch's first package to cut off
+                    cuts.setdefault(i, v_c_pos)
+                break
+    return cuts
+
+
 def rectify_paths(
     state: BackendState, node: str, localized: list[LocalizedMeasurement], method: str = "gral+pr"
 ) -> list[LocalizedMeasurement]:
@@ -258,61 +288,24 @@ def rectify_paths(
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
     earliest such package with the confluence junction as the boundary; the
-    split set replaces the node's entry in `state.epoch_sets` and is
-    interpolated again. Detection runs on the normal estimates; splits never
-    move a package past the confluence, so the correction cannot overshoot.
+    split set replaces the node's entry in `state.epoch_sets`, and only its
+    new fragments are interpolated. Detection runs on the given estimates;
+    splits never move a package past the confluence, so they cannot overshoot.
     """
-    graph = state.graph
-    by_seq = {m.seq: m for m in localized}
-    epoch_set = state.epoch_sets[node]
-    splits: list[tuple[int, GraphPosition]] = []  # (seq of earliest flagged pkg, boundary)
-    for idx, epoch in enumerate(epoch_set.epochs):
-        if not is_complete(epoch):
+    placed = {m.seq: m.position for m in localized}
+    epochs: list[Epoch] = []
+    replaced: dict[int, LocalizedMeasurement] = {}
+    for idx, epoch in enumerate(state.epoch_sets[node].epochs):
+        cuts = _confluence_cuts(state, node, idx, placed)
+        if not cuts:
+            epochs.append(epoch)
             continue
-        v_f = anchor_junction(graph, epoch_set.epochs[idx + 1 :])
-        if v_f is None:
-            continue
-        v_f_pos = graph.position_at(v_f)
-        v_a = _provenance_before(state, node, epoch.t_first)
-        if v_a is None:
-            log.info("rectification skipped for %s: own provenance unknown", node)
-            continue
-        peers = sorted({c.peer for p in epoch.packages for c in p.contacts})
-        for peer in peers:
-            contact_pkgs = [p for p in epoch.packages if any(c.peer == peer for c in p.contacts)]
-            # The peer's origin before the encounter; a gateway it reaches
-            # after the meeting must not move the confluence downstream.
-            v_b = _provenance_before(state, peer, contact_pkgs[0].t)
-            if v_b is None:
-                log.info("rectification skipped for peer %s of %s: provenance unknown",
-                         peer, node)
-                continue
-            v_c = graph.confluence_vertex(v_a, v_b, v_f)
-            v_c_pos = graph.position_at(v_c)
-            limit = graph.geodesic_distance(v_c_pos, v_f_pos)
-            for pkg in contact_pkgs:
-                est = by_seq.get(pkg.seq)
-                if est is None:
-                    continue
-                if graph.geodesic_distance(est.position, v_f_pos) > limit + POSITION_TOL:
-                    splits.append((pkg.seq, v_c_pos))
-                    break
-    # Detection ran on the normal estimates; apply splits in stream order,
-    # locating each flagged package in whatever fragment now contains it.
-    splits.sort(key=lambda s: s[0])
-    epochs = list(epoch_set.epochs)
-    for seq, v_c_pos in splits:
-        for idx, epoch in enumerate(epochs):
-            pkg_idx = next((i for i, p in enumerate(epoch.packages) if p.seq == seq), None)
-            if pkg_idx is None:
-                continue
-            if pkg_idx > 0:
-                epochs[idx : idx + 1] = _split_epoch(epoch, pkg_idx, v_c_pos)
-            break
-    if len(epochs) == len(epoch_set.epochs):
-        return localized
+        fragments = _split_epoch(epoch, cuts)
+        for fragment in fragments:
+            replaced.update((m.seq, m) for m in interpolate_epoch(state.graph, fragment, method))
+        epochs.extend(fragments)
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
-    return localize_node(state, node, method)
+    return [replaced.get(m.seq, m) for m in localized]
 
 
 def run_pipeline(

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .graph import GraphPosition, check_integer
+from .graph import GraphPosition, check_integer, check_number
 
 
 class StreamFormatError(ValueError):
@@ -107,6 +107,20 @@ class LocalizedMeasurement:
 _PACKAGE_KEYS = {"node", "seq", "t", "obs", "contacts", "payload"}
 
 
+def _signals(value: Any, what: str, signal: type) -> tuple:
+    # `obs` and `contacts` are JSON arrays of [id, strength] arrays. A plain loop:
+    # this runs twice per parsed package, and generators here slowed parsing by
+    # about a fifth.
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
+    signals = []
+    for entry in value:
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
+        signals.append(signal(str(entry[0]), check_number(entry[1], f"{what} strength")))
+    return tuple(signals)
+
+
 def _package_from_json(obj: dict, line: int) -> Package:
     if not isinstance(obj, dict):
         raise StreamFormatError("record is not a JSON object", line)
@@ -117,12 +131,12 @@ def _package_from_json(obj: dict, line: int) -> Package:
     if unknown:
         raise StreamFormatError(f"unknown field(s) {sorted(unknown)}", line)
     try:
-        observations = tuple(GatewayObservation(str(g), float(s)) for g, s in obj["obs"])
-        contacts = tuple(NodeContact(str(p), float(s)) for p, s in obj["contacts"])
+        observations = _signals(obj["obs"], "obs", GatewayObservation)
+        contacts = _signals(obj["contacts"], "contacts", NodeContact)
         pkg = Package(
             node=str(obj["node"]),
             seq=check_integer(obj["seq"], "seq"),
-            t=float(obj["t"]),
+            t=check_number(obj["t"], "t"),
             observations=observations,
             contacts=contacts,
             payload=obj["payload"],

@@ -199,6 +199,12 @@ def test_localize_rejects_malformed_stream(tmp_path):
         lambda graph, pkgs: graph["links"][0].pop("u"),
         lambda graph, pkgs: graph["links"][0].pop("length"),
         lambda graph, pkgs: pkgs[3].update(seq=pkgs[3]["seq"] + 0.5),
+        lambda graph, pkgs: pkgs[1].update(t=True),
+        lambda graph, pkgs: pkgs[3].update(t=str(pkgs[3]["t"])),
+        lambda graph, pkgs: pkgs[3].update(obs=["g5"]),
+        lambda graph, pkgs: pkgs[3].update(contacts=[["p", "2"]]),
+        lambda graph, pkgs: graph["links"][0].update(length=True),
+        lambda graph, pkgs: graph["junctions"][0]["gateway"].update(radius="3"),
     ],
     ids=[
         "gateway-radius",
@@ -210,6 +216,12 @@ def test_localize_rejects_malformed_stream(tmp_path):
         "link-without-u",
         "link-without-length",
         "package-fractional-seq",
+        "package-bool-t",
+        "package-string-t",
+        "gateway-obs-string-entry",
+        "contact-string-strength",
+        "link-bool-length",
+        "gateway-string-radius",
     ],
 )
 def test_localize_rejects_non_finite_input(tmp_path, mutate):
@@ -247,6 +259,11 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o["insertions"][0].pop("at"),
         lambda o: o["insertions"][0].pop("node"),
         lambda o: o.update(insertions=5),
+        lambda o: o.update(base_step=True),
+        lambda o: o.update(noise_p="0.1"),
+        lambda o: o["insertions"][0]["at"].update(offset="0"),
+        lambda o: o["insertions"][0]["at"].update(offset=False),
+        lambda o: o["graph"]["links"][0].update(length="50"),
     ],
     ids=[
         "base_step",
@@ -258,6 +275,11 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         "insertion-without-at",
         "insertion-without-node",
         "insertions-not-array",
+        "base_step-bool",
+        "noise_p-string",
+        "insertion-string-offset",
+        "insertion-bool-offset",
+        "graph-string-length",
     ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):

@@ -244,6 +244,9 @@ def test_graph_json_round_trip(chain_graph):
         (lambda o: o["links"][0].pop("u"), "link object missing field 'u'"),
         (lambda o: o["links"][0].pop("length"), "link object missing field 'length'"),
         (lambda o: o["links"][0].update(length=[1]), "link length must be a number"),
+        (lambda o: o["links"][0].update(length=True), "link length must be a number, got True"),
+        (lambda o: o["links"][0].update(length=10**400), "link length must be a number, got 100"),
+        (lambda o: o["junctions"][0]["gateway"].update(radius="3"), "radius must be a number"),
         (lambda o: o.update(junctions=5), "graph junctions: expected a JSON array, got int"),
         (lambda o: o.update(links=[5]), "link object: expected a JSON object, got int"),
     ],
@@ -277,6 +280,15 @@ def test_position_from_json_rejects_non_finite(field, bad):
     obj = GraphPosition("a", "b", 10.0, 50.0).to_json()
     obj[field] = bad
     with pytest.raises(GraphError, match="non-finite"):
+        GraphPosition.from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [True, "10", None])
+@pytest.mark.parametrize("field", ["offset", "span"])
+def test_position_from_json_rejects_non_numbers(field, bad):
+    obj = GraphPosition("a", "b", 10.0, 50.0).to_json()
+    obj[field] = bad
+    with pytest.raises(GraphError, match="malformed position object"):
         GraphPosition.from_json(obj)
 
 

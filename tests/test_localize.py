@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -7,6 +8,8 @@ from gral import localize
 from gral.epochs import (
     Epoch,
     EpochKind,
+    EpochSet,
+    classify,
     epoch_set_to_json,
     integrate_stream,
     merge_same_gateway,
@@ -336,21 +339,32 @@ def test_apply_checkpoint_splits_epoch(chain_graph):
     assert epochs[idx + 1].packages[0].t > 10.0
 
 
-def test_apply_checkpoint_after_epoch_end_discarded(chain_graph):
+@pytest.mark.parametrize(
+    "reason, incomplete, checkpoint_at",
+    [
+        ("outside all epochs", False, lambda first: (1e6, line_position(22.0))),
+        ("in incomplete epoch", True, lambda first: (10.0, line_position(22.0))),
+        ("off the epoch path", False, lambda first: (10.0, line_position(99.0))),
+        ("leaves an empty fragment", False, lambda first: (first.t_last, first.final_pos)),
+    ],
+    ids=["outside", "incomplete", "off-path", "empty-fragment"],
+)
+def test_apply_checkpoint_discards_with_one_reason(
+    chain_graph, caplog, reason, incomplete, checkpoint_at
+):
     state, _ = resolved_single_node_state(chain_graph)
-    before = [len(e.packages) for e in state.epoch_sets["n"].epochs]
-    state.checkpoints.append(Checkpoint("peer", "n", 1e6, line_position(22.0)))
-    apply_checkpoints(state, "n")
-    assert [len(e.packages) for e in state.epoch_sets["n"].epochs] == before
-
-
-def test_apply_checkpoint_off_path_discarded(chain_graph):
-    state, _ = resolved_single_node_state(chain_graph)
-    before = [len(e.packages) for e in state.epoch_sets["n"].epochs]
-    # a position nowhere near the epoch's interpolation span at t=10
-    state.checkpoints.append(Checkpoint("peer", "n", 10.0, line_position(99.0)))
-    apply_checkpoints(state, "n")
-    assert [len(e.packages) for e in state.epoch_sets["n"].epochs] == before
+    first, *rest = state.epoch_sets["n"].epochs
+    if incomplete:
+        first = dataclasses.replace(first, final_pos=None)
+        state.epoch_sets["n"] = EpochSet("n", (first, *rest))
+    before = state.epoch_sets["n"].epochs
+    t, position = checkpoint_at(first)
+    state.checkpoints.append(Checkpoint("peer", "n", t, position))
+    with caplog.at_level("INFO", logger="gral.localize"):
+        apply_checkpoints(state, "n")
+    assert state.epoch_sets["n"].epochs == before
+    messages = [r.getMessage() for r in caplog.records if r.name == "gral.localize"]
+    assert messages == [f"checkpoint peer->n at t={t} {reason}; discarded"]
 
 
 def test_apply_checkpoint_same_before_and_after_localize_node(chain_graph):
@@ -498,6 +512,15 @@ def test_pipeline_never_rewrites_shared_segmentation(scenario, seed):
     assert {n: epoch_set_to_json(es) for n, es in segmented.epoch_sets.items()} == before
 
 
+def rebind_everywhere(monkeypatch, fn, wrapper):
+    """Point every `gral.*` module attribute bound to `fn` at `wrapper`."""
+    for name, module in list(sys.modules.items()):
+        if name == "gral" or name.startswith("gral."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 @pytest.mark.parametrize("scenario", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(5))
 def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monkeypatch):
@@ -510,19 +533,68 @@ def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monk
         for node, pkgs in streams.items()
     }
     calls = []
+    classified = []
 
     def counting_resolve(epoch_set, *args, **kwargs):
         calls.append(epoch_set.node)
         return resolve_positions(epoch_set, *args, **kwargs)
 
+    def counting_classify(packages):
+        classified.append(len(packages))
+        return classify(packages)
+
     monkeypatch.setattr(localize, "resolve_positions", counting_resolve)
+    rebind_everywhere(monkeypatch, classify, counting_classify)
     for variant in VARIANTS:
         state = build_state(spec.graph, streams)
         assert {n: epoch_set_to_json(es) for n, es in state.epoch_sets.items()} == expected
         assert sorted(calls) == sorted(streams)
+        segmented = dict(state.epoch_sets)
         calls.clear()
+        classified.clear()
         run_pipeline(state, streams, variant)
         assert calls == [], variant
+        # Splitting cuts a visit without classifying its fragments again:
+        # each fragment keeps the kind of the visit it came from.
+        assert classified == [], variant
+        for node, epoch_set in state.epoch_sets.items():
+            visit_kind = {p.seq: e.kind for e in segmented[node].epochs for p in e.packages}
+            assert [e.kind for e in epoch_set.epochs] == [
+                visit_kind[e.packages[0].seq] for e in epoch_set.epochs
+            ], (variant, node)
+
+
+@pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
+def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
+    spec = make_scenario(4)
+    placed = []
+    real_interpolate, real_rectify = localize.interpolate_epoch, localize.rectify_paths
+
+    def recording_interpolate(graph, epoch, method="gral"):
+        placed.append(epoch)
+        return real_interpolate(graph, epoch, method)
+
+    fragments_made = []
+
+    def checked_rectify(state, node, localized, method):
+        before = state.epoch_sets[node].epochs
+        placed.clear()
+        out = real_rectify(state, node, localized, method)
+        fragments = [e for e in state.epoch_sets[node].epochs if e not in before]
+        assert placed == fragments, node
+        # Oracle: placing every complete epoch of the rectified set again.
+        assert out == localize_node(state, node, method), node
+        fragments_made.append(len(fragments))
+        return out
+
+    monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
+    monkeypatch.setattr(localize, "rectify_paths", checked_rectify)
+    for seed in range(5):
+        streams = run_instance(spec, seed).streams()
+        rectified = len(fragments_made)
+        run_pipeline(build_state(spec.graph, streams), streams, variant)
+        assert len(fragments_made) - rectified == len(streams)
+    assert sum(fragments_made) > 0
 
 
 def test_pipeline_deterministic():

@@ -131,6 +131,38 @@ def test_seq_must_be_an_integer(seq):
         parse_package_stream(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("t", True, "t must be a number"),
+        ("t", "2.5", "t must be a number"),
+        ("obs", [["g", "5"]], "obs strength must be a number"),
+        ("obs", [["g", False]], "obs strength must be a number"),
+        ("contacts", [["p", "2"]], "contacts strength must be a number"),
+        ("obs", ["g5"], "obs must be an array of"),
+        ("obs", [["g", 1.0, 2.0]], "obs must be an array of"),
+        ("obs", {"g": 5}, "obs must be an array of"),
+        ("contacts", ["p2"], "contacts must be an array of"),
+    ],
+    ids=[
+        "t-bool",
+        "t-string",
+        "obs-string-strength",
+        "obs-bool-strength",
+        "contact-string-strength",
+        "obs-string-entry",
+        "obs-triple",
+        "obs-object",
+        "contact-string-entry",
+    ],
+)
+def test_numbers_and_signal_pairs_are_json_typed(field, value, message):
+    obj = {"node": "n", "seq": 1, "t": 0.0, "obs": [], "contacts": [], "payload": None}
+    obj[field] = value
+    with pytest.raises(StreamFormatError, match=f"line 1.*{message}"):
+        parse_package_stream(json.dumps(obj))
+
+
 def test_whole_float_seq_reads_as_integer():
     obj = {"node": "n", "seq": 2.0, "t": 0.0, "obs": [], "contacts": [], "payload": None}
     [pkg] = parse_package_stream(json.dumps(obj))

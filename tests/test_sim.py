@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,13 @@ def test_scenario_json_round_trip():
     again = run_instance(loaded, 3)
     original = run_instance(spec, 3)
     assert again.ground_truth == original.ground_truth
+
+
+@pytest.mark.parametrize("number", [1, 2, 3, 4])
+def test_shipped_scenario_files_load_as_built_in(number):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / f"scenario{number}.json"
+    loaded = load_scenario(path.read_text())
+    assert scenario_to_json(loaded) == scenario_to_json(make_scenario(number))
 
 
 def test_scenario_json_rejects_unknown_fields():

@@ -71,7 +71,12 @@ class GraphPosition:
     def from_json(cls, obj: dict) -> "GraphPosition":
         try:
             offset = check_number(obj["offset"], "offset")
-            pos = cls(str(obj["from"]), str(obj["to"]), offset, check_number(obj["span"], "span"))
+            pos = cls(
+                check_string(obj["from"], "position from"),
+                check_string(obj["to"], "position to"),
+                offset,
+                check_number(obj["span"], "span"),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed position object: {obj!r}") from exc
         if not (math.isfinite(pos.offset) and math.isfinite(pos.span)):
@@ -102,6 +107,7 @@ class EnvironmentGraph:
             j.gateway.id: j.gateway for j in junctions.values() if j.gateway is not None
         }
         self._dist_cache: dict[tuple[str, str], float] = {}
+        self._gateway_cache: dict[tuple[str, str], tuple[tuple[Gateway, float, float], ...]] = {}
         # Parent pointers toward the root define the flow orientation.
         self.parent: dict[str, Optional[str]] = {root: None}
         self.depth: dict[str, int] = {root: 0}
@@ -150,6 +156,27 @@ class EnvironmentGraph:
         self._dist_cache[(v, u)] = d
         return d
 
+    def link_gateways(self, u: str, v: str) -> tuple[tuple[Gateway, float, float], ...]:
+        """Gateways a point on link (u, v) can be in range of, by gateway id.
+
+        Each entry is `(gateway, d(u, g), d(v, g))` for the gateway's junction
+        g. A point `x` from u on the link is `min(x + d(u, g), (L - x) + d(v, g))`
+        from g, which is never below `min(d(u, g), d(v, g))`, so a gateway
+        whose radius is below that bound is left out. A junction j is the
+        link (j, j). Filled lazily, once per link and orientation.
+        """
+        entry = self._gateway_cache.get((u, v))
+        if entry is None:
+            near = []
+            for gw_id in sorted(self.gateways):
+                gateway = self.gateways[gw_id]
+                du = self.junction_distance(u, gateway.junction)
+                dv = self.junction_distance(v, gateway.junction)
+                if min(du, dv) <= gateway.radius:
+                    near.append((gateway, du, dv))
+            entry = self._gateway_cache[(u, v)] = tuple(near)
+        return entry
+
     def shortest_path(self, u: str, v: str) -> list[str]:
         """Unique simple path between two junctions, inclusive of both ends."""
         self.require_junction(u)
@@ -167,8 +194,11 @@ class EnvironmentGraph:
             cur = self.parent[cur]  # type: ignore[assignment]
         return up + [w] + list(reversed(down))
 
+    def link_lengths(self, path: list[str]) -> list[float]:
+        return [self.link_length(a, b) for a, b in zip(path, path[1:])]
+
     def path_length(self, path: list[str]) -> float:
-        return sum(self.link_length(a, b) for a, b in zip(path, path[1:]))
+        return sum(self.link_lengths(path))
 
     # -- positions ----------------------------------------------------------
 
@@ -186,24 +216,23 @@ class EnvironmentGraph:
             raise GraphError("empty path")
         for j in path:
             self.require_junction(j)
-        total = self.path_length(path)
+        lengths = self.link_lengths(path)
+        total = sum(lengths)
         if offset < -POSITION_TOL or offset > total + POSITION_TOL:
             raise GraphError(f"offset {offset} outside path of length {total}")
         if len(path) == 1:
             return GraphPosition(path[0], path[0], 0.0, 0.0)
-        remaining = min(max(offset, 0.0), total)
-        for i, (a, b) in enumerate(zip(path, path[1:])):
-            length = self.link_length(a, b)
-            last = i == len(path) - 2
-            if remaining < length - POSITION_TOL or last:
-                return GraphPosition(a, b, min(remaining, length), length)
-            remaining -= length
-            if remaining < POSITION_TOL:
-                remaining = 0.0
-        raise AssertionError("unreachable")
+        return _walk(path, lengths, min(max(offset, 0.0), total))
 
     def canonicalize(self, pos: GraphPosition) -> GraphPosition:
-        """Normalize an arbitrary valid position to canonical link-local form."""
+        """Normalize an arbitrary valid position to canonical link-local form.
+
+        A position that is already canonical is returned as is.
+        """
+        if pos.u != pos.v:
+            length = self._link_length.get((pos.u, pos.v))
+            if length is not None and pos.span == length and 0.0 <= pos.offset <= length:
+                return pos
         self.require_junction(pos.u)
         self.require_junction(pos.v)
         if pos.u == pos.v:
@@ -228,21 +257,38 @@ class EnvironmentGraph:
             return [(pos.u, 0.0)]
         return [(pos.u, pos.offset), (pos.v, pos.span - pos.offset)]
 
-    def geodesic_distance(self, p1: GraphPosition, p2: GraphPosition) -> float:
-        """Length of the unique path between two on-network points."""
-        a = self.canonicalize(p1)
-        b = self.canonicalize(p2)
-        if not a.at_junction() and not b.at_junction() and {a.u, a.v} == {b.u, b.v}:
-            off_b = b.offset if (a.u, a.v) == (b.u, b.v) else b.span - b.offset
-            return abs(a.offset - off_b)
+    @staticmethod
+    def _offset_on_link_of(a: GraphPosition, b: GraphPosition) -> Optional[float]:
+        # b's offset measured from a.u when both lie inside the same link, else None.
+        if a.u == a.v or b.u == b.v:
+            return None
+        if a.u == b.u and a.v == b.v:
+            return b.offset
+        if a.u == b.v and a.v == b.u:
+            return b.span - b.offset
+        return None
+
+    def _anchor_path(self, a: GraphPosition, b: GraphPosition) -> tuple[float, str, str, float, float]:
+        # The shortest way between two canonical points through link ends:
+        # (length, junction left from a, junction entered toward b, leg on a's
+        # link, leg on b's link). Ties go to the first anchor pair, u before v.
         best = None
         for ja, da in self._anchor_offsets(a):
             for jb, db in self._anchor_offsets(b):
                 d = da + self.junction_distance(ja, jb) + db
-                if best is None or d < best:
-                    best = d
+                if best is None or d < best[0]:
+                    best = (d, ja, jb, da, db)
         assert best is not None
         return best
+
+    def geodesic_distance(self, p1: GraphPosition, p2: GraphPosition) -> float:
+        """Length of the unique path between two on-network points."""
+        a = self.canonicalize(p1)
+        b = self.canonicalize(p2)
+        off_b = self._offset_on_link_of(a, b)
+        if off_b is not None:
+            return abs(a.offset - off_b)
+        return self._anchor_path(a, b)[0]
 
     def same_point(self, p1: GraphPosition, p2: GraphPosition, tol: float = POSITION_TOL) -> bool:
         return self.geodesic_distance(p1, p2) <= tol
@@ -276,39 +322,22 @@ class Route:
         # Decompose into: leg on the start link, junction-to-junction path,
         # leg on the end link. Degenerate legs collapse to zero length. The
         # total comes out of the same arithmetic as `geodesic_distance`.
-        if (
-            not self.start.at_junction()
-            and not self.end.at_junction()
-            and {self.start.u, self.start.v} == {self.end.u, self.end.v}
-        ):
-            self._same_link = True
-            self._exit = self._enter = None
-            self._off_end = (
-                self.end.offset
-                if (self.start.u, self.start.v) == (self.end.u, self.end.v)
-                else self.end.span - self.end.offset
-            )
+        self._off_end = graph._offset_on_link_of(self.start, self.end)
+        if self._off_end is not None:
             self.total = abs(self.start.offset - self._off_end)
         else:
-            self._same_link = False
-            best = None
-            for ja, da in graph._anchor_offsets(self.start):
-                for jb, db in graph._anchor_offsets(self.end):
-                    d = da + graph.junction_distance(ja, jb) + db
-                    if best is None or d < best[0]:
-                        best = (d, ja, jb, da, db)
-            assert best is not None
-            self.total, self._exit, self._enter, self._head, self._tail = best
+            path = graph._anchor_path(self.start, self.end)
+            self.total, self._exit, self._enter, self._head, self._tail = path
             self._mid_path = graph.shortest_path(self._exit, self._enter)
-            self._mid_len = graph.path_length(self._mid_path)
+            self._mid_lengths = graph.link_lengths(self._mid_path)
+            self._mid_len = sum(self._mid_lengths)
 
     def point_at(self, arclength: float) -> GraphPosition:
         """Position `arclength` units from the route start (clamped to ends)."""
         s = min(max(arclength, 0.0), self.total)
-        g = self.graph
         if self.total <= POSITION_TOL:
             return self.start
-        if self._same_link:
+        if self._off_end is not None:
             direction = 1.0 if self._off_end >= self.start.offset else -1.0
             return GraphPosition(
                 self.start.u, self.start.v, self.start.offset + direction * s, self.start.span
@@ -320,8 +349,8 @@ class Route:
             return GraphPosition(self.start.u, self.start.v, min(max(off, 0.0), self.start.span), self.start.span)
         s_mid = s - self._head
         mid_len = self._mid_len
-        if s_mid <= mid_len + POSITION_TOL and len(self._mid_path) > 1:
-            return g.point_at(self._mid_path, min(s_mid, mid_len))
+        if s_mid <= mid_len + POSITION_TOL and self._mid_lengths:
+            return _walk(self._mid_path, self._mid_lengths, min(max(s_mid, 0.0), mid_len))
         if self.end.at_junction():
             return self.end
         # On the end link, moving away from the enter junction toward the point.
@@ -338,6 +367,20 @@ class Route:
         g = self.graph
         d = g.geodesic_distance(self.start, pos) + g.geodesic_distance(pos, self.end)
         return abs(d - self.total) <= max(tol, 1e-9 * max(1.0, self.total))
+
+
+def _walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosition:
+    # The point `remaining` units along `path`, whose links have `lengths`;
+    # `remaining` is already clamped to [0, sum(lengths)]. A point within
+    # tolerance of an interior junction lands at offset 0 on the outgoing link.
+    last = len(lengths) - 1
+    for i, length in enumerate(lengths):
+        if remaining < length - POSITION_TOL or i == last:
+            return GraphPosition(path[i], path[i + 1], min(remaining, length), length)
+        remaining -= length
+        if remaining < POSITION_TOL:
+            remaining = 0.0
+    raise AssertionError("unreachable")
 
 
 def build_graph(
@@ -442,23 +485,32 @@ def check_integer(value: Any, what: str) -> int:
     raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
+def check_string(value: Any, what: str) -> str:
+    # A JSON string; numbers, null, true and false fail rather than turn into ids.
+    if isinstance(value, str):
+        return value
+    raise GraphError(f"{what} must be a string, got {value!r}")
+
+
 def graph_from_json(obj: dict) -> EnvironmentGraph:
     check_object(obj, _GRAPH_KEYS, _GRAPH_KEYS, "graph object")
     junctions = []
     for jobj in check_array(obj["junctions"], "graph junctions"):
         check_object(jobj, _JUNCTION_KEYS, {"id"}, "junction object")
+        junction = check_string(jobj["id"], "junction id")
         gateway = None
         if jobj.get("gateway") is not None:
             gobj = check_object(jobj["gateway"], _GATEWAY_KEYS, _GATEWAY_KEYS, "gateway object")
             radius = check_number(gobj["radius"], "gateway radius")
-            gateway = Gateway(str(gobj["id"]), str(jobj["id"]), radius)
-        junctions.append(Junction(str(jobj["id"]), gateway))
+            gateway = Gateway(check_string(gobj["id"], "gateway id"), junction, radius)
+        junctions.append(Junction(junction, gateway))
     links = []
     for lobj in check_array(obj["links"], "graph links"):
         check_object(lobj, _LINK_KEYS, _LINK_KEYS, "link object")
         length = check_number(lobj["length"], "link length")
-        links.append(Link(str(lobj["u"]), str(lobj["v"]), length))
-    return build_graph(junctions, links, str(obj["root"]))
+        u, v = check_string(lobj["u"], "link end"), check_string(lobj["v"], "link end")
+        links.append(Link(u, v, length))
+    return build_graph(junctions, links, check_string(obj["root"], "graph root"))
 
 
 def graph_to_json(graph: EnvironmentGraph) -> dict:

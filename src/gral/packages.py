@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .graph import GraphPosition, check_integer, check_number
+from .graph import GraphPosition, check_integer, check_number, check_string
 
 
 class StreamFormatError(ValueError):
@@ -117,7 +117,9 @@ def _signals(value: Any, what: str, signal: type) -> tuple:
     for entry in value:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
-        signals.append(signal(str(entry[0]), check_number(entry[1], f"{what} strength")))
+        signals.append(
+            signal(check_string(entry[0], f"{what} id"), check_number(entry[1], f"{what} strength"))
+        )
     return tuple(signals)
 
 
@@ -134,7 +136,7 @@ def _package_from_json(obj: dict, line: int) -> Package:
         observations = _signals(obj["obs"], "obs", GatewayObservation)
         contacts = _signals(obj["contacts"], "contacts", NodeContact)
         pkg = Package(
-            node=str(obj["node"]),
+            node=check_string(obj["node"], "node"),
             seq=check_integer(obj["seq"], "seq"),
             t=check_number(obj["t"], "t"),
             observations=observations,

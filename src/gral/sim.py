@@ -27,6 +27,7 @@ from .graph import (
     check_integer,
     check_number,
     check_object,
+    check_string,
     graph_from_json,
     graph_to_json,
 )
@@ -190,12 +191,14 @@ def step(world: WorldState, spec: ScenarioSpec) -> WorldState:
 def _gateway_observations(
     graph: EnvironmentGraph, position: GraphPosition
 ) -> tuple[GatewayObservation, ...]:
+    # `position` is canonical. Its distance to each gateway comes out of the
+    # same sums as `geodesic_distance`, with the tie going to u.
+    head, tail = position.offset, position.span - position.offset
     observations = []
-    for gw_id in sorted(graph.gateways):
-        gateway = graph.gateways[gw_id]
-        d = graph.geodesic_distance(position, graph.position_at(gateway.junction))
+    for gateway, du, dv in graph.link_gateways(position.u, position.v):
+        d = min(head + du + 0.0, tail + dv + 0.0)
         if d <= gateway.radius:
-            observations.append(GatewayObservation(gw_id, gateway.radius - d))
+            observations.append(GatewayObservation(gateway.id, gateway.radius - d))
     return tuple(observations)
 
 
@@ -403,7 +406,8 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
             check_object(iobj, _INSERTION_KEYS, _INSERTION_KEYS, "insertion object")
             at = GraphPosition.from_json(iobj["at"])
             tick = check_integer(iobj["tick"], "insertion tick")
-            insertions.append(Insertion(str(iobj["node"]), at, tick))
+            node = check_string(iobj["node"], "insertion node")
+            insertions.append(Insertion(node, at, tick))
         for key in _SCENARIO_KEYS - {"graph", "insertions"}:
             if key in obj and obj[key] is not None:
                 if key in ("measurement_interval", "max_ticks"):

@@ -9,6 +9,7 @@ import pytest
 
 from gral.graph import EnvironmentGraph, Gateway, GraphPosition, Junction, Link, build_graph
 from gral.packages import GatewayObservation, NodeContact, Package
+from gral.sim import Insertion, ScenarioSpec
 
 CHAIN_RADIUS = math.sqrt(10.0)
 
@@ -44,6 +45,36 @@ def random_tree(rng: random.Random, n: int) -> EnvironmentGraph:
         Link(f"v{i}", f"v{rng.randrange(i)}", rng.uniform(1.0, 10.0)) for i in range(1, n)
     ]
     return build_graph(junctions, links, "v0")
+
+
+def gated_tree_scenario(rng: random.Random) -> ScenarioSpec:
+    """A random tree with a gated root and gateways on about a third of the
+    other junctions, and 1-5 nodes inserted on links or at leaves."""
+    n = rng.randint(3, 9)
+    radius = rng.uniform(3.0, 8.0)
+    parents = {i: rng.randrange(i) for i in range(1, n)}
+    gated = {0} | {i for i in range(1, n) if rng.random() < 1 / 3}
+    junctions = [
+        Junction(f"v{i}", Gateway(f"gw-v{i}", f"v{i}", radius) if i in gated else None)
+        for i in range(n)
+    ]
+    links = [Link(f"v{i}", f"v{p}", rng.uniform(8.0, 30.0)) for i, p in parents.items()]
+    graph = build_graph(junctions, links, "v0")
+    leaves = sorted(set(range(1, n)) - set(parents.values()))
+    insertions = []
+    for k in range(rng.randint(1, 5)):
+        if rng.random() < 0.5:
+            at = graph.position_at(f"v{rng.choice(leaves)}")
+        else:
+            link = rng.choice(links)
+            at = GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length)
+        insertions.append(Insertion(f"n{k}", at, rng.randrange(6)))
+    return ScenarioSpec(
+        graph,
+        insertions,
+        gateway_radius_default=radius,
+        measurement_interval=rng.randint(1, 2),
+    )
 
 
 def random_position(rng: random.Random, graph: EnvironmentGraph) -> GraphPosition:

@@ -12,6 +12,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def renumber_junction(graph, old, new, *positions):
+    """Rename a junction of a JSON graph, and of JSON positions on it, everywhere
+    it is named, to a non-string id."""
+    for obj, key in (
+        [(jobj, "id") for jobj in graph["junctions"]]
+        + [(lobj, end) for lobj in graph["links"] for end in ("u", "v")]
+        + [(graph, "root")]
+        + [(pos, end) for pos in positions for end in ("from", "to")]
+    ):
+        if obj[key] == old:
+            obj[key] = new
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
@@ -205,6 +218,11 @@ def test_localize_rejects_malformed_stream(tmp_path):
         lambda graph, pkgs: pkgs[3].update(contacts=[["p", "2"]]),
         lambda graph, pkgs: graph["links"][0].update(length=True),
         lambda graph, pkgs: graph["junctions"][0]["gateway"].update(radius="3"),
+        lambda graph, pkgs: pkgs[3].update(node=5),
+        lambda graph, pkgs: pkgs[3].update(obs=[[7, 1.0]]),
+        lambda graph, pkgs: pkgs[3].update(contacts=[[None, 1.0]]),
+        lambda graph, pkgs: graph["junctions"][0]["gateway"].update(id=None),
+        lambda graph, pkgs: renumber_junction(graph, "c", 3),
     ],
     ids=[
         "gateway-radius",
@@ -222,6 +240,11 @@ def test_localize_rejects_malformed_stream(tmp_path):
         "contact-string-strength",
         "link-bool-length",
         "gateway-string-radius",
+        "package-number-node",
+        "gateway-number-id",
+        "contact-null-peer",
+        "gateway-null-id",
+        "junction-number-id",
     ],
 )
 def test_localize_rejects_non_finite_input(tmp_path, mutate):
@@ -264,6 +287,8 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o["insertions"][0]["at"].update(offset="0"),
         lambda o: o["insertions"][0]["at"].update(offset=False),
         lambda o: o["graph"]["links"][0].update(length="50"),
+        lambda o: o["insertions"][0].update(node=1),
+        lambda o: renumber_junction(o["graph"], "a", 0, o["insertions"][0]["at"]),
     ],
     ids=[
         "base_step",
@@ -280,6 +305,8 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         "insertion-string-offset",
         "insertion-bool-offset",
         "graph-string-length",
+        "insertion-number-node",
+        "junction-number-id",
     ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):

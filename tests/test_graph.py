@@ -223,6 +223,72 @@ def test_confluence_matches_bruteforce():
             assert g.junction_distance(other, v_f) <= d_got + 1e-9
 
 
+def test_canonicalize_returns_canonical_link_positions_as_is():
+    rng = random.Random(5)
+    for _ in range(50):
+        g = random_tree(rng, rng.randint(2, 10))
+        for link in g.links:
+            for u, v in ((link.u, link.v), (link.v, link.u)):
+                for x in (0.0, link.length / 3, link.length):
+                    p = GraphPosition(u, v, x, link.length)
+                    assert g.canonicalize(p) is p
+
+
+@pytest.mark.parametrize(
+    "pos, message",
+    [
+        (GraphPosition("a", "b", 50.0 + 1e-6, 50.0), "outside link"),
+        (GraphPosition("a", "b", -1e-6, 50.0), "outside link"),
+        (GraphPosition("a", "b", 10.0, 49.0), "span"),
+        (GraphPosition("a", "c", 10.0, 50.0), "span"),
+        (GraphPosition("a", "zz", 10.0, 50.0), "unknown junction"),
+        (GraphPosition("zz", "zz", 0.0, 0.0), "unknown junction"),
+        (GraphPosition("a", "a", 1.0, 1.0), "nonzero extent"),
+    ],
+    ids=["past-end", "before-start", "span", "two-links-span", "unknown", "unknown-junction", "extent"],
+)
+def test_canonicalize_still_rejects(chain_graph, pos, message):
+    with pytest.raises(GraphError, match=message):
+        chain_graph.canonicalize(pos)
+
+
+@pytest.mark.parametrize(
+    "pos, expected",
+    [
+        (GraphPosition("a", "b", -1e-10, 50.0), GraphPosition("a", "b", 0.0, 50.0)),
+        (GraphPosition("a", "b", 50.0 + 1e-10, 50.0), GraphPosition("a", "b", 50.0, 50.0)),
+        (GraphPosition("a", "b", 10.0, 50.0 + 1e-7), GraphPosition("a", "b", 10.0, 50.0)),
+        (GraphPosition("a", "c", 60.0, 100.0), GraphPosition("b", "c", 10.0, 50.0)),
+        (GraphPosition("b", "b", 0.0, 0.0), GraphPosition("b", "b", 0.0, 0.0)),
+    ],
+    ids=["offset-below-zero", "offset-past-end", "span-off", "two-links", "junction"],
+)
+def test_canonicalize_snaps_near_canonical_input_to_a_copy(chain_graph, pos, expected):
+    got = chain_graph.canonicalize(pos)
+    assert got == expected
+    assert got is not pos
+
+
+def test_route_between_junctions_walks_like_point_at():
+    # A route from junction to junction walks its middle path with the same
+    # sums and snaps as `point_at` on that path, also within tolerance of
+    # its interior junctions.
+    rng = random.Random(11)
+    for _ in range(100):
+        g = random_tree(rng, rng.randint(3, 10))
+        u, v = rng.sample(sorted(g.junctions), 2)
+        path = g.shortest_path(u, v)
+        route = g.route(g.position_at(u), g.position_at(v))
+        marks = [0.0]
+        for a, b in zip(path, path[1:]):
+            marks.append(marks[-1] + g.link_length(a, b))
+        offsets = [rng.uniform(0.0, route.total) for _ in range(5)]
+        offsets += [m + eps for m in marks for eps in (-1e-10, 0.0, 1e-10)]
+        for s in offsets:
+            s = min(max(s, 0.0), route.total)
+            assert route.point_at(s) == g.point_at(path, s)
+
+
 def test_graph_json_round_trip(chain_graph):
     text = json.dumps(graph_to_json(chain_graph))
     loaded = load_graph(text)
@@ -249,6 +315,12 @@ def test_graph_json_round_trip(chain_graph):
         (lambda o: o["junctions"][0]["gateway"].update(radius="3"), "radius must be a number"),
         (lambda o: o.update(junctions=5), "graph junctions: expected a JSON array, got int"),
         (lambda o: o.update(links=[5]), "link object: expected a JSON object, got int"),
+        (lambda o: o["junctions"][0].update(id=1), "junction id must be a string, got 1"),
+        (lambda o: o["junctions"][0].update(id=None), "junction id must be a string, got None"),
+        (lambda o: o["junctions"][0]["gateway"].update(id=7), "gateway id must be a string"),
+        (lambda o: o["links"][0].update(u=["a"]), "link end must be a string"),
+        (lambda o: o["links"][0].update(v=True), "link end must be a string"),
+        (lambda o: o.update(root=None), "graph root must be a string"),
     ],
 )
 def test_graph_loader_rejects_unknown_fields(chain_graph, mutate, message):
@@ -286,6 +358,15 @@ def test_position_from_json_rejects_non_finite(field, bad):
 @pytest.mark.parametrize("bad", [True, "10", None])
 @pytest.mark.parametrize("field", ["offset", "span"])
 def test_position_from_json_rejects_non_numbers(field, bad):
+    obj = GraphPosition("a", "b", 10.0, 50.0).to_json()
+    obj[field] = bad
+    with pytest.raises(GraphError, match="malformed position object"):
+        GraphPosition.from_json(obj)
+
+
+@pytest.mark.parametrize("bad", [1, None, True])
+@pytest.mark.parametrize("field", ["from", "to"])
+def test_position_from_json_rejects_non_string_junctions(field, bad):
     obj = GraphPosition("a", "b", 10.0, 50.0).to_json()
     obj[field] = bad
     with pytest.raises(GraphError, match="malformed position object"):

@@ -143,6 +143,11 @@ def test_seq_must_be_an_integer(seq):
         ("obs", [["g", 1.0, 2.0]], "obs must be an array of"),
         ("obs", {"g": 5}, "obs must be an array of"),
         ("contacts", ["p2"], "contacts must be an array of"),
+        ("node", 5, "node must be a string, got 5"),
+        ("node", None, "node must be a string, got None"),
+        ("obs", [[7, 1.0]], "obs id must be a string, got 7"),
+        ("contacts", [[None, 1.0]], "contacts id must be a string, got None"),
+        ("contacts", [[["p"], 1.0]], "contacts id must be a string"),
     ],
     ids=[
         "t-bool",
@@ -154,6 +159,11 @@ def test_seq_must_be_an_integer(seq):
         "obs-triple",
         "obs-object",
         "contact-string-entry",
+        "node-number",
+        "node-null",
+        "obs-number-id",
+        "contact-null-id",
+        "contact-array-id",
     ],
 )
 def test_numbers_and_signal_pairs_are_json_typed(field, value, message):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
-from gral.packages import NodeContact, serialize_packages
+from gral.packages import GatewayObservation, NodeContact, serialize_packages
 from gral.sim import (
     BRANCH_RADIUS,
     CHAIN_RADIUS,
@@ -22,8 +22,11 @@ from gral.sim import (
     scenario_to_json,
     step,
     _NodeState,
+    _gateway_observations,
     _oriented,
 )
+
+from conftest import gated_tree_scenario
 
 
 def long_pipe(length=400000.0):
@@ -130,6 +133,66 @@ def test_observe_mutual_contact_strength(chain_graph):
     _, c2 = observe(w, spec, "n2")
     assert c1 == (NodeContact("n2", 2.0),)
     assert c2 == (NodeContact("n1", 2.0),)
+
+
+def observations_by_geodesic(graph, position):
+    """Gateway readings with one `geodesic_distance` per gateway, in id order."""
+    observations = []
+    for gw_id in sorted(graph.gateways):
+        gateway = graph.gateways[gw_id]
+        d = graph.geodesic_distance(position, graph.position_at(gateway.junction))
+        if d <= gateway.radius:
+            observations.append(GatewayObservation(gw_id, gateway.radius - d))
+    return tuple(observations)
+
+
+def sample_positions(graph):
+    """Every junction, and points on every link in both orientations at offsets
+    0, L/3, L - eps, L and one radius from either end."""
+    positions = [graph.position_at(j) for j in graph.junctions]
+    radii = {gw.radius for gw in graph.gateways.values()}
+    for link in graph.links:
+        length = link.length
+        offsets = {0.0, length / 3, length - 1e-9, length}
+        offsets |= {x for r in radii for x in (r, length - r) if 0.0 <= x <= length}
+        for u, v in ((link.u, link.v), (link.v, link.u)):
+            positions += [GraphPosition(u, v, x, length) for x in sorted(offsets)]
+    return positions
+
+
+def test_gateway_observations_match_geodesic_loop():
+    specs = [make_scenario(k) for k in (1, 2, 3, 4)]
+    specs += [gated_tree_scenario(random.Random(seed)) for seed in range(150)]
+    checked = heard = 0
+    for spec in specs:
+        graph = spec.graph
+        for pos in sample_positions(graph):
+            observations = _gateway_observations(graph, pos)
+            # `==` on the dataclasses compares every strength exactly, in order.
+            assert observations == observations_by_geodesic(graph, pos), pos
+            checked += 1
+            heard += bool(observations)
+    assert heard > checked / 4
+
+
+def test_gateway_observations_belong_to_their_graph():
+    # Graphs built one after another with the same junction ids but other
+    # radii and lengths, each dropped before the next is built, so a new
+    # graph may reuse an old one's id: none may read another's readings.
+    def readings(radius, length):
+        graph = build_graph(
+            [Junction("s", Gateway("gw-s", "s", radius)), Junction("r", Gateway("gw-r", "r", radius))],
+            [Link("s", "r", length)],
+            "r",
+        )
+        pos = GraphPosition("s", "r", 3.0, length)
+        return _gateway_observations(graph, pos), observations_by_geodesic(graph, pos)
+
+    assert readings(4.0, 10.0)[0] == (GatewayObservation("gw-s", 1.0),)
+    assert readings(6.0, 8.0)[0] == (GatewayObservation("gw-r", 1.0), GatewayObservation("gw-s", 3.0))
+    for k in range(40):
+        fast, slow = readings(4.0 + k / 8, 10.0 - k / 16)
+        assert fast == slow
 
 
 def test_buffer_grows_without_emission():

@@ -235,6 +235,8 @@ class EnvironmentGraph:
                 return pos
         self.require_junction(pos.u)
         self.require_junction(pos.v)
+        if not (math.isfinite(pos.offset) and math.isfinite(pos.span)):
+            raise GraphError(f"non-finite offset or span in position {pos}")
         if pos.u == pos.v:
             if abs(pos.offset) > POSITION_TOL or abs(pos.span) > POSITION_TOL:
                 raise GraphError(f"degenerate position with nonzero extent: {pos}")

@@ -44,12 +44,6 @@ class NodeContact:
             raise ValueError(f"negative strength {self.strength} for peer {self.peer!r}")
 
 
-def _sorted_observations(obs: tuple[GatewayObservation, ...]) -> tuple[GatewayObservation, ...]:
-    # Strongest first; ties broken by lowest gateway id so "the strongest
-    # signal" is well-defined even on equal readings.
-    return tuple(sorted(obs, key=lambda o: (-o.strength, o.gateway)))
-
-
 @dataclass(frozen=True)
 class Package:
     """One measurement record. Observations are kept sorted strongest-first."""
@@ -62,8 +56,17 @@ class Package:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observations", _sorted_observations(tuple(self.observations)))
-        object.__setattr__(self, "contacts", tuple(self.contacts))
+        observations = self.observations
+        if type(observations) is not tuple:
+            observations = tuple(observations)
+        if len(observations) > 1:
+            # Strongest first; ties broken by lowest gateway id so "the
+            # strongest signal" is well-defined even on equal readings.
+            observations = tuple(sorted(observations, key=lambda o: (-o.strength, o.gateway)))
+        if observations is not self.observations:
+            object.__setattr__(self, "observations", observations)
+        if type(self.contacts) is not tuple:
+            object.__setattr__(self, "contacts", tuple(self.contacts))
 
 
 def strongest(package: Package) -> Optional[GatewayObservation]:
@@ -105,51 +108,62 @@ class LocalizedMeasurement:
 # -- stream format ------------------------------------------------------------
 
 _PACKAGE_KEYS = {"node", "seq", "t", "obs", "contacts", "payload"}
+_INF = math.inf
+_raw_decode = json.JSONDecoder().raw_decode
+
+# Each field is first tested for the exact type a well-formed record holds.
+# Only a value that fails that test goes through the `check_*` helper, which
+# coerces it (an integer `t` or strength, a whole-float `seq`) or raises.
 
 
-def _signals(value: Any, what: str, signal: type) -> tuple:
-    # `obs` and `contacts` are JSON arrays of [id, strength] arrays. A plain loop:
-    # this runs twice per parsed package, and generators here slowed parsing by
-    # about a fifth.
-    if not isinstance(value, list):
+def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float]]:
+    # `obs` and `contacts` are JSON arrays of [id, strength] arrays. Also
+    # returns the first NaN or +inf strength: the caller reports it only
+    # after every other field has passed.
+    if type(value) is not list:
         raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
     signals = []
+    non_finite = None
     for entry in value:
-        if not isinstance(entry, list) or len(entry) != 2:
+        if type(entry) is not list or len(entry) != 2:
             raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
-        signals.append(
-            signal(check_string(entry[0], f"{what} id"), check_number(entry[1], f"{what} strength"))
-        )
-    return tuple(signals)
+        ident, strength = entry
+        if type(ident) is not str:
+            ident = check_string(ident, f"{what} id")
+        if type(strength) is not float or not 0.0 <= strength < _INF:
+            strength = check_number(strength, f"{what} strength")
+            if non_finite is None and not math.isfinite(strength):
+                non_finite = strength
+        signals.append(signal(ident, strength))
+    return tuple(signals), non_finite
 
 
-def _package_from_json(obj: dict, line: int) -> Package:
-    if not isinstance(obj, dict):
+def _package_from_json(obj: Any, line: int) -> Package:
+    if type(obj) is not dict:
         raise StreamFormatError("record is not a JSON object", line)
-    missing = _PACKAGE_KEYS - set(obj)
-    if missing:
-        raise StreamFormatError(f"missing field(s) {sorted(missing)}", line)
-    unknown = set(obj) - _PACKAGE_KEYS
-    if unknown:
-        raise StreamFormatError(f"unknown field(s) {sorted(unknown)}", line)
+    if obj.keys() != _PACKAGE_KEYS:
+        missing = _PACKAGE_KEYS - set(obj)
+        if missing:
+            raise StreamFormatError(f"missing field(s) {sorted(missing)}", line)
+        raise StreamFormatError(f"unknown field(s) {sorted(set(obj) - _PACKAGE_KEYS)}", line)
     try:
-        observations = _signals(obj["obs"], "obs", GatewayObservation)
-        contacts = _signals(obj["contacts"], "contacts", NodeContact)
-        pkg = Package(
-            node=check_string(obj["node"], "node"),
-            seq=check_integer(obj["seq"], "seq"),
-            t=check_number(obj["t"], "t"),
-            observations=observations,
-            contacts=contacts,
-            payload=obj["payload"],
-        )
+        observations, bad_obs = _signals(obj["obs"], "obs", GatewayObservation)
+        contacts, bad_contact = _signals(obj["contacts"], "contacts", NodeContact)
+        node, seq, t = obj["node"], obj["seq"], obj["t"]
+        if type(node) is not str:
+            node = check_string(node, "node")
+        if type(seq) is not int:
+            seq = check_integer(seq, "seq")
+        if type(t) is not float:
+            t = check_number(t, "t")
+        pkg = Package(node, seq, t, observations, contacts, obj["payload"])
     except (TypeError, ValueError) as exc:
         raise StreamFormatError(str(exc), line) from exc
-    if not math.isfinite(pkg.t):
-        raise StreamFormatError(f"non-finite timestamp {pkg.t}", line)
-    for signal in observations + contacts:
-        if not math.isfinite(signal.strength):
-            raise StreamFormatError(f"non-finite strength {signal.strength}", line)
+    if not -_INF < t < _INF:
+        raise StreamFormatError(f"non-finite timestamp {t}", line)
+    bad = bad_obs if bad_obs is not None else bad_contact
+    if bad is not None:
+        raise StreamFormatError(f"non-finite strength {bad}", line)
     return pkg
 
 
@@ -163,28 +177,35 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     packages: list[Package] = []
-    last_seq: dict[str, int] = {}
-    last_t: dict[str, float] = {}
+    last: dict[str, tuple[int, float]] = {}
     for lineno, line in enumerate(data.splitlines(), start=1):
-        if not line.strip():
-            continue
+        # A record that fills its line decodes in one call; padded, blank
+        # and malformed lines take `json.loads` and its error message.
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+            obj, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
         pkg = _package_from_json(obj, lineno)
-        if pkg.node in last_seq and pkg.seq <= last_seq[pkg.node]:
-            raise StreamFormatError(
-                f"seq regression for node {pkg.node!r}: {pkg.seq} after {last_seq[pkg.node]}",
-                lineno,
-            )
-        if pkg.node in last_t and pkg.t < last_t[pkg.node]:
-            raise StreamFormatError(
-                f"timestamp regression for node {pkg.node!r}: {pkg.t} after {last_t[pkg.node]}",
-                lineno,
-            )
-        last_seq[pkg.node] = pkg.seq
-        last_t[pkg.node] = pkg.t
+        previous = last.get(pkg.node)
+        if previous is not None:
+            if pkg.seq <= previous[0]:
+                raise StreamFormatError(
+                    f"seq regression for node {pkg.node!r}: {pkg.seq} after {previous[0]}",
+                    lineno,
+                )
+            if pkg.t < previous[1]:
+                raise StreamFormatError(
+                    f"timestamp regression for node {pkg.node!r}: {pkg.t} after {previous[1]}",
+                    lineno,
+                )
+        last[pkg.node] = (pkg.seq, pkg.t)
         packages.append(pkg)
     return packages
 

@@ -203,14 +203,17 @@ def _gateway_observations(
 
 
 def observe(
-    world: WorldState, spec: ScenarioSpec, node: str
+    world: WorldState, spec: ScenarioSpec, node: str, active: list[str]
 ) -> tuple[tuple[GatewayObservation, ...], tuple[NodeContact, ...]]:
-    """Radio snapshot for one node: gateway signals and peer contacts in range."""
+    """Radio snapshot for one node: gateway signals and peer contacts in range.
+
+    `active` is `world.active_nodes()`, built once per tick by the caller.
+    """
     graph = spec.graph
     st = world.nodes[node]
     contacts = []
     radius = spec.effective_contact_radius
-    for peer in world.active_nodes():
+    for peer in active:
         if peer == node:
             continue
         d = graph.geodesic_distance(st.position, world.nodes[peer].position)
@@ -228,11 +231,12 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
     """
     batches = []
     due = world.tick % spec.measurement_interval == 0
-    for node in world.active_nodes():
+    active = world.active_nodes()
+    for node in active:
         st = world.nodes[node]
         obs = None
         if due or st.at_root:
-            obs, contacts = observe(world, spec, node)
+            obs, contacts = observe(world, spec, node, active)
             st.seq += 1
             st.buffer.append(
                 Package(node, st.seq, float(world.tick), obs, contacts, payload={"tick": world.tick})
@@ -246,7 +250,7 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
             batches.append(Batch(node, world.tick, tuple(st.buffer)))
             st.buffer.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
-    for node in world.active_nodes():
+    for node in active:
         st = world.nodes[node]
         if st.at_root:
             st.active = False

@@ -244,8 +244,22 @@ def test_canonicalize_returns_canonical_link_positions_as_is():
         (GraphPosition("a", "zz", 10.0, 50.0), "unknown junction"),
         (GraphPosition("zz", "zz", 0.0, 0.0), "unknown junction"),
         (GraphPosition("a", "a", 1.0, 1.0), "nonzero extent"),
+        (GraphPosition("a", "b", math.nan, 50.0), "non-finite"),
+        (GraphPosition("b", "b", math.nan, 0.0), "non-finite"),
+        (GraphPosition("b", "b", 0.0, math.nan), "non-finite"),
     ],
-    ids=["past-end", "before-start", "span", "two-links-span", "unknown", "unknown-junction", "extent"],
+    ids=[
+        "past-end",
+        "before-start",
+        "span",
+        "two-links-span",
+        "unknown",
+        "unknown-junction",
+        "extent",
+        "nan-offset",
+        "junction-nan-offset",
+        "junction-nan-span",
+    ],
 )
 def test_canonicalize_still_rejects(chain_graph, pos, message):
     with pytest.raises(GraphError, match=message):

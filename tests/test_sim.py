@@ -90,7 +90,7 @@ def test_node_parks_at_root(chain_graph):
 def test_observe_maximum_strength_under_gateway(chain_graph):
     spec = ScenarioSpec(chain_graph, [Insertion("n", chain_graph.position_at("a"), 0)])
     w = world_with_node(spec)
-    obs, contacts = observe(w, spec, "n")
+    obs, contacts = observe(w, spec, "n", w.active_nodes())
     assert contacts == ()
     assert obs[0].gateway == "gw-a"
     assert obs[0].strength == pytest.approx(CHAIN_RADIUS)
@@ -101,7 +101,7 @@ def test_observe_nothing_outside_radius(chain_graph):
         chain_graph, [Insertion("n", GraphPosition("a", "b", 25.0, 50.0), 0)]
     )
     w = world_with_node(spec)
-    obs, _ = observe(w, spec, "n")
+    obs, _ = observe(w, spec, "n", w.active_nodes())
     assert obs == ()
 
 
@@ -111,7 +111,7 @@ def test_observe_strength_strictly_decreasing_with_distance(chain_graph):
     strengths = []
     for d in (0.0, 1.0, 2.0, 3.0):
         w.nodes["n"].position = GraphPosition("a", "b", d, 50.0)
-        obs, _ = observe(w, spec, "n")
+        obs, _ = observe(w, spec, "n", w.active_nodes())
         strengths.append(obs[0].strength)
     assert strengths == sorted(strengths, reverse=True)
     assert len(set(strengths)) == len(strengths)
@@ -129,8 +129,8 @@ def test_observe_mutual_contact_strength(chain_graph):
     w = WorldState(spec, random.Random(0))
     for ins in spec.insertions:
         w.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
-    _, c1 = observe(w, spec, "n1")
-    _, c2 = observe(w, spec, "n2")
+    _, c1 = observe(w, spec, "n1", w.active_nodes())
+    _, c2 = observe(w, spec, "n2", w.active_nodes())
     assert c1 == (NodeContact("n2", 2.0),)
     assert c2 == (NodeContact("n1", 2.0),)
 

@@ -148,8 +148,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scenario", "variant", "seed", "irmse"])
         for r in results:
-            for i, value in enumerate(r.instance_rmse):
-                writer.writerow([r.scenario, r.variant, args.seed0 + i, _fmt(value)])
+            for seed, value in zip(r.instance_seeds, r.instance_rmse):
+                writer.writerow([r.scenario, r.variant, seed, _fmt(value)])
         Path(args.per_instance_out).write_text(buf.getvalue(), encoding="utf-8")
 
     # Result-table view: one row per scenario, one column per variant.

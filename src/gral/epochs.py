@@ -60,9 +60,6 @@ class EpochSet:
     node: str
     epochs: tuple[Epoch, ...] = ()
 
-    def all_packages(self) -> list[Package]:
-        return [p for e in self.epochs for p in e.packages]
-
 
 def classify(packages: Sequence[Package]) -> Optional[EpochKind]:
     """Trend classification of an ordered package run.

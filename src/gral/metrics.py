@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .graph import EnvironmentGraph, GraphPosition
+from .graph import EnvironmentGraph
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
 from .sim import InstanceResult, ScenarioSpec, run_instance
 
 
-@dataclass(frozen=True)
-class ErrorSample:
+class ErrorSample(NamedTuple):
     node: str
     seq: int
     error: float
@@ -51,7 +50,8 @@ class VariantResult:
     instances: int
     packages_total: int
     packages_localized: int
-    instance_rmse: list[float]          # iRMSE, one entry per instance
+    instance_rmse: list[float]          # iRMSE of each instance that localized anything
+    instance_seeds: list[int]           # the seed of each instance_rmse entry
     pooled_rmse: float                  # dRMSE over all package errors
     mae: float
     normalized_mae_pct: float
@@ -73,25 +73,19 @@ def instance_errors(
     Returns the samples for localized packages and the count of packages that
     were emitted but not localized.
     """
-    truth: dict[tuple[str, int], GraphPosition] = {}
-    emitted: set[tuple[str, int]] = set()
-    for batch in result.batches:
-        for pkg in batch.packages:
-            emitted.add((pkg.node, pkg.seq))
-    for record in result.ground_truth:
-        truth[(record.node, record.seq)] = record.position
+    truth = result.emitted_truth
+    distance = graph.geodesic_distance
     samples = []
     localized_keys = set()
-    for node, measurements in estimates.items():
+    for measurements in estimates.values():
         for m in measurements:
             key = (m.node, m.seq)
-            if key not in emitted:
+            position = truth.get(key)
+            if position is None:
                 continue
             localized_keys.add(key)
-            samples.append(
-                ErrorSample(m.node, m.seq, graph.geodesic_distance(truth[key], m.position))
-            )
-    return samples, len(emitted - localized_keys)
+            samples.append(ErrorSample(m.node, m.seq, distance(position, m.position)))
+    return samples, len(truth) - len(localized_keys)
 
 
 def run_experiment(
@@ -110,20 +104,25 @@ def run_experiment(
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}
+    per_variant_seeds: dict[str, list[int]] = {v: [] for v in variants}
     total_packages = 0
-    for i in range(n_instances):
-        result = run_instance(spec, seed0 + i)
+    for seed in range(seed0, seed0 + n_instances):
+        result = run_instance(spec, seed)
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
         segmented = build_state(spec.graph, streams)
+        # Every variant starts from the same epoch objects, so the variants
+        # share one placement memo and each epoch is interpolated once.
+        placements: dict = {}
         for variant in variants:
-            state = BackendState(spec.graph, dict(segmented.epoch_sets))
+            state = BackendState(spec.graph, dict(segmented.epoch_sets), placements=placements)
             estimates = run_pipeline(state, streams, variant)
             samples, _missing = instance_errors(spec.graph, result, estimates)
             errors = [s.error for s in samples]
             per_variant_errors[variant].extend(errors)
             if errors:
                 per_variant_irmse[variant].append(rmse(errors))
+                per_variant_seeds[variant].append(seed)
     out = []
     for variant in variants:
         errors = per_variant_errors[variant]
@@ -137,6 +136,7 @@ def run_experiment(
                 packages_total=total_packages,
                 packages_localized=len(errors),
                 instance_rmse=per_variant_irmse[variant],
+                instance_seeds=per_variant_seeds[variant],
                 pooled_rmse=pooled,
                 mae=mae_value,
                 normalized_mae_pct=normalized_mae(mae_value, route_length)

@@ -210,19 +210,34 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
     return packages
 
 
-def package_to_json(pkg: Package) -> dict:
-    return {
-        "node": pkg.node,
-        "seq": pkg.seq,
-        "t": pkg.t,
-        "obs": [[o.gateway, o.strength] for o in pkg.observations],
-        "contacts": [[c.peer, c.strength] for c in pkg.contacts],
-        "payload": pkg.payload,
-    }
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value: Any) -> str:
+    # What `_encode` writes for `value`: exact strings, ints and finite
+    # floats directly, anything else (NaN, bools, subclasses) through it.
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is float and value - value == 0.0 or kind is int:
+        return repr(value)
+    return _encode(value)
 
 
 def serialize_packages(packages: list[Package]) -> str:
+    """Newline-delimited JSON: one compact object per package, keys sorted.
+
+    Each line is what `json.dumps(..., sort_keys=True, separators=(",", ":"))`
+    gives the object of the package's fields, with `obs` and `contacts` as
+    [id, strength] arrays. The fixed key order is written field by field;
+    only the payload goes through the encoder whole.
+    """
     return "".join(
-        json.dumps(package_to_json(p), sort_keys=True, separators=(",", ":")) + "\n"
+        '{"contacts":['
+        + ",".join(f"[{_json_scalar(c.peer)},{_json_scalar(c.strength)}]" for c in p.contacts)
+        + f'],"node":{_json_scalar(p.node)},"obs":['
+        + ",".join(f"[{_json_scalar(o.gateway)},{_json_scalar(o.strength)}]" for o in p.observations)
+        + f'],"payload":{_encode(p.payload)},"seq":{_json_scalar(p.seq)},"t":{_json_scalar(p.t)}}}\n'
         for p in packages
     )

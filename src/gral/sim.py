@@ -13,6 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .graph import (
@@ -141,6 +142,20 @@ class InstanceResult:
             streams.setdefault(batch.node, []).extend(batch.packages)
         return streams
 
+    @cached_property
+    def emitted_truth(self) -> dict[tuple[str, int], GraphPosition]:
+        """True position of every emitted package by `(node, seq)`.
+
+        Built on first use and kept, so every variant scored against this
+        instance reads the same map; the result is not changed after a run.
+        """
+        truth = {(r.node, r.seq): r.position for r in self.ground_truth}
+        return {
+            (pkg.node, pkg.seq): truth[(pkg.node, pkg.seq)]
+            for batch in self.batches
+            for pkg in batch.packages
+        }
+
 
 def _oriented(graph: EnvironmentGraph, pos: GraphPosition) -> GraphPosition:
     """Normalize to child->parent orientation (offset measured from the child)."""
@@ -208,18 +223,30 @@ def observe(
     """Radio snapshot for one node: gateway signals and peer contacts in range.
 
     `active` is `world.active_nodes()`, built once per tick by the caller.
+    A tree geodesic is never shorter than the gap between the two points'
+    distances to the root, so a peer whose gap exceeds the contact radius
+    (plus rounding slack) is out of range without a geodesic. Positions are
+    oriented child -> parent and the root is held in junction form, so that
+    distance is `dist_to_root[v] + span - offset`.
     """
     graph = spec.graph
-    st = world.nodes[node]
+    nodes = world.nodes
+    dist_to_root = graph.dist_to_root
+    here = nodes[node].position
     contacts = []
     radius = spec.effective_contact_radius
+    reach = radius + 1e-6
+    level = dist_to_root[here.v] + here.span - here.offset
     for peer in active:
         if peer == node:
             continue
-        d = graph.geodesic_distance(st.position, world.nodes[peer].position)
+        there = nodes[peer].position
+        if abs(dist_to_root[there.v] + there.span - there.offset - level) > reach:
+            continue
+        d = graph.geodesic_distance(here, there)
         if d <= radius:
             contacts.append(NodeContact(peer, radius - d))
-    return _gateway_observations(graph, st.position), tuple(contacts)
+    return _gateway_observations(graph, here), tuple(contacts)
 
 
 def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:

@@ -6,6 +6,9 @@ import pytest
 
 import gral.cli
 from gral.cli import main
+from gral.graph import Gateway, Junction, Link, build_graph
+from gral.metrics import run_experiment
+from gral.sim import Insertion, ScenarioSpec, scenario_to_json
 
 
 def run_cli(*argv):
@@ -107,6 +110,38 @@ def test_evaluate_writes_summary(tmp_path, capsys):
     irmse_rows = list(csv.DictReader(per_instance.open()))
     assert len(irmse_rows) == 10  # 5 instances x 2 variants
     assert "dRMSE" in capsys.readouterr().out
+
+
+def test_evaluate_per_instance_rows_name_their_seed(tmp_path):
+    # One gateway of radius 0.5 mid-chain: most instances step over it and
+    # localize nothing, so they have no iRMSE row.
+    graph = build_graph(
+        [Junction("a"), Junction("b", Gateway("gw-b", "b", 0.5)), Junction("c")],
+        [Link("a", "b", 20.0), Link("b", "c", 20.0)],
+        "c",
+    )
+    spec = ScenarioSpec(
+        graph,
+        [Insertion("n1", graph.position_at("a"), 0)],
+        gateway_radius_default=0.5,
+        measurement_interval=2,
+    )
+    scenario = tmp_path / "sparse.json"
+    scenario.write_text(json.dumps(scenario_to_json(spec)), encoding="utf-8")
+    per_instance = tmp_path / "irmse.csv"
+    code = run_cli(
+        "evaluate", "--scenario", str(scenario), "--instances", "8", "--seed0", "0",
+        "--variants", "baseline", "--out", str(tmp_path / "summary.csv"),
+        "--per-instance-out", str(per_instance),
+    )
+    assert code == 0
+    rows = [(int(r["seed"]), r["irmse"]) for r in csv.DictReader(per_instance.open())]
+    expected = []
+    for seed in range(8):
+        (alone,) = run_experiment(spec, ["baseline"], 1, seed0=seed)
+        expected += [(seed, repr(value)) for value in alone.instance_rmse]
+    assert rows == expected
+    assert 0 < len(rows) < 8 and [seed for seed, _ in rows] != list(range(len(rows)))
 
 
 def test_evaluate_byte_identical(tmp_path):

@@ -250,7 +250,7 @@ def test_integrate_gives_one_epoch_per_gateway_visit():
         gen = random_stream if trial % 2 == 0 else wide_stream
         pkgs = gen(rng, rng.randint(1, 80))
         es = integrate_stream("n", pkgs)
-        assert es.all_packages() == pkgs
+        assert [p for e in es.epochs for p in e.packages] == pkgs
         anchors = [e.anchor for e in es.epochs]
         assert all(a != b for a, b in zip(anchors, anchors[1:]))
         kinds = [e.kind for e in es.epochs]
@@ -294,7 +294,7 @@ def test_segmentation_work_is_linear_in_stream_length(monkeypatch):
     pkgs += [mk(2500 + i, seq=2501 + i) for i in range(2500)]  # a long silent stretch
     assert len(pkgs) == 5000
     merged = merge_same_gateway(gral.epochs.integrate_stream("n", pkgs))
-    assert merged.all_packages() == pkgs
+    assert [p for e in merged.epochs for p in e.packages] == pkgs
     assert counts["scanned"] <= 2 * len(pkgs)
     assert counts["lookups"] <= 5 * len(pkgs)
 
@@ -304,9 +304,9 @@ def test_partition_invariant_over_random_streams():
     for _ in range(50):
         pkgs = random_stream(rng, rng.randint(1, 60))
         es = integrate_stream("n", pkgs)
-        assert es.all_packages() == pkgs  # no loss, no duplication, order kept
+        assert [p for e in es.epochs for p in e.packages] == pkgs  # no loss, no duplication, order kept
         merged = merge_same_gateway(es)
-        assert merged.all_packages() == pkgs
+        assert [p for e in merged.epochs for p in e.packages] == pkgs
 
 
 def test_type_soundness_after_integration():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import random
@@ -7,8 +8,9 @@ from collections import Counter
 import pytest
 
 from gral import localize, metrics
-from gral.metrics import mae, normalized_mae, rmse, run_experiment
-from gral.sim import make_scenario
+from gral.localize import VARIANTS, BackendState, build_state, run_pipeline
+from gral.metrics import VariantResult, mae, normalized_mae, rmse, run_experiment
+from gral.sim import make_scenario, run_instance
 
 
 def test_zero_errors():
@@ -117,3 +119,67 @@ def test_experiment_validates_inputs():
         run_experiment(spec, ["gral"], 0)
     with pytest.raises(ValueError):
         run_experiment(spec, ["nope"], 1)
+
+
+def fresh_experiment(spec, n_instances):
+    """`run_experiment` spelled out: a fresh `BackendState` for every variant,
+    and each error scored from the instance's own records."""
+    errors = {v: [] for v in VARIANTS}
+    irmse = {v: [] for v in VARIANTS}
+    seeds = {v: [] for v in VARIANTS}
+    total = 0
+    for seed in range(n_instances):
+        result = run_instance(spec, seed)
+        streams = result.streams()
+        truth = {(r.node, r.seq): r.position for r in result.ground_truth}
+        emitted = {(p.node, p.seq) for b in result.batches for p in b.packages}
+        total += len(emitted)
+        segmented = build_state(spec.graph, streams)
+        for variant in VARIANTS:
+            state = BackendState(spec.graph, dict(segmented.epoch_sets))
+            estimates = run_pipeline(state, streams, variant)
+            errs = [
+                spec.graph.geodesic_distance(truth[(m.node, m.seq)], m.position)
+                for measurements in estimates.values()
+                for m in measurements
+                if (m.node, m.seq) in emitted
+            ]
+            errors[variant] += errs
+            if errs:
+                irmse[variant].append(rmse(errs))
+                seeds[variant].append(seed)
+    route = spec.route_length()
+    return [
+        VariantResult(
+            "s", v, n_instances, total, len(errors[v]), irmse[v], seeds[v],
+            rmse(errors[v]), mae(errors[v]), normalized_mae(mae(errors[v]), route),
+        )
+        for v in VARIANTS
+    ]
+
+
+@pytest.mark.parametrize("scenario", [2, 3, 4])
+def test_experiment_equals_fresh_per_variant_recomputation(scenario):
+    spec = make_scenario(scenario)
+    got = run_experiment(spec, VARIANTS, 10, seed0=0, scenario_name="s")
+    assert got == fresh_experiment(spec, 10)
+
+
+def test_instance_errors_keeps_its_samples_and_missing_count():
+    spec = make_scenario(2)
+    result = run_instance(spec, 4)
+    streams = result.streams()
+    estimates = run_pipeline(build_state(spec.graph, streams), streams, "gral")
+    # One package left out and one estimate of a package never emitted.
+    dropped = estimates["n1"].pop(3)
+    estimates["n1"].append(dataclasses.replace(dropped, seq=10**6))
+    truth = {(r.node, r.seq): r.position for r in result.ground_truth}
+    samples, missing = metrics.instance_errors(spec.graph, result, estimates)
+    expected = [
+        (m.node, m.seq, spec.graph.geodesic_distance(truth[(m.node, m.seq)], m.position))
+        for node in ("n1", "n2")
+        for m in estimates[node]
+        if m.seq != 10**6
+    ]
+    assert [(s.node, s.seq, s.error) for s in samples] == expected
+    assert missing == 1

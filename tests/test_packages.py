@@ -423,3 +423,67 @@ def test_well_formed_stream_parses_without_check_helpers(monkeypatch):
     obj = {"node": "n", "seq": 2.0, "t": 1, "obs": [["g", 2]], "contacts": [], "payload": None}
     parse_package_stream(json.dumps(obj))
     assert calls == {"check_number": 2, "check_integer": 1}
+
+
+# -- serializer ------------------------------------------------------------------
+
+
+def reference_serialize(packages):
+    """The serializer as one `json.dumps` of a field dict per package."""
+    return "".join(
+        json.dumps(
+            {
+                "node": p.node,
+                "seq": p.seq,
+                "t": p.t,
+                "obs": [[o.gateway, o.strength] for o in p.observations],
+                "contacts": [[c.peer, c.strength] for c in p.contacts],
+                "payload": p.payload,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n"
+        for p in packages
+    )
+
+
+IDS = ["n1", "gw-a", 'q"uote', "back\\slash", "tab\tnew\nline", "café", "☃", "\x00", ""]
+NUMBERS = [
+    0.0, -0.0, 5.0, 1e-7, 1e22, 1e16, 0.1, 2.5e-300, 1.7976931348623157e308,
+    0, 7, -3, 10**30, -(2**64), True, False, math.inf, -math.inf, math.nan,
+]
+
+
+def random_payload(rng, depth=0):
+    kinds = ["scalar", "id", "none"] + (["list", "dict"] if depth < 3 else [])
+    kind = rng.choice(kinds)
+    if kind == "scalar":
+        return rng.choice(NUMBERS)
+    if kind == "id":
+        return rng.choice(IDS)
+    if kind == "none":
+        return None
+    if kind == "list":
+        return [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {rng.choice(IDS): random_payload(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_serializer_matches_json_dumps_byte_for_byte():
+    rng = random.Random(12)
+    strengths = [s for s in NUMBERS if not (isinstance(s, (int, float)) and s < 0)]
+    packages = []
+    for _ in range(600):
+        signals = [(rng.choice(IDS), rng.choice(strengths)) for _ in range(rng.randrange(4))]
+        packages.append(
+            Package(
+                rng.choice(IDS),
+                rng.choice([1, 12, 10**30, 2**63]),
+                rng.choice(NUMBERS),
+                tuple(GatewayObservation(*s) for s in signals[: rng.randrange(len(signals) + 1)]),
+                tuple(NodeContact(*s) for s in signals),
+                random_payload(rng),
+            )
+        )
+    packages += [p for b in run_instance(make_scenario(4), 2).batches for p in b.packages]
+    assert serialize_packages(packages) == reference_serialize(packages)

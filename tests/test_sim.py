@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import gral.sim
 from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
 from gral.packages import GatewayObservation, NodeContact, serialize_packages
 from gral.sim import (
@@ -133,6 +134,57 @@ def test_observe_mutual_contact_strength(chain_graph):
     _, c2 = observe(w, spec, "n2", w.active_nodes())
     assert c1 == (NodeContact("n2", 2.0),)
     assert c2 == (NodeContact("n1", 2.0),)
+
+
+def all_pairs_observe(world, spec, node, active):
+    """`observe` with one geodesic to every other active node."""
+    graph = spec.graph
+    st = world.nodes[node]
+    radius = spec.effective_contact_radius
+    contacts = []
+    for peer in active:
+        if peer == node:
+            continue
+        d = graph.geodesic_distance(st.position, world.nodes[peer].position)
+        if d <= radius:
+            contacts.append(NodeContact(peer, radius - d))
+    return _gateway_observations(graph, st.position), tuple(contacts)
+
+
+def swarm_like_scenario(rng, depth, per_leaf):
+    """Binary tree gated at its leaves and root; `per_leaf` nodes leave each
+    leaf one tick apart, so nodes travel in groups and meet at merges."""
+    junctions = [Junction("r", Gateway("gw-r", "r", CHAIN_RADIUS))]
+    links, level = [], ["r"]
+    for d in range(1, depth + 1):
+        children = []
+        for parent in level:
+            for side in "ab":
+                j = side if parent == "r" else parent + side
+                gateway = Gateway(f"gw-{j}", j, CHAIN_RADIUS) if d == depth else None
+                junctions.append(Junction(j, gateway))
+                links.append(Link(j, parent, float(rng.randint(4, 12))))
+                children.append(j)
+        level = children
+    graph = build_graph(junctions, links, "r")
+    insertions = [
+        Insertion(f"{leaf}{k}", graph.position_at(leaf), k) for leaf in level for k in range(per_leaf)
+    ]
+    return ScenarioSpec(graph, insertions, gateway_radius_default=CHAIN_RADIUS)
+
+
+def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
+    rng = random.Random(13)
+    cases = [(swarm_like_scenario(rng, depth, per_leaf), seed)
+             for seed, (depth, per_leaf) in enumerate([(2, 2), (3, 2), (3, 4), (3, 8)])]
+    cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    pruned = [run_instance(spec, seed) for spec, seed in cases]
+    monkeypatch.setattr(gral.sim, "observe", all_pairs_observe)
+    contacts = 0
+    for (spec, seed), got in zip(cases, pruned):
+        assert got == run_instance(spec, seed), seed
+        contacts += sum(len(p.contacts) for b in got.batches for p in b.packages)
+    assert contacts > 1000
 
 
 def observations_by_geodesic(graph, position):

@@ -144,16 +144,12 @@ def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:
     return EpochSet(epoch_set.node, tuple(merged))
 
 
-def _initial_start(graph: EnvironmentGraph, epoch: Epoch) -> Optional[GraphPosition]:
-    # Without an explicit insertion registry the only certain initial fix is a
-    # first package heard at full strength: the node sits under that gateway.
-    top = strongest(epoch.packages[0])
-    if top is None:
-        return None
-    gateway = graph.gateways.get(top.gateway)
-    if gateway is None:
-        return None
-    if top.strength >= gateway.radius - POSITION_TOL:
+def _under_gateway(graph: EnvironmentGraph, package: Package) -> Optional[GraphPosition]:
+    # Full strength, the gateway's radius, is heard only right under it: the
+    # package was recorded at that gateway's junction.
+    top = strongest(package)
+    gateway = graph.gateways.get(top.gateway) if top is not None else None
+    if gateway is not None and top.strength >= gateway.radius - POSITION_TOL:
         return graph.position_at(gateway.junction)
     return None
 
@@ -200,20 +196,18 @@ def resolve_positions(
         start, final = epoch.start_pos, epoch.final_pos
         if start is None:
             if idx == 0:
-                start = initial_position or _initial_start(graph, epoch)
+                # Without an explicit insertion registry the only certain
+                # initial fix is a first package heard at full strength.
+                start = initial_position or _under_gateway(graph, epoch.packages[0])
             else:
                 start = resolved[-1].final_pos
 
         if final is None:
             if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:
-                gateway = graph.gateways[epoch.anchor]
                 if idx < len(epochs) - 1:
-                    final = graph.position_at(gateway.junction)
+                    final = graph.position_at(graph.gateways[epoch.anchor].junction)
                 else:
-                    # Full strength, heard right under the gateway, is its radius.
-                    top = strongest(epoch.packages[-1])
-                    if top is not None and top.strength >= gateway.radius - POSITION_TOL:
-                        final = graph.position_at(gateway.junction)
+                    final = _under_gateway(graph, epoch.packages[-1])
             if final is None and idx < len(epochs) - 1:
                 nxt = epochs[idx + 1]
                 if nxt.anchor is not None and nxt.anchor in graph.gateways:

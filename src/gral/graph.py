@@ -13,7 +13,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ class Link:
     length: float
 
 
-@dataclass(frozen=True)
-class GraphPosition:
+class GraphPosition(NamedTuple):
     """A point on the network: `offset` units from `u` along the path to `v`.
 
     Canonical form keeps `u` and `v` adjacent (one link) with

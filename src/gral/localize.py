@@ -34,20 +34,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class BackendState:
-    """Backend-side view: the map plus everything learned from received data.
-
-    `placements` maps `id(epoch)` to `(epoch, estimates)` for every epoch
-    `localize_node` interpolated; holding the epoch keeps its id from being
-    reused. Placement depends only on the graph and the epoch, so states on
-    one graph may share the dict to place each epoch object once.
-    """
+    """Backend-side view: the map plus everything learned from received data."""
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    placements: dict[int, tuple[Epoch, list[LocalizedMeasurement]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
 
 def build_state(
@@ -155,25 +146,12 @@ def localize_node(
     """Interpolate every complete epoch of the node's resolved epoch set.
 
     Incomplete epochs (typically a trailing stretch still waiting for an
-    anchor) yield no output yet. An epoch object already in
-    `state.placements` keeps its positions and takes this call's tag.
+    anchor) yield no output yet.
     """
     out: list[LocalizedMeasurement] = []
-    placements = state.placements
     for epoch in state.epoch_sets[node].epochs:
-        if not is_complete(epoch):
-            continue
-        placed = placements.get(id(epoch))
-        if placed is None:
-            estimates = interpolate_epoch(state.graph, epoch, method)
-            placements[id(epoch)] = (epoch, estimates)
-        else:
-            estimates = placed[1]
-            if estimates[0].method != method:
-                estimates = [
-                    LocalizedMeasurement(m.node, m.seq, m.t, m.position, method) for m in estimates
-                ]
-        out.extend(estimates)
+        if is_complete(epoch):
+            out.extend(interpolate_epoch(state.graph, epoch, method))
     return out
 
 

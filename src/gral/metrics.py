@@ -111,11 +111,8 @@ def run_experiment(
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
         segmented = build_state(spec.graph, streams)
-        # Every variant starts from the same epoch objects, so the variants
-        # share one placement memo and each epoch is interpolated once.
-        placements: dict = {}
         for variant in variants:
-            state = BackendState(spec.graph, dict(segmented.epoch_sets), placements=placements)
+            state = BackendState(spec.graph, dict(segmented.epoch_sets))
             estimates = run_pipeline(state, streams, variant)
             samples, _missing = instance_errors(spec.graph, result, estimates)
             errors = [s.error for s in samples]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .graph import GraphPosition, check_integer, check_number, check_string
 
@@ -92,17 +92,12 @@ class Checkpoint:
 VARIANTS = ("baseline", "gral", "gral+cp", "gral+pr", "gral+cp+pr")
 
 
-@dataclass(frozen=True)
-class LocalizedMeasurement:
+class LocalizedMeasurement(NamedTuple):
     node: str
     seq: int
     t: float
     position: GraphPosition
     method: str
-
-    def __post_init__(self) -> None:
-        if self.method not in VARIANTS:
-            raise ValueError(f"unknown method tag {self.method!r}")
 
 
 # -- stream format ------------------------------------------------------------
@@ -164,6 +159,9 @@ def _package_from_json(obj: Any, line: int) -> Package:
     bad = bad_obs if bad_obs is not None else bad_contact
     if bad is not None:
         raise StreamFormatError(f"non-finite strength {bad}", line)
+    for contact in contacts:
+        if contact.peer == node:
+            raise StreamFormatError(f"node {node!r} lists itself as a contact", line)
     return pkg
 
 

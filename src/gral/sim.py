@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import (
     EnvironmentGraph,
@@ -93,8 +93,7 @@ class ScenarioSpec:
         return max(self.graph.geodesic_distance(i.position, root) for i in self.insertions)
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(NamedTuple):
     node: str
     seq: int
     tick: int

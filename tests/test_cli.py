@@ -59,7 +59,7 @@ def test_simulate_localize_round_trip(tmp_path, capsys):
     assert rows
     assert set(rows[0]) == {"node", "seq", "t", "from", "to", "offset", "span", "method"}
     assert all(r["method"] == "gral" for r in rows)
-    truth_rows = list(csv.DictReader((out / "ground_truth.csv").open()))
+    truth_rows = list(csv.DictReader((out / "ground_truth.csv").read_text().splitlines()))
     assert len(rows) == len(truth_rows)
 
 
@@ -104,10 +104,10 @@ def test_evaluate_writes_summary(tmp_path, capsys):
         str(per_instance),
     )
     assert code == 0
-    rows = list(csv.DictReader(out_csv.open()))
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
     assert [r["variant"] for r in rows] == ["baseline", "gral"]
     assert float(rows[1]["drmse"]) < float(rows[0]["drmse"])
-    irmse_rows = list(csv.DictReader(per_instance.open()))
+    irmse_rows = list(csv.DictReader(per_instance.read_text().splitlines()))
     assert len(irmse_rows) == 10  # 5 instances x 2 variants
     assert "dRMSE" in capsys.readouterr().out
 
@@ -135,7 +135,7 @@ def test_evaluate_per_instance_rows_name_their_seed(tmp_path):
         "--per-instance-out", str(per_instance),
     )
     assert code == 0
-    rows = [(int(r["seed"]), r["irmse"]) for r in csv.DictReader(per_instance.open())]
+    rows = [(int(r["seed"]), r["irmse"]) for r in csv.DictReader(per_instance.read_text().splitlines())]
     expected = []
     for seed in range(8):
         (alone,) = run_experiment(spec, ["baseline"], 1, seed0=seed)
@@ -233,6 +233,21 @@ def test_localize_rejects_malformed_stream(tmp_path):
         str(tmp_path / "r.csv"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("variant", ["gral", "gral+cp", "gral+pr", "gral+cp+pr"])
+def test_localize_rejects_self_contact_on_its_line(tmp_path, capsys, variant):
+    out = tmp_path / "inst"
+    run_cli("simulate", "--scenario", "2", "--seed", "1", "--out", str(out))
+    records = [json.loads(line) for line in (out / "packages.ndjson").read_text().splitlines()]
+    (index,) = [i for i, r in enumerate(records) if r["node"] == "n2" and r["seq"] == 20]
+    records[index]["contacts"].append(["n2", 0.5])
+    (out / "packages.ndjson").write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    argv = ["--graph", str(out / "graph.json"), "--packages", str(out / "packages.ndjson")]
+    assert run_cli("localize", "--variant", variant, *argv, "--out", str(tmp_path / "r.csv")) == 1
+    assert f"error: line {index + 1}: node 'n2' lists itself as a contact" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,8 @@ from gral.graph import (
     graph_to_json,
     load_graph,
 )
+from gral.packages import LocalizedMeasurement
+from gral.sim import GroundTruthRecord
 
 from conftest import enumerate_simple_paths, oracle_confluence, random_position, random_tree
 
@@ -281,6 +283,35 @@ def test_canonicalize_snaps_near_canonical_input_to_a_copy(chain_graph, pos, exp
     got = chain_graph.canonicalize(pos)
     assert got == expected
     assert got is not pos
+
+
+def test_position_and_estimate_records_are_frozen_values(chain_graph):
+    pos = GraphPosition("a", "b", 10.0, 50.0)
+    assert GraphPosition.from_json(pos.to_json()) == pos
+    assert hash(GraphPosition("a", "b", 10.0, 50.0)) == hash(pos)
+    records = [pos, LocalizedMeasurement("n", 1, 2.0, pos, "gral"), GroundTruthRecord("n", 1, 2, pos)]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    # Error messages name the position by its repr.
+    for bad, message in [
+        (
+            GraphPosition("a", "b", math.nan, 50.0),
+            "non-finite offset or span in position GraphPosition(u='a', v='b', offset=nan, span=50.0)",
+        ),
+        (
+            GraphPosition("a", "a", 1.0, 1.0),
+            "degenerate position with nonzero extent: GraphPosition(u='a', v='a', offset=1.0, span=1.0)",
+        ),
+        (
+            GraphPosition("a", "c", 10.0, 49.0),
+            "position span 49.0 != path length 100.0 for GraphPosition(u='a', v='c', offset=10.0, span=49.0)",
+        ),
+    ]:
+        with pytest.raises(GraphError) as exc:
+            chain_graph.canonicalize(bad)
+        assert str(exc.value) == message
 
 
 def test_route_between_junctions_walks_like_point_at():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gral import localize, metrics
+from gral import localize
 from gral.epochs import (
     Epoch,
     EpochKind,
@@ -636,31 +636,3 @@ def test_pipeline_method_tags(chain_graph):
     for variant in ("baseline", "gral", "gral+cp+pr"):
         est = run_pipeline(build_state(chain_graph, streams), streams, variant)
         assert all(m.method == variant for m in est["n"])
-
-
-def test_experiment_places_each_epoch_object_once(monkeypatch):
-    placed = []  # holding every epoch keeps its id from being reused
-
-    def counting_interpolate(graph, epoch, method="gral"):
-        placed.append(epoch)
-        return interpolate_epoch(graph, epoch, method)
-
-    runs = []
-
-    def recording_pipeline(state, streams, variant):
-        estimates = run_pipeline(state, streams, variant)
-        runs.append((variant, streams, estimates))
-        return estimates
-
-    monkeypatch.setattr(localize, "interpolate_epoch", counting_interpolate)
-    monkeypatch.setattr(metrics, "run_pipeline", recording_pipeline)
-    spec = make_scenario(4)
-    metrics.run_experiment(spec, VARIANTS, 3, seed0=0)
-    shared = len(placed)
-    assert shared == len({id(e) for e in placed})
-    assert len(runs) == 3 * len(VARIANTS)
-    for variant, streams, estimates in runs:
-        assert all(m.method == variant for ms in estimates.values() for m in ms)
-        assert estimates == run_pipeline(build_state(spec.graph, streams), streams, variant)
-    # Fresh states place every epoch again; sharing places fewer.
-    assert shared < len(placed) - shared

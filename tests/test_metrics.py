@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import math
 import random
@@ -172,7 +171,7 @@ def test_instance_errors_keeps_its_samples_and_missing_count():
     estimates = run_pipeline(build_state(spec.graph, streams), streams, "gral")
     # One package left out and one estimate of a package never emitted.
     dropped = estimates["n1"].pop(3)
-    estimates["n1"].append(dataclasses.replace(dropped, seq=10**6))
+    estimates["n1"].append(dropped._replace(seq=10**6))
     truth = {(r.node, r.seq): r.position for r in result.ground_truth}
     samples, missing = metrics.instance_errors(spec.graph, result, estimates)
     expected = [

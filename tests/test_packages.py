@@ -255,6 +255,8 @@ def reference_package(obj, line):
     for signal in observations + contacts:
         if not math.isfinite(signal.strength):
             raise StreamFormatError(f"non-finite strength {signal.strength}", line)
+    if any(c.peer == pkg.node for c in contacts):
+        raise StreamFormatError(f"node {pkg.node!r} lists itself as a contact", line)
     return pkg
 
 
@@ -301,7 +303,7 @@ def random_records(rng):
                 "seq": seq[node],
                 "t": t[node],
                 "obs": [[f"gw-{rng.randint(0, 3)}", rng.choice([0.0, 0.5, 3.25])] for _ in range(rng.randint(0, 3))],
-                "contacts": [[rng.choice(["n1", "n2", "n3"]), rng.random()] for _ in range(rng.randint(0, 2))],
+                "contacts": [[rng.choice(sorted({"n1", "n2", "n3"} - {node})), rng.random()] for _ in range(rng.randint(0, 2))],
                 "payload": rng.choice([None, {"tick": 3}, [1, 2], "x"]),
             }
         )
@@ -319,7 +321,7 @@ def finite(value, default):
 
 def mutate_record(rng, obj):
     """Apply one random change to a record object; may return a non-object."""
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     t, seq = finite(obj.get("t"), 2.0), int(finite(obj.get("seq"), 2))
     if kind == 0:
         obj["t"] = rng.choice([int(t), 10**400, math.nan, math.inf, -math.inf, True, "2.5", None])
@@ -354,6 +356,9 @@ def mutate_record(rng, obj):
         obj["t"] = t - rng.choice([0.0, 0.5, 3.0])
     elif kind == 9:
         return rng.choice([[obj], 3, "record", None, True])
+    elif kind == 10 and isinstance(obj.get("contacts"), list):
+        # A node that lists itself as a contact.
+        obj["contacts"] = obj["contacts"] + [[obj.get("node"), 0.5]]
     return obj
 
 

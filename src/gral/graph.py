@@ -13,6 +13,8 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Iterable, NamedTuple, Optional
 
 log = logging.getLogger(__name__)
@@ -197,7 +199,7 @@ class EnvironmentGraph:
         return [self.link_length(a, b) for a, b in zip(path, path[1:])]
 
     def path_length(self, path: list[str]) -> float:
-        return sum(self.link_lengths(path))
+        return _add_up(self.link_lengths(path))
 
     # -- positions ----------------------------------------------------------
 
@@ -216,7 +218,7 @@ class EnvironmentGraph:
         for j in path:
             self.require_junction(j)
         lengths = self.link_lengths(path)
-        total = sum(lengths)
+        total = _add_up(lengths)
         if offset < -POSITION_TOL or offset > total + POSITION_TOL:
             raise GraphError(f"offset {offset} outside path of length {total}")
         if len(path) == 1:
@@ -331,43 +333,69 @@ class Route:
             self.total, self._exit, self._enter, self._head, self._tail = path
             self._mid_path = graph.shortest_path(self._exit, self._enter)
             self._mid_lengths = graph.link_lengths(self._mid_path)
-            self._mid_len = sum(self._mid_lengths)
+            self._mid_len = _add_up(self._mid_lengths)
 
     def point_at(self, arclength: float) -> GraphPosition:
         """Position `arclength` units from the route start (clamped to ends)."""
-        s = min(max(arclength, 0.0), self.total)
-        if self.total <= POSITION_TOL:
-            return self.start
-        if self._off_end is not None:
-            direction = 1.0 if self._off_end >= self.start.offset else -1.0
-            return GraphPosition(
-                self.start.u, self.start.v, self.start.offset + direction * s, self.start.span
-            )
-        if s <= self._head + POSITION_TOL and not self.start.at_junction():
-            # Still on the start link, moving toward the exit junction.
-            direction = -1.0 if self._exit == self.start.u else 1.0
-            off = self.start.offset + direction * min(s, self._head)
-            return GraphPosition(self.start.u, self.start.v, min(max(off, 0.0), self.start.span), self.start.span)
-        s_mid = s - self._head
-        mid_len = self._mid_len
-        if s_mid <= mid_len + POSITION_TOL and self._mid_lengths:
-            return _walk(self._mid_path, self._mid_lengths, min(max(s_mid, 0.0), mid_len))
-        if self.end.at_junction():
-            return self.end
-        # On the end link, moving away from the enter junction toward the point.
-        s_tail = min(max(s_mid - mid_len, 0.0), self._tail)
-        direction = 1.0 if self._enter == self.end.u else -1.0
-        off = (0.0 if self._enter == self.end.u else self.end.span) + direction * s_tail
-        return GraphPosition(self.end.u, self.end.v, min(max(off, 0.0), self.end.span), self.end.span)
+        return self.points_at((arclength,))[0]
 
-    def point_at_fraction(self, fraction: float) -> GraphPosition:
-        return self.point_at(fraction * self.total)
+    def points_at(self, arclengths: Iterable[float]) -> list[GraphPosition]:
+        """Positions `arclengths` units from the route start, each clamped to the ends.
+
+        The route's legs are read once for the whole batch.
+        """
+        total = self.total
+        start = self.start
+        if total <= POSITION_TOL:
+            return [start for _ in arclengths]
+        u, v, offset, span = start
+        if self._off_end is not None:
+            direction = 1.0 if self._off_end >= offset else -1.0
+            return [
+                GraphPosition(u, v, offset + direction * min(max(x, 0.0), total), span)
+                for x in arclengths
+            ]
+        # Start link: from the start point toward the exit junction.
+        head = self._head
+        head_limit = head + POSITION_TOL if u != v else -math.inf
+        head_dir = -1.0 if self._exit == u else 1.0
+        # Junction-to-junction path.
+        mid_path, mid_lengths, mid_len = self._mid_path, self._mid_lengths, self._mid_len
+        mid_limit = mid_len + POSITION_TOL if mid_lengths else -math.inf
+        # End link: away from the enter junction toward the end point.
+        end = self.end
+        end_u, end_v, _, end_span = end
+        tail = self._tail
+        tail_dir = 1.0 if self._enter == end_u else -1.0
+        tail_from = 0.0 if self._enter == end_u else end_span
+        out = []
+        for x in arclengths:
+            s = min(max(x, 0.0), total)
+            if s <= head_limit:
+                off = offset + head_dir * min(s, head)
+                out.append(GraphPosition(u, v, min(max(off, 0.0), span), span))
+                continue
+            s_mid = s - head
+            if s_mid <= mid_limit:
+                out.append(_walk(mid_path, mid_lengths, min(max(s_mid, 0.0), mid_len)))
+            elif end_u == end_v:
+                out.append(end)
+            else:
+                off = tail_from + tail_dir * min(max(s_mid - mid_len, 0.0), tail)
+                out.append(GraphPosition(end_u, end_v, min(max(off, 0.0), end_span), end_span))
+        return out
 
     def contains(self, pos: GraphPosition, tol: float = POSITION_TOL) -> bool:
         """Whether `pos` lies on this route (within tolerance)."""
         g = self.graph
         d = g.geodesic_distance(self.start, pos) + g.geodesic_distance(pos, self.end)
         return abs(d - self.total) <= max(tol, 1e-9 * max(1.0, self.total))
+
+
+def _add_up(lengths: Iterable[float]) -> float:
+    # A plain left-to-right sum. From Python 3.12 the builtin `sum` compensates
+    # float rounding, which would make positions differ between interpreters.
+    return reduce(add, lengths, 0)
 
 
 def _walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosition:

@@ -72,24 +72,26 @@ def interpolate_epoch(
     assert epoch.start_pos is not None and epoch.final_pos is not None
     route = graph.route(epoch.start_pos, epoch.final_pos)
     t0, t1 = epoch.t_first, epoch.t_last
-    out = []
-    degenerate = t1 <= t0
-    if degenerate and route.total > POSITION_TOL:
-        # Routine for one-package epochs (e.g. a single reading right under a
-        # gateway); stated positions win over the unobservable approach.
-        level = logging.DEBUG if len(epoch.packages) == 1 else logging.WARNING
-        log.log(
-            level,
-            "epoch of node %s spans zero time but distinct positions; pinning at final",
-            epoch.packages[0].node,
-        )
-    for pkg in epoch.packages:
-        if degenerate:
-            pos = epoch.final_pos
-        else:
-            pos = route.point_at_fraction((pkg.t - t0) / (t1 - t0))
-        out.append(LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method))
-    return out
+    packages = epoch.packages
+    if t1 <= t0:
+        if route.total > POSITION_TOL:
+            # Routine for one-package epochs (e.g. a single reading right
+            # under a gateway); stated positions win over the unobservable
+            # approach.
+            level = logging.DEBUG if len(packages) == 1 else logging.WARNING
+            log.log(
+                level,
+                "epoch of node %s spans zero time but distinct positions; pinning at final",
+                packages[0].node,
+            )
+        positions = [epoch.final_pos] * len(packages)
+    else:
+        total = route.total
+        positions = route.points_at([(pkg.t - t0) / (t1 - t0) * total for pkg in packages])
+    return [
+        LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method)
+        for pkg, pos in zip(packages, positions)
+    ]
 
 
 def baseline_localize(
@@ -116,28 +118,26 @@ def baseline_localize(
     if not anchors:
         log.info("baseline: no gateway contact in stream; nothing localizable")
         return []
-    out = []
-    # Walk the anchor pairs in step with the packages. A package on the index
-    # two pairs share belongs to the earlier pair, so each pair owns (i0, i1].
-    pair = 0
-    route = None
-    for k, pkg in enumerate(packages):
-        if k <= anchors[0][0]:
-            pos = anchors[0][1]
-        elif k >= anchors[-1][0]:
-            pos = anchors[-1][1]
+    # A pair of consecutive anchors owns the packages on the indices (i0, i1]
+    # strictly inside the anchored window and places them along one route.
+    first, last = anchors[0][0], anchors[-1][0]
+    positions = [anchors[0][1]] * (first + 1)
+    for (i0, p0), (i1, p1) in pairwise(anchors):
+        owned = packages[i0 + 1 : min(i1 + 1, last)]
+        if not owned:
+            continue
+        route = graph.route(p0, p1)
+        t0, t1 = packages[i0].t, packages[i1].t
+        if t1 <= t0:
+            positions += route.points_at([0.0] * len(owned))
         else:
-            while k > anchors[pair + 1][0]:
-                pair += 1
-                route = None
-            (i0, p0), (i1, p1) = anchors[pair], anchors[pair + 1]
-            if route is None:
-                route = graph.route(p0, p1)
-            t0, t1 = packages[i0].t, packages[i1].t
-            fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
-            pos = route.point_at_fraction(fraction)
-        out.append(LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method))
-    return out
+            total = route.total
+            positions += route.points_at([(pkg.t - t0) / (t1 - t0) * total for pkg in owned])
+    positions += [anchors[-1][1]] * (len(packages) - len(positions))
+    return [
+        LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method)
+        for pkg, pos in zip(packages, positions)
+    ]
 
 
 def localize_node(
@@ -260,8 +260,13 @@ def _confluence_cuts(
     if v_a is None:
         log.info("rectification skipped for %s: own provenance unknown", node)
         return cuts
-    for peer in sorted({c.peer for p in epoch.packages for c in p.contacts}):
-        met = [i for i, p in enumerate(epoch.packages) if any(c.peer == peer for c in p.contacts)]
+    # Per contacted peer, the indices of the packages that heard it, ascending.
+    meetings: dict[str, list[int]] = {}
+    for i, pkg in enumerate(epoch.packages):
+        for peer in {c.peer for c in pkg.contacts}:
+            meetings.setdefault(peer, []).append(i)
+    for peer in sorted(meetings):
+        met = meetings[peer]
         # The peer's origin before the encounter; a gateway it reaches
         # after the meeting must not move the confluence downstream.
         v_b = _provenance_before(state, peer, epoch.packages[met[0]].t)

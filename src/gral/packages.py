@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from .graph import GraphPosition, check_integer, check_number, check_string
 
@@ -24,30 +24,17 @@ class StreamFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class GatewayObservation:
+class GatewayObservation(NamedTuple):
     gateway: str
     strength: float
 
-    def __post_init__(self) -> None:
-        if self.strength < 0:
-            raise ValueError(f"negative strength {self.strength} for gateway {self.gateway!r}")
 
-
-@dataclass(frozen=True)
-class NodeContact:
+class NodeContact(NamedTuple):
     peer: str
     strength: float
 
-    def __post_init__(self) -> None:
-        if self.strength < 0:
-            raise ValueError(f"negative strength {self.strength} for peer {self.peer!r}")
 
-
-@dataclass(frozen=True)
-class Package:
-    """One measurement record. Observations are kept sorted strongest-first."""
-
+class _PackageFields(NamedTuple):
     node: str
     seq: int
     t: float
@@ -55,18 +42,33 @@ class Package:
     contacts: tuple[NodeContact, ...] = ()
     payload: Any = None
 
-    def __post_init__(self) -> None:
-        observations = self.observations
+
+class Package(_PackageFields):
+    """One measurement record. Observations are kept sorted strongest-first.
+
+    Strengths are checked where packages enter, by the stream parser.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        node: str,
+        seq: int,
+        t: float,
+        observations: Iterable[GatewayObservation] = (),
+        contacts: Iterable[NodeContact] = (),
+        payload: Any = None,
+    ) -> Package:
         if type(observations) is not tuple:
             observations = tuple(observations)
         if len(observations) > 1:
             # Strongest first; ties broken by lowest gateway id so "the
             # strongest signal" is well-defined even on equal readings.
             observations = tuple(sorted(observations, key=lambda o: (-o.strength, o.gateway)))
-        if observations is not self.observations:
-            object.__setattr__(self, "observations", observations)
-        if type(self.contacts) is not tuple:
-            object.__setattr__(self, "contacts", tuple(self.contacts))
+        if type(contacts) is not tuple:
+            contacts = tuple(contacts)
+        return tuple.__new__(cls, (node, seq, t, observations, contacts, payload))
 
 
 def strongest(package: Package) -> Optional[GatewayObservation]:
@@ -112,9 +114,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float]]:
-    # `obs` and `contacts` are JSON arrays of [id, strength] arrays. Also
-    # returns the first NaN or +inf strength: the caller reports it only
-    # after every other field has passed.
+    # `obs` and `contacts` are JSON arrays of [id, strength] arrays. A
+    # negative strength fails at once, named by the record's id field
+    # (gateway or peer). Also returns the first NaN or +inf strength: the
+    # caller reports it only after every other field has passed.
     if type(value) is not list:
         raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
     signals = []
@@ -127,6 +130,8 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
             ident = check_string(ident, f"{what} id")
         if type(strength) is not float or not 0.0 <= strength < _INF:
             strength = check_number(strength, f"{what} strength")
+            if strength < 0:
+                raise ValueError(f"negative strength {strength} for {signal._fields[0]} {ident!r}")
             if non_finite is None and not math.isfinite(strength):
                 non_finite = strength
         signals.append(signal(ident, strength))

@@ -7,7 +7,17 @@ import random
 
 import pytest
 
-from gral.graph import EnvironmentGraph, Gateway, GraphPosition, Junction, Link, build_graph
+from gral.graph import (
+    POSITION_TOL,
+    EnvironmentGraph,
+    Gateway,
+    GraphPosition,
+    Junction,
+    Link,
+    Route,
+    _walk,
+    build_graph,
+)
 from gral.packages import GatewayObservation, NodeContact, Package
 from gral.sim import Insertion, ScenarioSpec
 
@@ -80,6 +90,35 @@ def gated_tree_scenario(rng: random.Random) -> ScenarioSpec:
 def random_position(rng: random.Random, graph: EnvironmentGraph) -> GraphPosition:
     link = rng.choice(graph.links)
     return GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length)
+
+
+def reference_point_at(route: Route, arclength: float) -> GraphPosition:
+    """`Route.point_at` as it was before `Route.points_at`: one point per call,
+    the route's legs re-read each time (oracle for the batch)."""
+    s = min(max(arclength, 0.0), route.total)
+    if route.total <= POSITION_TOL:
+        return route.start
+    if route._off_end is not None:
+        direction = 1.0 if route._off_end >= route.start.offset else -1.0
+        return GraphPosition(
+            route.start.u, route.start.v, route.start.offset + direction * s, route.start.span
+        )
+    if s <= route._head + POSITION_TOL and not route.start.at_junction():
+        direction = -1.0 if route._exit == route.start.u else 1.0
+        off = route.start.offset + direction * min(s, route._head)
+        return GraphPosition(
+            route.start.u, route.start.v, min(max(off, 0.0), route.start.span), route.start.span
+        )
+    s_mid = s - route._head
+    mid_len = route._mid_len
+    if s_mid <= mid_len + POSITION_TOL and route._mid_lengths:
+        return _walk(route._mid_path, route._mid_lengths, min(max(s_mid, 0.0), mid_len))
+    if route.end.at_junction():
+        return route.end
+    s_tail = min(max(s_mid - mid_len, 0.0), route._tail)
+    direction = 1.0 if route._enter == route.end.u else -1.0
+    off = (0.0 if route._enter == route.end.u else route.end.span) + direction * s_tail
+    return GraphPosition(route.end.u, route.end.v, min(max(off, 0.0), route.end.span), route.end.span)
 
 
 def enumerate_simple_paths(graph: EnvironmentGraph, u: str, v: str) -> list[list[str]]:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gral.graph import (
+    POSITION_TOL,
     Gateway,
     GraphError,
     GraphPosition,
@@ -15,9 +16,16 @@ from gral.graph import (
     load_graph,
 )
 from gral.packages import LocalizedMeasurement
-from gral.sim import GroundTruthRecord
+from gral.sim import GroundTruthRecord, make_scenario
 
-from conftest import enumerate_simple_paths, oracle_confluence, random_position, random_tree
+from conftest import (
+    enumerate_simple_paths,
+    gated_tree_scenario,
+    oracle_confluence,
+    random_position,
+    random_tree,
+    reference_point_at,
+)
 
 
 def test_build_minimal_tree():
@@ -332,6 +340,54 @@ def test_route_between_junctions_walks_like_point_at():
         for s in offsets:
             s = min(max(s, 0.0), route.total)
             assert route.point_at(s) == g.point_at(path, s)
+
+
+def sample_routes(rng, g):
+    """Junction-to-junction routes, one of zero length, and routes between
+    link-interior points in both orientations, also within one link."""
+    junctions = sorted(g.junctions)
+    link = rng.choice(g.links)
+    same_link = [
+        GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length) for _ in range(2)
+    ]
+    a, b = random_position(rng, g), random_position(rng, g)
+    j = g.position_at(rng.choice(junctions))
+    pairs = [
+        (g.position_at(u), g.position_at(v)) for u, v in (rng.sample(junctions, 2) for _ in range(2))
+    ]
+    pairs += [(j, j), (a, b), (b, a), tuple(same_link), tuple(reversed(same_link)), (a, j), (j, a)]
+    return [g.route(start, end) for start, end in pairs]
+
+
+def probe_arclengths(rng, route):
+    """Arclengths before, at and past the route's ends and leg boundaries,
+    within tolerance of each, plus random ones, in no particular order."""
+    marks = [0.0, route.total]
+    if route._off_end is None:
+        # The head's end, each junction on the middle path, the tail's start.
+        mark = route._head
+        marks += [mark, mark + route._mid_len]
+        for length in route._mid_lengths:
+            mark += length
+            marks.append(mark)
+    xs = [-1.0, route.total + 1.0] + [rng.uniform(0.0, route.total) for _ in range(4)]
+    xs += [m + eps for m in marks for eps in (-POSITION_TOL, -1e-10, 0.0, 1e-10, POSITION_TOL)]
+    rng.shuffle(xs)
+    return xs
+
+
+def test_points_at_equals_point_at_one_by_one():
+    # Scenarios 1-4 and the random trees of tests/test_golden.py.
+    graphs = [make_scenario(k).graph for k in (1, 2, 3, 4)]
+    graphs += [gated_tree_scenario(random.Random(seed)).graph for seed in range(150)]
+    rng = random.Random(13)
+    for g in graphs:
+        for route in sample_routes(rng, g):
+            xs = probe_arclengths(rng, route)
+            expected = [reference_point_at(route, x) for x in xs]
+            assert route.points_at(xs) == expected
+            assert [route.point_at(x) for x in xs] == expected
+            assert route.points_at([]) == []
 
 
 def test_graph_json_round_trip(chain_graph):

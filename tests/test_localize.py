@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import random
 import sys
+from itertools import groupby
 
 import pytest
 
@@ -27,10 +29,16 @@ from gral.localize import (
     localize_node,
     run_pipeline,
 )
-from gral.packages import Checkpoint, GatewayObservation, Package
+from gral.packages import Checkpoint, GatewayObservation, LocalizedMeasurement, Package, strongest
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
 
-from conftest import chain_trajectory, craft_streams, line_position
+from conftest import (
+    chain_trajectory,
+    craft_streams,
+    gated_tree_scenario,
+    line_position,
+    reference_point_at,
+)
 
 R = math.sqrt(10.0)
 
@@ -153,7 +161,7 @@ def expected_baseline(graph, packages, anchors):
         t0, t1 = packages[i0].t, packages[i1].t
         fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
         route = graph.route(graph.position_at(j0), graph.position_at(j1))
-        out.append(route.point_at_fraction(fraction))
+        out.append(route.point_at(fraction * route.total))
     return out
 
 
@@ -208,6 +216,79 @@ def test_baseline_builds_one_route_per_anchor_pair(chain_graph, monkeypatch):
     assert len(out) == len(pkgs)
     assert len(calls) == 1
     assert chain_graph.geodesic_distance(out[500].position, line_position(50.0)) <= 1e-9
+
+
+def reference_baseline(graph, packages, method="baseline"):
+    # `baseline_localize` as it was before `Route.points_at`: one position per
+    # package, from one route per anchor pair, built when it is first needed.
+    anchors = []
+    i = 0
+    for gateway, run in groupby(packages, key=lambda p: getattr(strongest(p), "gateway", None)):
+        n = len(list(run))
+        if gateway in graph.gateways:
+            junction_pos = graph.position_at(graph.gateways[gateway].junction)
+            anchors.append((i, junction_pos))
+            if n > 1:
+                anchors.append((i + n - 1, junction_pos))
+        i += n
+    if not anchors:
+        return []
+    out = []
+    pair = 0
+    route = None
+    for k, pkg in enumerate(packages):
+        if k <= anchors[0][0]:
+            pos = anchors[0][1]
+        elif k >= anchors[-1][0]:
+            pos = anchors[-1][1]
+        else:
+            while k > anchors[pair + 1][0]:
+                pair += 1
+                route = None
+            (i0, p0), (i1, p1) = anchors[pair], anchors[pair + 1]
+            if route is None:
+                route = graph.route(p0, p1)
+            t0, t1 = packages[i0].t, packages[i1].t
+            fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
+            pos = reference_point_at(route, fraction * route.total)
+        out.append(LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method))
+    return out
+
+
+def with_route_count(localize_stream, graph, packages, calls):
+    # The estimates, and how many routes `graph.route` built for them.
+    calls.clear()
+    return localize_stream(graph, packages), len(calls)
+
+
+def test_baseline_equals_per_package_reference_on_crafted_streams(chain_graph, monkeypatch):
+    calls = counted_routes(chain_graph, monkeypatch)
+    streams = [
+        # one anchor, from a one-package and from a multi-package contact
+        [(0, None), (1, "gw-b"), (2, None), (3, None)],
+        [(0, "gw-a"), (1, "gw-a"), (2, None)],
+        # anchors on the first and the last package
+        [(0, "gw-a"), (1, None), (2, None), (5, "gw-c")],
+        [(0, "gw-a"), (1, "gw-b"), (2, "gw-c")],
+        # pairs with t1 <= t0, and an unknown gateway heard like silence
+        [(0, None), (2, "gw-a"), (2, None), (2, "gw-b"), (3, "gw-x"), (3, "gw-c"), (4, None)],
+        [(1, "gw-c"), (1, "gw-c"), (1, None), (1, "gw-a"), (3, None)],
+    ]
+    for times_and_gateways in streams:
+        pkgs = heard(times_and_gateways)
+        expected = with_route_count(reference_baseline, chain_graph, pkgs, calls)
+        assert with_route_count(baseline_localize, chain_graph, pkgs, calls) == expected
+
+
+def test_baseline_equals_per_package_reference_on_simulated_streams(monkeypatch):
+    # Scenarios 1-4 and the random trees of tests/test_golden.py.
+    specs = [(make_scenario(k), 0) for k in (1, 2, 3, 4)]
+    specs += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    for spec, seed in specs:
+        calls = counted_routes(spec.graph, monkeypatch)
+        for packages in run_instance(spec, seed).streams().values():
+            expected = with_route_count(reference_baseline, spec.graph, packages, calls)
+            assert with_route_count(baseline_localize, spec.graph, packages, calls) == expected
 
 
 # -- vanilla localization over simulated scenarios ----------------------------------

@@ -90,6 +90,65 @@ def test_negative_strength_rejected():
 
 
 @pytest.mark.parametrize(
+    "obs, contacts, node, message",
+    [
+        ([["g", -1.5]], [], "n1", "negative strength -1.5 for gateway 'g'"),
+        ([["g", -2]], [], "n1", "negative strength -2.0 for gateway 'g'"),
+        ([["g", -math.inf]], [], "n1", "negative strength -inf for gateway 'g'"),
+        ([], [["p", -0.5]], "n1", "negative strength -0.5 for peer 'p'"),
+        # Each entry is checked in order; NaN and +inf are reported only
+        # after every field has passed.
+        ([["g", math.nan], ["h", -1.0]], [], "n1", "negative strength -1.0 for gateway 'h'"),
+        ([["g", -1.0], ["h", "x"]], [], "n1", "negative strength -1.0 for gateway 'g'"),
+        ([["h", "x"], ["g", -1.0]], [], "n1", "obs strength must be a number, got 'x'"),
+        ([["g", -1.0]], [["p", -3.0]], "n1", "negative strength -1.0 for gateway 'g'"),
+        ([["g", math.inf]], [["p", -3.0]], 5, "negative strength -3.0 for peer 'p'"),
+        ([], [["p", -3.0]], 5, "negative strength -3.0 for peer 'p'"),
+        ([], [["n1", -3.0]], "n1", "negative strength -3.0 for peer 'n1'"),
+    ],
+)
+def test_negative_strength_message_line_and_check_order(obs, contacts, node, message):
+    good = {"node": "n1", "seq": 1, "t": 0.0, "obs": [], "contacts": [], "payload": None}
+    bad = dict(good, seq=2, obs=obs, contacts=contacts, node=node)
+    with pytest.raises(StreamFormatError) as exc:
+        parse_package_stream(json.dumps(good) + "\n" + json.dumps(bad))
+    assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
+
+
+def test_records_are_immutable():
+    records = [
+        Package("n", 1, 0.0, (GatewayObservation("g", 1.0),), (NodeContact("p", 2.0),), {"k": 1}),
+        GatewayObservation("g", 1.0),
+        NodeContact("p", 2.0),
+    ]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_package_sorts_observations_and_stores_tuples():
+    pkg = Package(
+        "n",
+        1,
+        0.0,
+        [GatewayObservation("gB", 1.0), GatewayObservation("gC", 5.0), GatewayObservation("gA", 5.0)],
+        (NodeContact(p, 1.0) for p in ["q", "p"]),
+    )
+    assert pkg.observations == (
+        GatewayObservation("gA", 5.0),
+        GatewayObservation("gC", 5.0),
+        GatewayObservation("gB", 1.0),
+    )
+    assert pkg.contacts == (NodeContact("q", 1.0), NodeContact("p", 1.0))
+    assert type(pkg.observations) is tuple and type(pkg.contacts) is tuple
+    assert Package("n", 1, 0.0) == Package("n", 1, 0.0, (), (), None)
+    assert repr(Package("n", 1, 0.0)) == (
+        "Package(node='n', seq=1, t=0.0, observations=(), contacts=(), payload=None)"
+    )
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("t", math.nan),
@@ -222,9 +281,12 @@ def reference_signals(value, what, signal):
     for entry in value:
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
-        signals.append(
-            signal(check_string(entry[0], f"{what} id"), check_number(entry[1], f"{what} strength"))
-        )
+        ident = check_string(entry[0], f"{what} id")
+        strength = check_number(entry[1], f"{what} strength")
+        if strength < 0:
+            who = {"obs": "gateway", "contacts": "peer"}[what]
+            raise ValueError(f"negative strength {strength} for {who} {ident!r}")
+        signals.append(signal(ident, strength))
     return tuple(signals)
 
 

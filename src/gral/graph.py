@@ -285,13 +285,57 @@ class EnvironmentGraph:
         return best
 
     def geodesic_distance(self, p1: GraphPosition, p2: GraphPosition) -> float:
-        """Length of the unique path between two on-network points."""
-        a = self.canonicalize(p1)
-        b = self.canonicalize(p2)
-        off_b = self._offset_on_link_of(a, b)
-        if off_b is not None:
-            return abs(a.offset - off_b)
-        return self._anchor_path(a, b)[0]
+        """Length of the unique path between two on-network points.
+
+        A canonical position (a link with its exact length as span and an
+        offset within it, or a junction `(j, j, 0, 0)`) is read as it is; any
+        other goes through `canonicalize` and its checks. The sums are those
+        of `_anchor_path`: `(da + d(ja, jb)) + db` for each pair of link ends,
+        u before v on each side, the first strict minimum winning.
+        """
+        lengths = self._link_length
+        u1, v1, o1, s1 = p1
+        if u1 != v1:
+            if lengths.get((u1, v1)) != s1 or not 0.0 <= o1 <= s1:
+                u1, v1, o1, s1 = self.canonicalize(p1)
+        elif o1 != 0.0 or s1 != 0.0 or u1 not in self.junctions:
+            u1, v1, o1, s1 = self.canonicalize(p1)
+        u2, v2, o2, s2 = p2
+        if u2 != v2:
+            if lengths.get((u2, v2)) != s2 or not 0.0 <= o2 <= s2:
+                u2, v2, o2, s2 = self.canonicalize(p2)
+        elif o2 != 0.0 or s2 != 0.0 or u2 not in self.junctions:
+            u2, v2, o2, s2 = self.canonicalize(p2)
+        # A junction is its own only anchor, at distance 0.0.
+        if u1 == v1:
+            o1 = 0.0
+        if u2 == v2:
+            o2 = 0.0
+        elif u1 != v1:
+            if u1 == u2 and v1 == v2:
+                return abs(o1 - o2)
+            if u1 == v2 and v1 == u2:
+                return abs(o1 - (s2 - o2))
+        cache = self._dist_cache
+        d = cache.get((u1, u2))
+        best = (o1 + (self.junction_distance(u1, u2) if d is None else d)) + o2
+        if u2 != v2:
+            d = cache.get((u1, v2))
+            d = (o1 + (self.junction_distance(u1, v2) if d is None else d)) + (s2 - o2)
+            if d < best:
+                best = d
+        if u1 != v1:
+            tail = s1 - o1
+            d = cache.get((v1, u2))
+            d = (tail + (self.junction_distance(v1, u2) if d is None else d)) + o2
+            if d < best:
+                best = d
+            if u2 != v2:
+                d = cache.get((v1, v2))
+                d = (tail + (self.junction_distance(v1, v2) if d is None else d)) + (s2 - o2)
+                if d < best:
+                    best = d
+        return best
 
     def same_point(self, p1: GraphPosition, p2: GraphPosition, tol: float = POSITION_TOL) -> bool:
         return self.geodesic_distance(p1, p2) <= tol

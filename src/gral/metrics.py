@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .graph import EnvironmentGraph
@@ -27,13 +28,13 @@ class ErrorSample(NamedTuple):
 def mae(errors: Sequence[float]) -> float:
     if len(errors) == 0:
         raise ValueError("mae of empty input")
-    return math.fsum(abs(e) for e in errors) / len(errors)
+    return math.fsum(map(abs, errors)) / len(errors)
 
 
 def rmse(errors: Sequence[float]) -> float:
     if len(errors) == 0:
         raise ValueError("rmse of empty input")
-    return math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+    return math.sqrt(math.fsum(map(mul, errors, errors)) / len(errors))
 
 
 def normalized_mae(mae_value: float, route_length: float) -> float:
@@ -74,17 +75,20 @@ def instance_errors(
     were emitted but not localized.
     """
     truth = result.emitted_truth
+    true_position = truth.get
     distance = graph.geodesic_distance
-    samples = []
-    localized_keys = set()
+    samples: list[ErrorSample] = []
+    append = samples.append
+    localized_keys: set[tuple[str, int]] = set()
+    add_key = localized_keys.add
     for measurements in estimates.values():
-        for m in measurements:
-            key = (m.node, m.seq)
-            position = truth.get(key)
+        for node, seq, _t, estimate, _method in measurements:
+            key = (node, seq)
+            position = true_position(key)
             if position is None:
                 continue
-            localized_keys.add(key)
-            samples.append(ErrorSample(m.node, m.seq, distance(position, m.position)))
+            add_key(key)
+            append(ErrorSample(node, seq, distance(position, estimate)))
     return samples, len(truth) - len(localized_keys)
 
 
@@ -98,9 +102,13 @@ def run_experiment(
     """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant."""
     if n_instances < 1:
         raise ValueError("need at least one instance")
-    for variant in variants:
+    if not variants:
+        raise ValueError(f"no variants given; expected some of {VARIANTS}")
+    for i, variant in enumerate(variants):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        if variant in variants[:i]:
+            raise ValueError(f"variant {variant!r} given more than once")
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}

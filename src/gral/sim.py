@@ -89,6 +89,8 @@ class ScenarioSpec:
 
     def route_length(self) -> float:
         """Longest insertion-to-root path; the normalization length for errors."""
+        if not self.insertions:
+            raise ScenarioError("scenario has no insertions")
         root = self.graph.position_at(self.graph.root)
         return max(self.graph.geodesic_distance(i.position, root) for i in self.insertions)
 

@@ -121,6 +121,33 @@ def reference_point_at(route: Route, arclength: float) -> GraphPosition:
     return GraphPosition(route.end.u, route.end.v, min(max(off, 0.0), route.end.span), route.end.span)
 
 
+def reference_geodesic(graph: EnvironmentGraph, p1: GraphPosition, p2: GraphPosition) -> float:
+    """`EnvironmentGraph.geodesic_distance` as it was before the flat kernel:
+    both points canonicalized, then the same-link offset difference or the
+    best anchor pair of `_anchor_path` (oracle for the kernel)."""
+    a = graph.canonicalize(p1)
+    b = graph.canonicalize(p2)
+    if not a.at_junction() and not b.at_junction():
+        if a.u == b.u and a.v == b.v:
+            return abs(a.offset - b.offset)
+        if a.u == b.v and a.v == b.u:
+            return abs(a.offset - (b.span - b.offset))
+
+    def anchor_offsets(pos: GraphPosition) -> list[tuple[str, float]]:
+        if pos.at_junction():
+            return [(pos.u, 0.0)]
+        return [(pos.u, pos.offset), (pos.v, pos.span - pos.offset)]
+
+    best = None
+    for ja, da in anchor_offsets(a):
+        for jb, db in anchor_offsets(b):
+            d = da + graph.junction_distance(ja, jb) + db
+            if best is None or d < best:
+                best = d
+    assert best is not None
+    return best
+
+
 def enumerate_simple_paths(graph: EnvironmentGraph, u: str, v: str) -> list[list[str]]:
     """All simple junction paths from u to v by exhaustive DFS (oracle)."""
     paths = []

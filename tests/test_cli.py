@@ -189,6 +189,40 @@ def test_input_errors_exit_1(tmp_path, argv):
     assert run_cli(*argv) == 1
 
 
+@pytest.mark.parametrize(
+    "variants, message",
+    [
+        ("gral,gral", "variant 'gral' given more than once"),
+        ("baseline,gral, baseline", "variant 'baseline' given more than once"),
+        ("", "no variants given"),
+        (" , ", "no variants given"),
+    ],
+)
+def test_evaluate_rejects_repeated_or_no_variants(tmp_path, capsys, variants, message):
+    out = tmp_path / "summary.csv"
+    argv = ["--instances", "2", "--variants", variants, "--out", str(out)]
+    assert run_cli("evaluate", "--scenario", "1", *argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_scenario_without_insertions(tmp_path, capsys):
+    graph = build_graph(
+        [Junction("a"), Junction("b", Gateway("gw-b", "b", 2.0))], [Link("a", "b", 20.0)], "b"
+    )
+    scenario = tmp_path / "empty.json"
+    scenario.write_text(json.dumps(scenario_to_json(ScenarioSpec(graph, []))), encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    argv = ["--scenario", str(scenario), "--instances", "1", "--variants", "gral", "--out", str(out)]
+    assert run_cli("evaluate", *argv) == 1
+    assert "error: scenario has no insertions" in capsys.readouterr().err
+    assert not out.exists()
+    # Simulating it stays valid and emits nothing.
+    inst = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", str(scenario), "--seed", "0", "--out", str(inst)) == 0
+    assert (inst / "packages.ndjson").read_text(encoding="utf-8") == ""
+
+
 @pytest.mark.parametrize("variant, builds", [("baseline", 0), ("gral", 1)])
 def test_localize_segments_only_for_graph_variants(tmp_path, monkeypatch, variant, builds):
     out = tmp_path / "inst"

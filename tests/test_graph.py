@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -24,6 +25,7 @@ from conftest import (
     oracle_confluence,
     random_position,
     random_tree,
+    reference_geodesic,
     reference_point_at,
 )
 
@@ -388,6 +390,96 @@ def test_points_at_equals_point_at_one_by_one():
             assert route.points_at(xs) == expected
             assert [route.point_at(x) for x in xs] == expected
             assert route.points_at([]) == []
+
+
+def geodesic_probes(rng, g):
+    """Positions in every form `geodesic_distance` reads: canonical link points
+    in both orientations (both ends and a random point), junctions (also with -0.0
+    and integer zeros), near-canonical points it snaps, and multi-link spans."""
+    links = rng.sample(g.links, min(len(g.links), 2))
+    probes = []
+    for link in links:
+        length = link.length
+        for u, v in ((link.u, link.v), (link.v, link.u)):
+            for x in (0.0, length, rng.uniform(0.0, length)):
+                probes.append(GraphPosition(u, v, x, length))
+        probes.append(GraphPosition(link.u, link.v, -1e-10, length))
+        probes.append(GraphPosition(link.v, link.u, length + 1e-10, length))
+        probes.append(GraphPosition(link.u, link.v, rng.uniform(0.0, length), length + 1e-7))
+    for j in rng.sample(sorted(g.junctions), min(len(g.junctions), 2)):
+        probes += [
+            GraphPosition(j, j, 0.0, 0.0),
+            GraphPosition(j, j, -0.0, 0.0),
+            GraphPosition(j, j, 0, -0.0),
+            GraphPosition(j, j, 1e-12, 0.0),
+        ]
+    names = sorted(g.junctions)
+    for _ in range(2):
+        u, w = rng.choice(names), rng.choice(names)
+        path = g.shortest_path(u, w)
+        if len(path) < 3:
+            continue
+        total = g.path_length(path)
+        probes.append(GraphPosition(u, w, rng.uniform(0.0, total), total))
+        probes.append(GraphPosition(u, w, g.path_length(path[:2]), total))
+    return probes
+
+
+def test_geodesic_distance_is_bit_identical_to_reference():
+    # Scenarios 1-4 and the random trees of tests/test_golden.py; every
+    # ordered pair of probes, same-link pairs included.
+    graphs = [make_scenario(k).graph for k in (1, 2, 3, 4)]
+    graphs += [gated_tree_scenario(random.Random(seed)).graph for seed in range(150)]
+    rng = random.Random(17)
+    pairs = 0
+    for g in graphs:
+        probes = geodesic_probes(rng, g)
+        for p in probes:
+            for q in probes:
+                got = g.geodesic_distance(p, q)
+                want = reference_geodesic(g, p, q)
+                assert struct.pack("d", got) == struct.pack("d", want), (p, q, got, want)
+                pairs += 1
+    assert pairs > 100_000
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        GraphPosition("a", "zz", 10.0, 50.0),
+        GraphPosition("zz", "zz", 0.0, 0.0),
+        GraphPosition("a", "b", math.nan, 50.0),
+        GraphPosition("a", "b", math.inf, 50.0),
+        GraphPosition("b", "b", math.nan, 0.0),
+        GraphPosition("a", "b", 50.0 + 1e-6, 50.0),
+        GraphPosition("b", "a", -1e-6, 50.0),
+        GraphPosition("a", "c", 10.0, 49.0),
+        GraphPosition("a", "b", 10.0, 49.0),
+        GraphPosition("a", "a", 1.0, 1.0),
+    ],
+    ids=[
+        "unknown-junction",
+        "unknown-junction-form",
+        "nan-offset",
+        "inf-offset",
+        "junction-nan-offset",
+        "past-end",
+        "before-start",
+        "path-span",
+        "link-span",
+        "extent",
+    ],
+)
+@pytest.mark.parametrize(
+    "other", [GraphPosition("b", "c", 10.0, 50.0), GraphPosition("b", "b", 0.0, 0.0)]
+)
+def test_geodesic_distance_rejects_like_reference(chain_graph, bad, other):
+    for p, q in ((bad, other), (other, bad)):
+        with pytest.raises(GraphError) as want:
+            reference_geodesic(chain_graph, p, q)
+        with pytest.raises(GraphError) as got:
+            chain_graph.geodesic_distance(p, q)
+        assert str(got.value) == str(want.value)
 
 
 def test_graph_json_round_trip(chain_graph):

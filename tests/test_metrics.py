@@ -118,6 +118,10 @@ def test_experiment_validates_inputs():
         run_experiment(spec, ["gral"], 0)
     with pytest.raises(ValueError):
         run_experiment(spec, ["nope"], 1)
+    with pytest.raises(ValueError, match="no variants given"):
+        run_experiment(spec, [], 1)
+    with pytest.raises(ValueError, match="variant 'gral' given more than once"):
+        run_experiment(spec, ["gral", "baseline", "gral"], 1)
 
 
 def fresh_experiment(spec, n_instances):

@@ -51,26 +51,28 @@ def _load_scenario_arg(arg: str) -> tuple[str, ScenarioSpec]:
     return path.stem, load_scenario(path.read_text(encoding="utf-8"))
 
 
-def _truth_csv(records: list[GroundTruthRecord]) -> str:
+def _csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "seq", "t", "from", "to", "offset", "span"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _truth_csv(records: list[GroundTruthRecord]) -> str:
+    rows = []
     for r in records:
         p = r.position
-        writer.writerow([r.node, r.seq, r.tick, p.u, p.v, _fmt(p.offset), _fmt(p.span)])
-    return buf.getvalue()
+        rows.append([r.node, r.seq, r.tick, p.u, p.v, _fmt(p.offset), _fmt(p.span)])
+    return _csv(["node", "seq", "t", "from", "to", "offset", "span"], rows)
 
 
-def _localized_csv(rows: list[LocalizedMeasurement]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node", "seq", "t", "from", "to", "offset", "span", "method"])
-    for m in rows:
+def _localized_csv(measurements: list[LocalizedMeasurement]) -> str:
+    rows = []
+    for m in measurements:
         p = m.position
-        writer.writerow(
-            [m.node, m.seq, _fmt(m.t), p.u, p.v, _fmt(p.offset), _fmt(p.span), m.method]
-        )
-    return buf.getvalue()
+        rows.append([m.node, m.seq, _fmt(m.t), p.u, p.v, _fmt(p.offset), _fmt(p.span), m.method])
+    return _csv(["node", "seq", "t", "from", "to", "offset", "span", "method"], rows)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -112,45 +114,42 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     results = run_experiment(spec, variants, args.instances, args.seed0, scenario_name=name)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    columns = [
+        "scenario",
+        "variant",
+        "instances",
+        "packages",
+        "localized",
+        "coverage_pct",
+        "drmse",
+        "mae",
+        "nmae_pct",
+    ]
+    summary = [
         [
-            "scenario",
-            "variant",
-            "instances",
-            "packages",
-            "localized",
-            "coverage_pct",
-            "drmse",
-            "mae",
-            "nmae_pct",
+            r.scenario,
+            r.variant,
+            r.instances,
+            r.packages_total,
+            r.packages_localized,
+            _fmt(r.coverage_pct),
+            _fmt(r.pooled_rmse),
+            _fmt(r.mae),
+            _fmt(r.normalized_mae_pct),
         ]
-    )
-    for r in results:
-        writer.writerow(
-            [
-                r.scenario,
-                r.variant,
-                r.instances,
-                r.packages_total,
-                r.packages_localized,
-                _fmt(r.coverage_pct),
-                _fmt(r.pooled_rmse),
-                _fmt(r.mae),
-                _fmt(r.normalized_mae_pct),
-            ]
-        )
-    Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        for r in results
+    ]
+    Path(args.out).write_text(_csv(columns, summary), encoding="utf-8")
 
     if args.per_instance_out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "variant", "seed", "irmse"])
-        for r in results:
-            for seed, value in zip(r.instance_seeds, r.instance_rmse):
-                writer.writerow([r.scenario, r.variant, seed, _fmt(value)])
-        Path(args.per_instance_out).write_text(buf.getvalue(), encoding="utf-8")
+        per_instance = [
+            [r.scenario, r.variant, seed, _fmt(value)]
+            for r in results
+            for seed, value in zip(r.instance_seeds, r.instance_rmse)
+        ]
+        Path(args.per_instance_out).write_text(
+            _csv(["scenario", "variant", "seed", "irmse"], per_instance), encoding="utf-8"
+        )
 
     # Result-table view: one row per scenario, one column per variant.
     header = f"{name} (n={args.instances})"

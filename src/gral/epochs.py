@@ -32,9 +32,6 @@ class EpochKind(enum.Enum):
     FALLING = "falling"    # strongest signal non-increasing, one gateway
     MIXED = "mixed"        # one gateway's visit with no trend, or with silence in it
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
-        return self.value
-
 
 # A fragment split off by a checkpoint or a rectification keeps the kind of the
 # visit it was cut from: kinds are read only before any split, and when dumped.
@@ -177,47 +174,45 @@ def resolve_positions(
     graph: EnvironmentGraph,
     initial_position: Optional[GraphPosition] = None,
 ) -> EpochSet:
-    """Fill in epoch boundary positions where the completion rules allow.
+    """Fill in the boundary positions of unsplit epochs from gateway geometry.
 
     Returns a new set of new epochs; `epoch_set` and its epochs are left as
     they were, so one segmentation can be resolved for several variants.
+    Positions already set on the input epochs are not read.
 
-    An epoch's final position comes from (in order): a pre-set value
-    (checkpoints, rectification), its own gateway's junction for a rising
+    An epoch's final position is its own gateway's junction for a rising
     epoch that either is not the last epoch or peaked at full strength, or
-    the range boundary of the next epoch's gateway on the path from the
+    else the range boundary of the next epoch's gateway on the path from the
     node's last known position. Start positions chain from the predecessor's
-    final position; the first epoch may take a pre-set insertion point or a
-    full-strength first package as its fix.
+    final position; the first epoch takes `initial_position` when given, or
+    else a full-strength first package as its fix.
     """
     epochs = epoch_set.epochs
     resolved: list[Epoch] = []
     for idx, epoch in enumerate(epochs):
-        start, final = epoch.start_pos, epoch.final_pos
-        if start is None:
-            if idx == 0:
-                # Without an explicit insertion registry the only certain
-                # initial fix is a first package heard at full strength.
-                start = initial_position or _under_gateway(graph, epoch.packages[0])
-            else:
-                start = resolved[-1].final_pos
+        if idx == 0:
+            # Without an explicit insertion registry the only certain
+            # initial fix is a first package heard at full strength.
+            start = initial_position or _under_gateway(graph, epoch.packages[0])
+        else:
+            start = resolved[-1].final_pos
 
-        if final is None:
-            if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:
-                if idx < len(epochs) - 1:
-                    final = graph.position_at(graph.gateways[epoch.anchor].junction)
-                else:
-                    final = _under_gateway(graph, epoch.packages[-1])
-            if final is None and idx < len(epochs) - 1:
-                nxt = epochs[idx + 1]
-                if nxt.anchor is not None and nxt.anchor in graph.gateways:
-                    origin = start
-                    if origin is None:
-                        junction = anchor_junction(graph, reversed(epochs[: idx + 1]))
-                        if junction is not None:
-                            origin = graph.position_at(junction)
-                    if origin is not None:
-                        final = _boundary_before(graph, origin, nxt.anchor)
+        final = None
+        if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:
+            if idx < len(epochs) - 1:
+                final = graph.position_at(graph.gateways[epoch.anchor].junction)
+            else:
+                final = _under_gateway(graph, epoch.packages[-1])
+        if final is None and idx < len(epochs) - 1:
+            nxt = epochs[idx + 1]
+            if nxt.anchor is not None and nxt.anchor in graph.gateways:
+                origin = start
+                if origin is None:
+                    junction = anchor_junction(graph, reversed(epochs[: idx + 1]))
+                    if junction is not None:
+                        origin = graph.position_at(junction)
+                if origin is not None:
+                    final = _boundary_before(graph, origin, nxt.anchor)
         resolved.append(replace(epoch, start_pos=start, final_pos=final))
     return EpochSet(epoch_set.node, tuple(resolved))
 

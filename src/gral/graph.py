@@ -344,19 +344,17 @@ class EnvironmentGraph:
         return Route(self, start, end)
 
     def confluence_vertex(self, v_a: str, v_b: str, v_f: str) -> str:
-        """Earliest junction shared by the paths from v_a and v_b to v_f.
+        """Tree median of v_a, v_b and v_f: the one junction on all three paths between them.
 
-        Walking from v_a toward v_f, this is the first junction that also lies
-        on the path from v_b to v_f; equivalently, of all shared junctions it
-        is the one farthest from v_f. Two drifting nodes bound for v_f cannot
-        have met upstream of it.
+        Walking from v_a toward v_f, it is the first junction that also lies
+        on the path from v_b to v_f, so two drifting nodes bound for v_f cannot
+        have met upstream of it. Of the three pairwise lowest common ancestors
+        under the root, two coincide and the third, the deepest, is the median.
         """
-        path_a = self.shortest_path(v_a, v_f)
-        on_b = set(self.shortest_path(v_b, v_f))
-        for vertex in path_a:
-            if vertex in on_b:
-                return vertex
-        raise AssertionError("paths to a common destination always intersect")
+        for j in (v_a, v_b, v_f):
+            self.require_junction(j)
+        lcas = (self._lca(v_a, v_b), self._lca(v_a, v_f), self._lca(v_b, v_f))
+        return max(lcas, key=self.depth.__getitem__)
 
 
 class Route:

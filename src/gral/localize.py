@@ -48,8 +48,9 @@ def build_state(
 ) -> BackendState:
     """Segment every node's stream into merged epochs and resolve their bounds.
 
-    Boundaries follow from the map and the gateway geometry alone, so they are
-    fixed here once; the encounter refinements only split resolved epochs.
+    Each node's unsplit epochs are resolved here, once, from the map, the
+    gateway geometry and the node's entry in `initial_positions`, if any. The
+    encounter refinements split resolved epochs and never resolve again.
     """
     initial_positions = initial_positions or {}
     state = BackendState(graph)

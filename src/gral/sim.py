@@ -74,6 +74,8 @@ class ScenarioSpec:
             raise ScenarioError("contact radius must be positive and finite")
         if self.measurement_interval < 1:
             raise ScenarioError("measurement interval must be >= 1")
+        if self.max_ticks < 0:
+            raise ScenarioError("max_ticks must be >= 0")
         seen = set()
         for ins in self.insertions:
             if ins.node in seen:
@@ -112,7 +114,6 @@ class Batch:
 @dataclass
 class _NodeState:
     position: GraphPosition  # oriented child -> parent
-    active: bool = True
     at_root: bool = False
     seq: int = 0
     buffer: list[Package] = field(default_factory=list)
@@ -123,12 +124,12 @@ class WorldState:
     spec: ScenarioSpec
     rng: random.Random
     tick: int = 0
-    nodes: dict[str, _NodeState] = field(default_factory=dict)
+    nodes: dict[str, _NodeState] = field(default_factory=dict)  # the nodes in flight
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
 
     def active_nodes(self) -> list[str]:
         order = [i.node for i in self.spec.insertions]
-        return [n for n in order if n in self.nodes and self.nodes[n].active]
+        return [n for n in order if n in self.nodes]
 
 
 @dataclass
@@ -192,8 +193,9 @@ def _advance(graph: EnvironmentGraph, pos: GraphPosition, distance: float) -> Gr
     return pos
 
 
-def step(world: WorldState, spec: ScenarioSpec) -> WorldState:
+def step(world: WorldState) -> WorldState:
     """Advance every active node one tick of noisy drift toward the root."""
+    spec = world.spec
     for node in world.active_nodes():
         st = world.nodes[node]
         noise = 1 if world.rng.random() < spec.noise_p else 0
@@ -219,7 +221,7 @@ def _gateway_observations(
 
 
 def observe(
-    world: WorldState, spec: ScenarioSpec, node: str, active: list[str]
+    world: WorldState, node: str, active: list[str]
 ) -> tuple[tuple[GatewayObservation, ...], tuple[NodeContact, ...]]:
     """Radio snapshot for one node: gateway signals and peer contacts in range.
 
@@ -230,12 +232,12 @@ def observe(
     oriented child -> parent and the root is held in junction form, so that
     distance is `dist_to_root[v] + span - offset`.
     """
-    graph = spec.graph
+    graph = world.spec.graph
     nodes = world.nodes
     dist_to_root = graph.dist_to_root
     here = nodes[node].position
     contacts = []
-    radius = spec.effective_contact_radius
+    radius = world.spec.effective_contact_radius
     reach = radius + 1e-6
     level = dist_to_root[here.v] + here.span - here.offset
     for peer in active:
@@ -250,7 +252,7 @@ def observe(
     return _gateway_observations(graph, here), tuple(contacts)
 
 
-def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
+def record_and_emit(world: WorldState) -> list[Batch]:
     """Record due packages and flush buffers of nodes currently at a gateway.
 
     Nodes record on the measurement-interval grid, plus one forced final
@@ -258,13 +260,13 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
     after that final record the node leaves the simulation.
     """
     batches = []
-    due = world.tick % spec.measurement_interval == 0
+    due = world.tick % world.spec.measurement_interval == 0
     active = world.active_nodes()
     for node in active:
         st = world.nodes[node]
         obs = None
         if due or st.at_root:
-            obs, contacts = observe(world, spec, node, active)
+            obs, contacts = observe(world, node, active)
             st.seq += 1
             st.buffer.append(
                 Package(node, st.seq, float(world.tick), obs, contacts, payload={"tick": world.tick})
@@ -273,15 +275,14 @@ def record_and_emit(world: WorldState, spec: ScenarioSpec) -> list[Batch]:
         if not st.buffer:
             continue
         if obs is None:
-            obs = _gateway_observations(spec.graph, st.position)
+            obs = _gateway_observations(world.spec.graph, st.position)
         if obs:
             batches.append(Batch(node, world.tick, tuple(st.buffer)))
             st.buffer.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
     for node in active:
-        st = world.nodes[node]
-        if st.at_root:
-            st.active = False
+        if world.nodes[node].at_root:
+            del world.nodes[node]
     return batches
 
 
@@ -295,14 +296,14 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
         while pending and pending[0].tick == world.tick:
             ins = pending.pop(0)
             world.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
-        batches.extend(record_and_emit(world, spec))
-        if not world.active_nodes() and not pending:
+        batches.extend(record_and_emit(world))
+        if not world.nodes and not pending:
             break
         if world.tick >= spec.max_ticks:
             truncated = True
             break
-        step(world, spec)
-    return InstanceResult(batches, list(world.ground_truth), truncated)
+        step(world)
+    return InstanceResult(batches, world.ground_truth, truncated)
 
 
 # -- built-in scenarios -------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -363,6 +364,7 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o["insertions"][0].update(tick=2.7),
         lambda o: o.update(measurement_interval=1.9),
         lambda o: o.update(max_ticks=math.nan),
+        lambda o: o.update(max_ticks=-5),
         lambda o: o["insertions"][0].pop("at"),
         lambda o: o["insertions"][0].pop("node"),
         lambda o: o.update(insertions=5),
@@ -381,6 +383,7 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         "insertion-tick",
         "measurement_interval",
         "max_ticks",
+        "max_ticks-negative",
         "insertion-without-at",
         "insertion-without-node",
         "insertions-not-array",
@@ -412,3 +415,74 @@ def test_flag_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
     assert exc.value.code == 1
+
+
+# -- golden file outputs of simulate and localize -------------------------------
+
+# sha256 of graph.json, packages.ndjson and ground_truth.csv from
+# `gral simulate --scenario k --seed 0`.
+SIMULATE_GOLDEN = {
+    1: (
+        "b6a7abb79a9d90671bcbb5a14b50d934c89c81a5e8d8cdfa35f30059eaff1514",
+        "746f1ab47af897cb3085903cf06c45801955b0fdbc868a7906ef4038cbd8d071",
+        "4d90d1ff1cbf11fe25c1d5962faebacb28e6d3527392ad06ac9fa29065da6c71",
+    ),
+    2: (
+        "b6a7abb79a9d90671bcbb5a14b50d934c89c81a5e8d8cdfa35f30059eaff1514",
+        "011eb8c96a98b41720762ebfc2a2a5fd39f7dda4c26b97060937ea5fa7f6e89c",
+        "195899d51a392c37d7b04c622b75e893d4c4bf14b5d85c3c6232f777d8e29dca",
+    ),
+    3: (
+        "330a12564c409cfdee09089a0677b45a7e0bc0c18ca060e81e7ac17114e0fc1d",
+        "f6c1fb36de432b76df60ca0451829cb5cb076e8592448f1f647ec437afbd3082",
+        "0c5a9ba3a0a11ed64cf9fb74668d752805ec28a0732acdafb2b5264af76a7347",
+    ),
+    4: (
+        "5f61ee1bcc07951fd7294dfd277c645d044d01cb3c3bea396f2233cbf48b51db",
+        "5344d0a53137beecb2633f4a0219695fe5cca3b0edbc1862d618efe67d59f3f7",
+        "1cff86619a7c1aba9d7ad499b4fe7ce3c4336dd0394ea8f44d4862552dac6ac7",
+    ),
+}
+
+# sha256 of the `gral localize` CSV of each variant on scenario 4, seed 0.
+LOCALIZE_GOLDEN = {
+    "baseline": "81980b3d5efe1cb0dd278f15dd5ec38f771a3603a7860c92228376344787f6e2",
+    "gral": "d42f2243a586c706fed4ad562c9628fd781235b7d5ed90f3af3d1f06e419115d",
+    "gral+cp": "446751815cbd51cc0697cb09ea8db24d3871e6e7098c55c6fb613235c924ba21",
+    "gral+pr": "0c3d0eda85119e22957c8348e49965cfe1a85c160947947ced780338f453900d",
+    "gral+cp+pr": "97f3846f7e6dbddf87af5c62997aac852b0b4d516a0ab8cfc9e60abb7c868a3a",
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario", sorted(SIMULATE_GOLDEN))
+def test_simulate_outputs_match_golden_hashes(scenario, tmp_path):
+    out = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", str(scenario), "--seed", "0", "--out", str(out)) == 0
+    names = ("graph.json", "packages.ndjson", "ground_truth.csv")
+    assert tuple(sha256(out / name) for name in names) == SIMULATE_GOLDEN[scenario]
+
+
+def test_localize_csvs_match_golden_hashes(tmp_path):
+    out = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", "4", "--seed", "0", "--out", str(out)) == 0
+    got = {}
+    for variant in LOCALIZE_GOLDEN:
+        path = tmp_path / "localized.csv"
+        code = run_cli(
+            "localize",
+            "--variant",
+            variant,
+            "--graph",
+            str(out / "graph.json"),
+            "--packages",
+            str(out / "packages.ndjson"),
+            "--out",
+            str(path),
+        )
+        assert code == 0
+        got[variant] = sha256(path)
+    assert got == LOCALIZE_GOLDEN

@@ -450,17 +450,6 @@ def test_resolve_last_rising_at_max_completes(chain_graph):
     assert is_complete(last)
 
 
-def test_resolve_keeps_preset_positions(chain_graph):
-    pkgs = stream([(0, [("gw-a", 1.0)]), (1, [("gw-a", 2.0)]), (2, [])])
-    es = integrate_stream("n", pkgs)
-    preset = GraphPosition("a", "b", 5.0, 50.0)
-    es = dataclasses.replace(
-        es, epochs=(dataclasses.replace(es.epochs[0], final_pos=preset),) + es.epochs[1:]
-    )
-    es = resolve_positions(es, chain_graph)
-    assert es.epochs[0].final_pos == preset
-
-
 def test_is_complete_cases(chain_graph):
     pkgs = stream([(0, [("gw-a", 1.0)])])
     es = integrate_stream("n", pkgs)

@@ -18,6 +18,7 @@ from gral.sim import (
     load_scenario,
     make_scenario,
     observe,
+    record_and_emit,
     run_instance,
     scenario_from_json,
     scenario_to_json,
@@ -46,7 +47,7 @@ def test_step_without_noise_moves_exactly_base_step():
     spec = ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], noise_p=0.0, base_step=1.0)
     w = world_with_node(spec)
     for _ in range(10):
-        step(w, spec)
+        step(w)
     assert w.nodes["n"].position == GraphPosition("s", "r", 10.0, 400000.0)
 
 
@@ -56,7 +57,7 @@ def test_mean_speed_matches_noise_distribution():
     w = world_with_node(spec)
     ticks = 100_000
     for _ in range(ticks):
-        step(w, spec)
+        step(w)
     mean_speed = w.nodes["n"].position.offset / ticks
     expected = spec.base_step * (1 + spec.noise_p)
     assert abs(mean_speed - expected) / expected < 0.01
@@ -71,7 +72,7 @@ def test_node_crosses_junction_toward_root(chain_graph):
         gateway_radius_default=CHAIN_RADIUS,
     )
     w = world_with_node(spec)
-    step(w, spec)
+    step(w)
     assert w.nodes["n"].position == GraphPosition("b", "c", 0.5, 50.0)
 
 
@@ -83,15 +84,51 @@ def test_node_parks_at_root(chain_graph):
         base_step=1.0,
     )
     w = world_with_node(spec)
-    step(w, spec)
+    step(w)
     assert w.nodes["n"].position == chain_graph.position_at("c")
     assert w.nodes["n"].at_root
+
+
+def test_node_leaves_after_root_record_and_peers_still_hear_it(chain_graph):
+    spec = ScenarioSpec(
+        chain_graph,
+        [
+            Insertion("n1", GraphPosition("b", "c", 49.0, 50.0), 0),
+            Insertion("n2", GraphPosition("b", "c", 48.0, 50.0), 0),
+        ],
+        noise_p=0.0,
+        contact_radius=3.0,
+    )
+    w = WorldState(spec, random.Random(0))
+    for ins in spec.insertions:
+        w.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
+    record_and_emit(w)
+    step(w)
+    assert w.nodes["n1"].at_root
+    batches = record_and_emit(w)
+    # n1 recorded its root package first, yet n2's record in the same tick hears it.
+    assert list(w.nodes) == ["n2"]
+    last = {b.node: b.packages[-1] for b in batches}
+    assert (last["n1"].seq, last["n1"].t) == (2, 1.0)
+    assert last["n2"].contacts == (NodeContact("n1", 2.0),)
+    step(w)
+    (batch,) = record_and_emit(w)
+    assert batch.node == "n2" and batch.packages[-1].contacts == ()
+    assert w.nodes == {}
+
+
+def test_node_inserted_at_root_records_twice(chain_graph):
+    spec = ScenarioSpec(chain_graph, [Insertion("n", chain_graph.position_at("c"), 3)])
+    result = run_instance(spec, 0)
+    assert not result.truncated
+    assert [(b.tick, [p.t for p in b.packages]) for b in result.batches] == [(3, [3.0]), (4, [4.0])]
+    assert [r.tick for r in result.ground_truth] == [3, 4]
 
 
 def test_observe_maximum_strength_under_gateway(chain_graph):
     spec = ScenarioSpec(chain_graph, [Insertion("n", chain_graph.position_at("a"), 0)])
     w = world_with_node(spec)
-    obs, contacts = observe(w, spec, "n", w.active_nodes())
+    obs, contacts = observe(w, "n", w.active_nodes())
     assert contacts == ()
     assert obs[0].gateway == "gw-a"
     assert obs[0].strength == pytest.approx(CHAIN_RADIUS)
@@ -102,7 +139,7 @@ def test_observe_nothing_outside_radius(chain_graph):
         chain_graph, [Insertion("n", GraphPosition("a", "b", 25.0, 50.0), 0)]
     )
     w = world_with_node(spec)
-    obs, _ = observe(w, spec, "n", w.active_nodes())
+    obs, _ = observe(w, "n", w.active_nodes())
     assert obs == ()
 
 
@@ -112,7 +149,7 @@ def test_observe_strength_strictly_decreasing_with_distance(chain_graph):
     strengths = []
     for d in (0.0, 1.0, 2.0, 3.0):
         w.nodes["n"].position = GraphPosition("a", "b", d, 50.0)
-        obs, _ = observe(w, spec, "n", w.active_nodes())
+        obs, _ = observe(w, "n", w.active_nodes())
         strengths.append(obs[0].strength)
     assert strengths == sorted(strengths, reverse=True)
     assert len(set(strengths)) == len(strengths)
@@ -130,14 +167,15 @@ def test_observe_mutual_contact_strength(chain_graph):
     w = WorldState(spec, random.Random(0))
     for ins in spec.insertions:
         w.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
-    _, c1 = observe(w, spec, "n1", w.active_nodes())
-    _, c2 = observe(w, spec, "n2", w.active_nodes())
+    _, c1 = observe(w, "n1", w.active_nodes())
+    _, c2 = observe(w, "n2", w.active_nodes())
     assert c1 == (NodeContact("n2", 2.0),)
     assert c2 == (NodeContact("n1", 2.0),)
 
 
-def all_pairs_observe(world, spec, node, active):
+def all_pairs_observe(world, node, active):
     """`observe` with one geodesic to every other active node."""
+    spec = world.spec
     graph = spec.graph
     st = world.nodes[node]
     radius = spec.effective_contact_radius
@@ -490,6 +528,8 @@ def test_scenario_validation():
         ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], base_step=0.0)
     with pytest.raises(ScenarioError, match="probability"):
         ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], noise_p=1.5)
+    with pytest.raises(ScenarioError, match="max_ticks"):
+        ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], max_ticks=-5)
     with pytest.raises(ScenarioError, match="duplicate node"):
         ScenarioSpec(
             g,

@@ -16,27 +16,24 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .epochs import EpochError
-from .graph import GraphError, graph_to_json, load_graph
+from .graph import graph_to_json, load_graph
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .metrics import run_experiment
 from .packages import (
     LocalizedMeasurement,
-    StreamFormatError,
     parse_package_stream,
     serialize_packages,
 )
 from .sim import (
     GroundTruthRecord,
     InstanceResult,
-    ScenarioError,
     ScenarioSpec,
     load_scenario,
     make_scenario,
     run_instance,
 )
 
-INPUT_ERRORS = (GraphError, StreamFormatError, ScenarioError, EpochError, ValueError, OSError)
+INPUT_ERRORS = (ValueError, OSError)
 
 
 def _fmt(value: float) -> str:

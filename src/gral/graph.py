@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -558,8 +559,11 @@ def check_integer(value: Any, what: str) -> int:
 
 def check_string(value: Any, what: str) -> str:
     # A JSON string; numbers, null, true and false fail rather than turn into ids.
+    # Ids are interned: json.loads makes a new object for each occurrence of a
+    # string value, and dict lookups by id compare faster when equal ids are one
+    # object.
     if isinstance(value, str):
-        return value
+        return sys.intern(str(value))
     raise GraphError(f"{what} must be a string, got {value!r}")
 
 

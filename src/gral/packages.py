@@ -181,7 +181,9 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
         data = data.decode("utf-8")
     packages: list[Package] = []
     last: dict[str, tuple[int, float]] = {}
-    for lineno, line in enumerate(data.splitlines(), start=1):
+    # Records are separated by "\n" only: JSON strings may hold other line
+    # breaks raw, and the "\r" of a CRLF line is JSON whitespace.
+    for lineno, line in enumerate(data.split("\n"), start=1):
         # A record that fills its line decodes in one call; padded, blank
         # and malformed lines take `json.loads` and its error message.
         try:
@@ -214,33 +216,26 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _json_scalar(value: Any) -> str:
-    # What `_encode` writes for `value`: exact strings, ints and finite
-    # floats directly, anything else (NaN, bools, subclasses) through it.
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is float and value - value == 0.0 or kind is int:
-        return repr(value)
-    return _encode(value)
 
 
 def serialize_packages(packages: list[Package]) -> str:
     """Newline-delimited JSON: one compact object per package, keys sorted.
 
     Each line is what `json.dumps(..., sort_keys=True, separators=(",", ":"))`
-    gives the object of the package's fields, with `obs` and `contacts` as
-    [id, strength] arrays. The fixed key order is written field by field;
-    only the payload goes through the encoder whole.
+    gives the object of the package's fields; `obs` and `contacts` are
+    tuples of pairs, so they come out as [id, strength] arrays.
     """
     return "".join(
-        '{"contacts":['
-        + ",".join(f"[{_json_scalar(c.peer)},{_json_scalar(c.strength)}]" for c in p.contacts)
-        + f'],"node":{_json_scalar(p.node)},"obs":['
-        + ",".join(f"[{_json_scalar(o.gateway)},{_json_scalar(o.strength)}]" for o in p.observations)
-        + f'],"payload":{_encode(p.payload)},"seq":{_json_scalar(p.seq)},"t":{_json_scalar(p.t)}}}\n'
+        _encode(
+            {
+                "contacts": p.contacts,
+                "node": p.node,
+                "obs": p.observations,
+                "payload": p.payload,
+                "seq": p.seq,
+                "t": p.t,
+            }
+        )
+        + "\n"
         for p in packages
     )

@@ -12,18 +12,15 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .graph import (
     EnvironmentGraph,
-    Gateway,
     GraphError,
     GraphPosition,
-    Junction,
-    Link,
-    build_graph,
     check_array,
     check_integer,
     check_number,
@@ -39,6 +36,7 @@ class ScenarioError(ValueError):
     pass
 
 
+# The gateway radii of the built-in scenario files.
 # Scenario-1 coverage: three gateways on a 100-unit chain cover 4R of pipe,
 # and 4R/100 = sqrt(10)/25 fixes R = sqrt(10).
 CHAIN_RADIUS = math.sqrt(10.0)
@@ -309,18 +307,8 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
 # -- built-in scenarios -------------------------------------------------------
 
 
-def _chain_graph(radius: float) -> EnvironmentGraph:
-    junctions = [
-        Junction("a", Gateway("gw-a", "a", radius)),
-        Junction("b", Gateway("gw-b", "b", radius)),
-        Junction("c", Gateway("gw-c", "c", radius)),
-    ]
-    links = [Link("a", "b", 50.0), Link("b", "c", 50.0)]
-    return build_graph(junctions, links, "c")
-
-
 def make_scenario(k: int) -> ScenarioSpec:
-    """The four built-in desk-scale scenarios.
+    """The four built-in desk-scale scenarios, read from the package's `scenarios/`.
 
     1: one node drifting down a 100-unit chain of three gateways.
     2: the same pipe with two nodes deployed in close succession.
@@ -329,87 +317,19 @@ def make_scenario(k: int) -> ScenarioSpec:
     4: a larger tree (three merge junctions, five gated sources, gated root)
        with five staggered nodes and sparse mid-network coverage.
     """
-    if k == 1:
-        graph = _chain_graph(CHAIN_RADIUS)
-        return ScenarioSpec(
-            graph,
-            [Insertion("n1", graph.position_at("a"), 0)],
-            gateway_radius_default=CHAIN_RADIUS,
-        )
-    if k == 2:
-        graph = _chain_graph(CHAIN_RADIUS)
-        return ScenarioSpec(
-            graph,
-            [
-                Insertion("n1", graph.position_at("a"), 0),
-                Insertion("n2", graph.position_at("a"), 5),
-            ],
-            gateway_radius_default=CHAIN_RADIUS,
-        )
-    if k == 3:
-        junctions = [
-            Junction("a1", Gateway("gw-a1", "a1", BRANCH_RADIUS)),
-            Junction("a2", Gateway("gw-a2", "a2", BRANCH_RADIUS)),
-            Junction("m"),
-            Junction("f", Gateway("gw-f", "f", BRANCH_RADIUS)),
-        ]
-        links = [Link("a1", "m", 100.0), Link("a2", "m", 100.0), Link("m", "f", 100.0)]
-        graph = build_graph(junctions, links, "f")
-        return ScenarioSpec(
-            graph,
-            [
-                Insertion("n1", graph.position_at("a1"), 0),
-                Insertion("n2", graph.position_at("a2"), 0),
-            ],
-            gateway_radius_default=BRANCH_RADIUS,
-        )
-    if k == 4:
-        junctions = [
-            Junction("l1", Gateway("gw-l1", "l1", BRANCH_RADIUS)),
-            Junction("l2", Gateway("gw-l2", "l2", BRANCH_RADIUS)),
-            Junction("l3", Gateway("gw-l3", "l3", BRANCH_RADIUS)),
-            Junction("l4", Gateway("gw-l4", "l4", BRANCH_RADIUS)),
-            Junction("l5", Gateway("gw-l5", "l5", BRANCH_RADIUS)),
-            Junction("a"),
-            Junction("b"),
-            Junction("c"),
-            Junction("root", Gateway("gw-root", "root", BRANCH_RADIUS)),
-        ]
-        links = [
-            Link("l1", "a", 120.0),
-            Link("l2", "a", 140.0),
-            Link("l3", "b", 100.0),
-            Link("l4", "b", 90.0),
-            Link("a", "c", 80.0),
-            Link("b", "c", 110.0),
-            Link("l5", "c", 150.0),
-            Link("c", "root", 60.0),
-        ]
-        graph = build_graph(junctions, links, "root")
-        starts = ["l1", "l2", "l3", "l4", "l5"]
-        return ScenarioSpec(
-            graph,
-            [
-                Insertion(f"n{i + 1}", graph.position_at(start), 3 * i)
-                for i, start in enumerate(starts)
-            ],
-            gateway_radius_default=BRANCH_RADIUS,
-        )
-    raise ScenarioError(f"unknown scenario {k!r}; expected 1..4")
+    if k not in (1, 2, 3, 4):
+        raise ScenarioError(f"unknown scenario {k!r}; expected 1..4")
+    # int(): any k equal to 1..4 (True, 1.0) names its file, as `==` allows.
+    path = Path(__file__).with_name("scenarios") / f"scenario{int(k)}.json"
+    return load_scenario(path.read_text(encoding="utf-8"))
 
 
 # -- scenario files -----------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "graph",
-    "insertions",
-    "base_step",
-    "noise_p",
-    "gateway_radius_default",
-    "contact_radius",
-    "measurement_interval",
-    "max_ticks",
-}
+# The optional fields in ScenarioSpec's order, so that a file with several
+# bad fields is always reported by the first of them.
+_SCENARIO_SETTINGS = tuple(f.name for f in fields(ScenarioSpec))[2:]
+_SCENARIO_KEYS = {"graph", "insertions", *_SCENARIO_SETTINGS}
 _INSERTION_KEYS = {"node", "tick", "at"}
 
 
@@ -441,7 +361,7 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
             tick = check_integer(iobj["tick"], "insertion tick")
             node = check_string(iobj["node"], "insertion node")
             insertions.append(Insertion(node, at, tick))
-        for key in _SCENARIO_KEYS - {"graph", "insertions"}:
+        for key in _SCENARIO_SETTINGS:
             if key in obj and obj[key] is not None:
                 if key in ("measurement_interval", "max_ticks"):
                     kwargs[key] = check_integer(obj[key], key)

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,7 @@ import gral.cli
 from gral.cli import main
 from gral.graph import Gateway, Junction, Link, build_graph
 from gral.metrics import run_experiment
-from gral.sim import Insertion, ScenarioSpec, scenario_to_json
+from gral.sim import Insertion, ScenarioSpec, make_scenario, scenario_to_json
 
 
 def run_cli(*argv):
@@ -169,8 +173,6 @@ def test_evaluate_byte_identical(tmp_path):
 
 
 def test_scenario_file_input(tmp_path):
-    from gral.sim import make_scenario, scenario_to_json
-
     scenario_file = tmp_path / "custom.json"
     scenario_file.write_text(json.dumps(scenario_to_json(make_scenario(1))))
     out = tmp_path / "inst"
@@ -397,8 +399,6 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
     ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):
-    from gral.sim import make_scenario, scenario_to_json
-
     obj = scenario_to_json(make_scenario(1))
     mutate(obj)
     scenario_file = tmp_path / "custom.json"
@@ -406,6 +406,40 @@ def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):
     out = tmp_path / "inst"
     assert run_cli("simulate", "--scenario", str(scenario_file), "--seed", "0", "--out", str(out)) == 1
     assert not out.exists()
+
+
+def test_scenario_error_does_not_depend_on_hash_seed(tmp_path):
+    # Several bad settings: the first in ScenarioSpec's order is reported,
+    # whatever order a set of their names iterates in.
+    obj = scenario_to_json(make_scenario(1))
+    obj.update(base_step="1", noise_p="x", max_ticks=1.5, measurement_interval=True)
+    scenario_file = tmp_path / "bad.json"
+    scenario_file.write_text(json.dumps(obj))
+    source = str(Path(gral.cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    messages = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "gral.cli",
+                "simulate",
+                "--scenario",
+                str(scenario_file),
+                "--seed",
+                "0",
+                "--out",
+                str(tmp_path / "inst"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 1
+        messages.add(proc.stderr)
+    (message,) = messages
+    assert message.startswith("error: base_step"), message
 
 
 def test_flag_errors_exit_1():

@@ -172,6 +172,38 @@ def test_malformed_json_reports_line():
         parse_package_stream('{"node":"n","seq":1,"t":0,"obs":[],"contacts":[],"payload":null}\n{oops')
 
 
+@pytest.mark.parametrize("brk", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_raw_unicode_line_break_in_payload_round_trips(brk):
+    # JSON strings may hold these raw; only "\n" separates records.
+    pkgs = [p._replace(payload=f"a{brk}b") for p in make_packages()]
+    text = "\n".join(
+        json.dumps(json.loads(line), ensure_ascii=False)
+        for line in serialize_packages(pkgs).splitlines()
+    )
+    assert text.count(brk) == len(pkgs)
+    again = parse_package_stream(text)
+    assert again == pkgs
+    assert serialize_packages(again) == serialize_packages(pkgs)
+
+
+def test_form_feed_does_not_separate_records():
+    first, second = serialize_packages(make_packages()[:2]).splitlines()
+    with pytest.raises(StreamFormatError, match=r"^line 1: invalid JSON: Extra data$"):
+        parse_package_stream(f"{first}\x0c{second}\n")
+
+
+def test_crlf_stream_parses_as_before():
+    pkgs = make_packages()
+    assert parse_package_stream(serialize_packages(pkgs).replace("\n", "\r\n")) == pkgs
+    lines = [
+        {"node": "n1", "seq": 5, "t": 0.0, "obs": [], "contacts": [], "payload": None},
+        {"node": "n1", "seq": 3, "t": 1.0, "obs": [], "contacts": [], "payload": None},
+    ]
+    text = "\r\n".join(json.dumps(l) for l in lines)
+    with pytest.raises(StreamFormatError, match="line 2.*seq regression"):
+        parse_package_stream(text)
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -326,7 +358,7 @@ def reference_parse(text):
     """Reference parser: `json.loads` and a `check_*` call on every field."""
     packages = []
     last_seq, last_t = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

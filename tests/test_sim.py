@@ -438,10 +438,23 @@ def test_scenario_json_round_trip():
 
 
 @pytest.mark.parametrize("number", [1, 2, 3, 4])
-def test_shipped_scenario_files_load_as_built_in(number):
-    path = Path(__file__).resolve().parent.parent / "scenarios" / f"scenario{number}.json"
-    loaded = load_scenario(path.read_text())
-    assert scenario_to_json(loaded) == scenario_to_json(make_scenario(number))
+def test_shipped_scenario_file_is_the_built_in(number):
+    # The file is the only definition: it is in the canonical form that
+    # `scenario_to_json` writes, and holds the radii derived in `gral.sim`.
+    path = Path(gral.sim.__file__).with_name("scenarios") / f"scenario{number}.json"
+    spec = make_scenario(number)
+    written = json.dumps(scenario_to_json(spec), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == written.encode()
+    radius = CHAIN_RADIUS if number <= 2 else BRANCH_RADIUS
+    assert spec.gateway_radius_default == radius
+    assert spec.graph.gateways
+    assert all(g.radius == radius for g in spec.graph.gateways.values())
+
+
+@pytest.mark.parametrize("number", [0, 5])
+def test_make_scenario_rejects_unknown_number(number):
+    with pytest.raises(ScenarioError, match=f"unknown scenario {number}; expected 1..4"):
+        make_scenario(number)
 
 
 def test_scenario_json_rejects_unknown_fields():

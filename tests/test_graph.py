@@ -346,18 +346,21 @@ def test_route_between_junctions_walks_like_point_at():
 
 def sample_routes(rng, g):
     """Junction-to-junction routes, one of zero length, and routes between
-    link-interior points in both orientations, also within one link."""
+    link-interior points in both orientations, also within one link, with
+    its two ends written in one orientation or in opposite ones."""
     junctions = sorted(g.junctions)
     link = rng.choice(g.links)
     same_link = [
         GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length) for _ in range(2)
     ]
+    flipped = GraphPosition(link.v, link.u, link.length - same_link[1].offset, link.length)
     a, b = random_position(rng, g), random_position(rng, g)
     j = g.position_at(rng.choice(junctions))
     pairs = [
         (g.position_at(u), g.position_at(v)) for u, v in (rng.sample(junctions, 2) for _ in range(2))
     ]
     pairs += [(j, j), (a, b), (b, a), tuple(same_link), tuple(reversed(same_link)), (a, j), (j, a)]
+    pairs += [(same_link[0], flipped), (flipped, same_link[0])]
     return [g.route(start, end) for start, end in pairs]
 
 

@@ -199,32 +199,11 @@ class EnvironmentGraph:
     def link_lengths(self, path: list[str]) -> list[float]:
         return [self.link_length(a, b) for a, b in zip(path, path[1:])]
 
-    def path_length(self, path: list[str]) -> float:
-        return _add_up(self.link_lengths(path))
-
     # -- positions ----------------------------------------------------------
 
     def position_at(self, junction: str) -> GraphPosition:
         self.require_junction(junction)
         return GraphPosition(junction, junction, 0.0, 0.0)
-
-    def point_at(self, path: list[str], offset: float) -> GraphPosition:
-        """Canonical position `offset` arclength units along `path`.
-
-        A point landing exactly on an interior junction is reported with
-        offset 0 on the outgoing link.
-        """
-        if not path:
-            raise GraphError("empty path")
-        for j in path:
-            self.require_junction(j)
-        lengths = self.link_lengths(path)
-        total = _add_up(lengths)
-        if offset < -POSITION_TOL or offset > total + POSITION_TOL:
-            raise GraphError(f"offset {offset} outside path of length {total}")
-        if len(path) == 1:
-            return GraphPosition(path[0], path[0], 0.0, 0.0)
-        return _walk(path, lengths, min(max(offset, 0.0), total))
 
     def canonicalize(self, pos: GraphPosition) -> GraphPosition:
         """Normalize an arbitrary valid position to canonical link-local form.
@@ -249,41 +228,16 @@ class EnvironmentGraph:
             if pos.offset < -POSITION_TOL or pos.offset > length + POSITION_TOL:
                 raise GraphError(f"offset {pos.offset} outside link of length {length}")
             return GraphPosition(pos.u, pos.v, min(max(pos.offset, 0.0), length), length)
+        # Several links: walk the path. A point landing exactly on an interior
+        # junction is reported with offset 0 on the outgoing link.
         path = self.shortest_path(pos.u, pos.v)
-        total = self.path_length(path)
+        lengths = self.link_lengths(path)
+        total = _add_up(lengths)
         if abs(total - pos.span) > 1e-6:
             raise GraphError(f"position span {pos.span} != path length {total} for {pos}")
-        return self.point_at(path, pos.offset)
-
-    def _anchor_offsets(self, pos: GraphPosition) -> list[tuple[str, float]]:
-        # Distances from the point to each endpoint junction of its link.
-        if pos.at_junction():
-            return [(pos.u, 0.0)]
-        return [(pos.u, pos.offset), (pos.v, pos.span - pos.offset)]
-
-    @staticmethod
-    def _offset_on_link_of(a: GraphPosition, b: GraphPosition) -> Optional[float]:
-        # b's offset measured from a.u when both lie inside the same link, else None.
-        if a.u == a.v or b.u == b.v:
-            return None
-        if a.u == b.u and a.v == b.v:
-            return b.offset
-        if a.u == b.v and a.v == b.u:
-            return b.span - b.offset
-        return None
-
-    def _anchor_path(self, a: GraphPosition, b: GraphPosition) -> tuple[float, str, str, float, float]:
-        # The shortest way between two canonical points through link ends:
-        # (length, junction left from a, junction entered toward b, leg on a's
-        # link, leg on b's link). Ties go to the first anchor pair, u before v.
-        best = None
-        for ja, da in self._anchor_offsets(a):
-            for jb, db in self._anchor_offsets(b):
-                d = da + self.junction_distance(ja, jb) + db
-                if best is None or d < best[0]:
-                    best = (d, ja, jb, da, db)
-        assert best is not None
-        return best
+        if pos.offset < -POSITION_TOL or pos.offset > total + POSITION_TOL:
+            raise GraphError(f"offset {pos.offset} outside path of length {total}")
+        return _walk(path, lengths, min(max(pos.offset, 0.0), total))
 
     def geodesic_distance(self, p1: GraphPosition, p2: GraphPosition) -> float:
         """Length of the unique path between two on-network points.
@@ -291,7 +245,7 @@ class EnvironmentGraph:
         A canonical position (a link with its exact length as span and an
         offset within it, or a junction `(j, j, 0, 0)`) is read as it is; any
         other goes through `canonicalize` and its checks. The sums are those
-        of `_anchor_path`: `(da + d(ja, jb)) + db` for each pair of link ends,
+        of `Route`: `(da + d(ja, jb)) + db` for each pair of link ends,
         u before v on each side, the first strict minimum winning.
         """
         lengths = self._link_length
@@ -363,20 +317,33 @@ class Route:
 
     def __init__(self, graph: EnvironmentGraph, start: GraphPosition, end: GraphPosition):
         self.graph = graph
-        self.start = graph.canonicalize(start)
-        self.end = graph.canonicalize(end)
+        self.start = a = graph.canonicalize(start)
+        self.end = b = graph.canonicalize(end)
         # Decompose into: leg on the start link, junction-to-junction path,
         # leg on the end link. Degenerate legs collapse to zero length. The
         # total comes out of the same arithmetic as `geodesic_distance`.
-        self._off_end = graph._offset_on_link_of(self.start, self.end)
-        if self._off_end is not None:
-            self.total = abs(self.start.offset - self._off_end)
-        else:
-            path = graph._anchor_path(self.start, self.end)
-            self.total, self._exit, self._enter, self._head, self._tail = path
-            self._mid_path = graph.shortest_path(self._exit, self._enter)
-            self._mid_lengths = graph.link_lengths(self._mid_path)
-            self._mid_len = _add_up(self._mid_lengths)
+        if a.u != a.v and (b.u, b.v) in ((a.u, a.v), (a.v, a.u)):
+            # Both inside one link; `_off_end` is the end's offset from a.u.
+            self._off_end = b.offset if b.u == a.u else b.span - b.offset
+            self.total = abs(a.offset - self._off_end)
+            return
+        self._off_end = None
+        # The ends of each point's link with its distance to them, u before v;
+        # a junction is its own only end. The first strict minimum wins.
+        ends_a, ends_b = (
+            ((p.u, 0.0),) if p.u == p.v else ((p.u, p.offset), (p.v, p.span - p.offset))
+            for p in (a, b)
+        )
+        best = None
+        for ja, da in ends_a:
+            for jb, db in ends_b:
+                d = (da + graph.junction_distance(ja, jb)) + db
+                if best is None or d < best[0]:
+                    best = (d, ja, jb, da, db)
+        self.total, self._exit, self._enter, self._head, self._tail = best
+        self._mid_path = graph.shortest_path(self._exit, self._enter)
+        self._mid_lengths = graph.link_lengths(self._mid_path)
+        self._mid_len = _add_up(self._mid_lengths)
 
     def point_at(self, arclength: float) -> GraphPosition:
         """Position `arclength` units from the route start (clamped to ends)."""
@@ -406,8 +373,7 @@ class Route:
         mid_path, mid_lengths, mid_len = self._mid_path, self._mid_lengths, self._mid_len
         mid_limit = mid_len + POSITION_TOL if mid_lengths else -math.inf
         # End link: away from the enter junction toward the end point.
-        end = self.end
-        end_u, end_v, _, end_span = end
+        end_u, end_v, _, end_span = self.end
         tail = self._tail
         tail_dir = 1.0 if self._enter == end_u else -1.0
         tail_from = 0.0 if self._enter == end_u else end_span
@@ -421,8 +387,6 @@ class Route:
             s_mid = s - head
             if s_mid <= mid_limit:
                 out.append(_walk(mid_path, mid_lengths, min(max(s_mid, 0.0), mid_len)))
-            elif end_u == end_v:
-                out.append(end)
             else:
                 off = tail_from + tail_dir * min(max(s_mid - mid_len, 0.0), tail)
                 out.append(GraphPosition(end_u, end_v, min(max(off, 0.0), end_span), end_span))

@@ -184,13 +184,14 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
     # Records are separated by "\n" only: JSON strings may hold other line
     # breaks raw, and the "\r" of a CRLF line is JSON whitespace.
     for lineno, line in enumerate(data.split("\n"), start=1):
-        # A record that fills its line decodes in one call; padded, blank
-        # and malformed lines take `json.loads` and its error message.
+        # A record that fills its line, or all of a CRLF line but its "\r",
+        # decodes in one call; padded, blank and malformed lines take
+        # `json.loads` and its error message.
         try:
             obj, end = _raw_decode(line)
         except json.JSONDecodeError:
             end = -1
-        if end != len(line):
+        if end != len(line) and (end < 0 or line[end:] != "\r"):
             if not line.strip():
                 continue
             try:

@@ -92,7 +92,10 @@ class ScenarioSpec:
         if not self.insertions:
             raise ScenarioError("scenario has no insertions")
         root = self.graph.position_at(self.graph.root)
-        return max(self.graph.geodesic_distance(i.position, root) for i in self.insertions)
+        length = max(self.graph.geodesic_distance(i.position, root) for i in self.insertions)
+        if length <= 0:
+            raise ScenarioError("every insertion is at the root, so the route length is 0")
+        return length
 
 
 class GroundTruthRecord(NamedTuple):
@@ -340,12 +343,7 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
             {"node": i.node, "tick": i.tick, "at": i.position.to_json()}
             for i in spec.insertions
         ],
-        "base_step": spec.base_step,
-        "noise_p": spec.noise_p,
-        "gateway_radius_default": spec.gateway_radius_default,
-        "contact_radius": spec.contact_radius,
-        "measurement_interval": spec.measurement_interval,
-        "max_ticks": spec.max_ticks,
+        **{key: getattr(spec, key) for key in _SCENARIO_SETTINGS},
     }
 
 

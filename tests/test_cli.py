@@ -226,6 +226,34 @@ def test_evaluate_rejects_scenario_without_insertions(tmp_path, capsys):
     assert (inst / "packages.ndjson").read_text(encoding="utf-8") == ""
 
 
+def test_evaluate_rejects_scenario_with_every_insertion_at_the_root(tmp_path, capsys):
+    obj = scenario_to_json(make_scenario(2))
+    for ins in obj["insertions"]:
+        ins["at"] = {"from": "c", "to": "c", "offset": 0.0, "span": 0.0}
+    scenario = tmp_path / "at_root.json"
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    argv = ["--scenario", str(scenario), "--instances", "2", "--out", str(out)]
+    assert run_cli("evaluate", *argv) == 1
+    assert "error: every insertion is at the root" in capsys.readouterr().err
+    assert not out.exists()
+    # Simulating it stays valid: each node records its one package at the root.
+    inst = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", str(scenario), "--seed", "0", "--out", str(inst)) == 0
+
+
+def test_simulate_warns_when_an_instance_is_truncated(tmp_path, capsys):
+    obj = scenario_to_json(make_scenario(1))
+    obj["max_ticks"] = 5
+    scenario = tmp_path / "short.json"
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    inst = tmp_path / "inst"
+    assert run_cli("simulate", "--scenario", str(scenario), "--seed", "0", "--out", str(inst)) == 0
+    assert "warning: instance truncated at max_ticks" in capsys.readouterr().err
+    truth = (inst / "ground_truth.csv").read_text(encoding="utf-8").splitlines()
+    assert len(truth) == 1 + 6  # header, then ticks 0..5
+
+
 @pytest.mark.parametrize("variant, builds", [("baseline", 0), ("gral", 1)])
 def test_localize_segments_only_for_graph_variants(tmp_path, monkeypatch, variant, builds):
     out = tmp_path / "inst"

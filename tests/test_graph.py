@@ -12,6 +12,8 @@ from gral.graph import (
     GraphPosition,
     Junction,
     Link,
+    _add_up,
+    _walk,
     build_graph,
     graph_to_json,
     load_graph,
@@ -47,7 +49,7 @@ def test_build_cycle_detected():
 
 def test_build_scenario_chain(chain_graph):
     assert len(chain_graph.junctions) == 3
-    assert chain_graph.path_length(["a", "b", "c"]) == 100.0
+    assert _add_up(chain_graph.link_lengths(["a", "b", "c"])) == 100.0
     assert chain_graph.gateways["gw-b"].radius == pytest.approx(math.sqrt(10.0))
 
 
@@ -61,6 +63,19 @@ def test_build_scenario_chain(chain_graph):
         ([Junction("a"), Junction("b")], [Link("a", "b", 1.0)], "zz", "root missing"),
         ([Junction("a"), Junction("b"), Junction("c")], [Link("a", "b", 1.0)], "a", "disconnected"),
         ([Junction("a")], [Link("a", "a", 1.0)], "a", "self-loop"),
+        (
+            [Junction(j) for j in "abcd"],
+            [Link("a", "b", 1.0), Link("b", "c", 1.0), Link("c", "a", 1.0)],
+            "a",
+            "disconnected: not all junctions reachable from root",
+        ),
+        (
+            [Junction("a", Gateway("g", "b", 1.0)), Junction("b")],
+            [Link("a", "b", 1.0)],
+            "a",
+            "gateway 'g' attached to 'b', not 'a'",
+        ),
+        ([], [], "a", "graph needs at least one junction"),
     ],
 )
 def test_build_rejects(junctions, links, root, message):
@@ -111,47 +126,23 @@ def test_shortest_path_matches_bruteforce_on_random_trees():
             assert len(set(path)) == len(path)  # never repeats a vertex
 
 
-def test_point_at_path_start(chain_graph):
-    pos = chain_graph.point_at(["a", "b"], 0.0)
-    assert pos == GraphPosition("a", "b", 0.0, 50.0)
-
-
-def test_point_at_junction_hit(chain_graph):
-    pos = chain_graph.point_at(["a", "b", "c"], 50.0)
-    assert pos == GraphPosition("b", "c", 0.0, 50.0)
-
-
-def test_point_at_interior(chain_graph):
-    pos = chain_graph.point_at(["a", "b", "c"], 75.0)
-    assert pos == GraphPosition("b", "c", 25.0, 50.0)
-
-
-def test_point_at_end_of_path(chain_graph):
-    pos = chain_graph.point_at(["a", "b"], 50.0)
-    assert pos == GraphPosition("a", "b", 50.0, 50.0)
-
-
-def test_point_at_out_of_range(chain_graph):
-    with pytest.raises(GraphError, match="outside path"):
-        chain_graph.point_at(["a", "b"], 50.1)
-    with pytest.raises(GraphError, match="outside path"):
-        chain_graph.point_at(["a", "b"], -0.5)
-
-
-def test_point_at_roundtrips_offset():
+def test_canonicalize_roundtrips_multi_link_offset():
     rng = random.Random(2)
+    multi_link = 0
     for _ in range(40):
         g = random_tree(rng, rng.randint(2, 12))
         ids = sorted(g.junctions)
         u, v = rng.choice(ids), rng.choice(ids)
         path = g.shortest_path(u, v)
-        total = g.path_length(path)
+        total = _add_up(g.link_lengths(path))
         if total == 0:
             continue
         offset = rng.uniform(0.0, total)
-        pos = g.point_at(path, offset)
+        pos = g.canonicalize(GraphPosition(u, v, offset, total))
         back = g.geodesic_distance(g.position_at(path[0]), pos)
         assert back == pytest.approx(offset, abs=1e-9)
+        multi_link += len(path) > 2
+    assert multi_link > 0
 
 
 def test_geodesic_same_point_zero(chain_graph):
@@ -253,6 +244,8 @@ def test_canonicalize_returns_canonical_link_positions_as_is():
         (GraphPosition("a", "b", -1e-6, 50.0), "outside link"),
         (GraphPosition("a", "b", 10.0, 49.0), "span"),
         (GraphPosition("a", "c", 10.0, 50.0), "span"),
+        (GraphPosition("a", "c", 100.1, 100.0), "outside path of length 100.0"),
+        (GraphPosition("a", "c", -0.5, 100.0), "outside path of length 100.0"),
         (GraphPosition("a", "zz", 10.0, 50.0), "unknown junction"),
         (GraphPosition("zz", "zz", 0.0, 0.0), "unknown junction"),
         (GraphPosition("a", "a", 1.0, 1.0), "nonzero extent"),
@@ -265,6 +258,8 @@ def test_canonicalize_returns_canonical_link_positions_as_is():
         "before-start",
         "span",
         "two-links-span",
+        "two-links-past-end",
+        "two-links-before-start",
         "unknown",
         "unknown-junction",
         "extent",
@@ -286,8 +281,24 @@ def test_canonicalize_still_rejects(chain_graph, pos, message):
         (GraphPosition("a", "b", 10.0, 50.0 + 1e-7), GraphPosition("a", "b", 10.0, 50.0)),
         (GraphPosition("a", "c", 60.0, 100.0), GraphPosition("b", "c", 10.0, 50.0)),
         (GraphPosition("b", "b", 0.0, 0.0), GraphPosition("b", "b", 0.0, 0.0)),
+        (GraphPosition("a", "c", 0.0, 100.0), GraphPosition("a", "b", 0.0, 50.0)),
+        (GraphPosition("a", "c", 50.0, 100.0), GraphPosition("b", "c", 0.0, 50.0)),
+        (GraphPosition("a", "c", 75.0, 100.0), GraphPosition("b", "c", 25.0, 50.0)),
+        (GraphPosition("a", "c", 100.0, 100.0), GraphPosition("b", "c", 50.0, 50.0)),
+        (GraphPosition("c", "a", 100.0, 100.0), GraphPosition("b", "a", 50.0, 50.0)),
     ],
-    ids=["offset-below-zero", "offset-past-end", "span-off", "two-links", "junction"],
+    ids=[
+        "offset-below-zero",
+        "offset-past-end",
+        "span-off",
+        "two-links",
+        "junction",
+        "two-links-path-start",
+        "two-links-junction-hit",
+        "two-links-interior",
+        "two-links-end-of-path",
+        "two-links-reversed",
+    ],
 )
 def test_canonicalize_snaps_near_canonical_input_to_a_copy(chain_graph, pos, expected):
     got = chain_graph.canonicalize(pos)
@@ -326,8 +337,8 @@ def test_position_and_estimate_records_are_frozen_values(chain_graph):
 
 def test_route_between_junctions_walks_like_point_at():
     # A route from junction to junction walks its middle path with the same
-    # sums and snaps as `point_at` on that path, also within tolerance of
-    # its interior junctions.
+    # sums and snaps as `canonicalize` walking that path: clamped to the sum
+    # of its link lengths, also within tolerance of its interior junctions.
     rng = random.Random(11)
     for _ in range(100):
         g = random_tree(rng, rng.randint(3, 10))
@@ -341,7 +352,8 @@ def test_route_between_junctions_walks_like_point_at():
         offsets += [m + eps for m in marks for eps in (-1e-10, 0.0, 1e-10)]
         for s in offsets:
             s = min(max(s, 0.0), route.total)
-            assert route.point_at(s) == g.point_at(path, s)
+            lengths = g.link_lengths(path)
+            assert route.point_at(s) == _walk(path, lengths, min(s, _add_up(lengths)))
 
 
 def sample_routes(rng, g):
@@ -395,6 +407,22 @@ def test_points_at_equals_point_at_one_by_one():
             assert route.points_at([]) == []
 
 
+def test_route_total_and_points_agree_with_the_geodesic():
+    # `reference_point_at` reads a route's own legs; this checks them
+    # against the geodesic, which is built apart from `Route`.
+    graphs = [make_scenario(k).graph for k in (1, 2, 3, 4)]
+    graphs += [gated_tree_scenario(random.Random(seed)).graph for seed in range(30)]
+    rng = random.Random(19)
+    for g in graphs:
+        for route in sample_routes(rng, g):
+            total = route.total
+            assert total == g.geodesic_distance(route.start, route.end)
+            for x in (0.25 * total, 0.5 * total, 0.75 * total):
+                p = route.point_at(x)
+                assert g.geodesic_distance(route.start, p) == pytest.approx(x, abs=1e-9)
+                assert g.geodesic_distance(p, route.end) == pytest.approx(total - x, abs=1e-9)
+
+
 def geodesic_probes(rng, g):
     """Positions in every form `geodesic_distance` reads: canonical link points
     in both orientations (both ends and a random point), junctions (also with -0.0
@@ -422,9 +450,9 @@ def geodesic_probes(rng, g):
         path = g.shortest_path(u, w)
         if len(path) < 3:
             continue
-        total = g.path_length(path)
+        total = _add_up(g.link_lengths(path))
         probes.append(GraphPosition(u, w, rng.uniform(0.0, total), total))
-        probes.append(GraphPosition(u, w, g.path_length(path[:2]), total))
+        probes.append(GraphPosition(u, w, _add_up(g.link_lengths(path[:2])), total))
     return probes
 
 

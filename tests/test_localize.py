@@ -560,6 +560,20 @@ def test_rectification_same_origin_never_triggers(chain_graph):
         assert [m.position for m in vanilla[node]] == [m.position for m in rectified[node]]
 
 
+@pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
+def test_rectification_skips_a_peer_without_a_stream(variant, caplog):
+    # Scenario 3's two nodes meet; with n2's stream left out, n1's contacts
+    # name a node that has no epochs, so it has no provenance to confluence on.
+    spec = make_scenario(3)
+    streams = run_instance(spec, 0).streams()
+    del streams["n2"]
+    with caplog.at_level("INFO", logger="gral.localize"):
+        got = run_pipeline(build_state(spec.graph, streams), streams, variant)
+    assert "rectification skipped for peer n2 of n1: provenance unknown" in caplog.messages
+    vanilla = run_pipeline(build_state(spec.graph, streams), streams, "gral")
+    assert [(m.seq, m.position) for m in got["n1"]] == [(m.seq, m.position) for m in vanilla["n1"]]
+
+
 # -- pipeline ---------------------------------------------------------------------
 
 

@@ -3,13 +3,14 @@ import io
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gral import localize, metrics
 from gral.localize import VARIANTS, BackendState, build_state, run_pipeline
 from gral.metrics import VariantResult, mae, normalized_mae, rmse, run_experiment
-from gral.sim import make_scenario, run_instance
+from gral.sim import ScenarioError, make_scenario, run_instance
 
 
 def test_zero_errors():
@@ -186,3 +187,14 @@ def test_instance_errors_keeps_its_samples_and_missing_count():
     ]
     assert [(s.node, s.seq, s.error) for s in samples] == expected
     assert missing == 1
+
+
+def test_experiment_rejects_every_insertion_at_the_root_before_simulating(monkeypatch):
+    spec = make_scenario(2)
+    root = spec.graph.position_at(spec.graph.root)
+    at_root = replace(spec, insertions=[replace(i, position=root) for i in spec.insertions])
+    calls = []
+    monkeypatch.setattr(metrics, "run_instance", lambda *a: calls.append(a) or run_instance(*a))
+    with pytest.raises(ScenarioError, match="every insertion is at the root"):
+        run_experiment(at_root, VARIANTS, 2)
+    assert calls == []

@@ -5,8 +5,9 @@ import random
 import pytest
 
 import gral.packages
-from gral.graph import check_integer, check_number, check_string
+from gral.graph import GraphPosition, check_integer, check_number, check_string
 from gral.packages import (
+    Checkpoint,
     GatewayObservation,
     NodeContact,
     Package,
@@ -127,6 +128,11 @@ def test_records_are_immutable():
                 setattr(record, name, None)
 
 
+def test_checkpoint_rejects_a_node_checkpointing_itself():
+    with pytest.raises(ValueError, match="checkpoint issuer and target must differ"):
+        Checkpoint("a", "a", 1.0, GraphPosition("a", "b", 10.0, 50.0))
+
+
 def test_package_sorts_observations_and_stores_tuples():
     pkg = Package(
         "n",
@@ -202,6 +208,27 @@ def test_crlf_stream_parses_as_before():
     text = "\r\n".join(json.dumps(l) for l in lines)
     with pytest.raises(StreamFormatError, match="line 2.*seq regression"):
         parse_package_stream(text)
+
+
+def test_crlf_stream_decodes_each_line_once(monkeypatch):
+    result = run_instance(make_scenario(2), 1)
+    text = serialize_packages([p for batch in result.batches for p in batch.packages])
+    lf = parse_package_stream(text)
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+    assert parse_package_stream(text.replace("\n", "\r\n")) == lf
+    assert calls == []
+
+
+def test_crlf_stream_skips_a_lone_carriage_return_line():
+    first, second = serialize_packages(make_packages()[:2]).splitlines()
+    assert parse_package_stream(f"{first}\r\n\r\n{second}\r\n") == make_packages()[:2]
+
+
+def test_crlf_line_with_a_missing_value_still_fails():
+    with pytest.raises(StreamFormatError, match=r"^line 1: invalid JSON: Expecting value$"):
+        parse_package_stream('{"node": \r\n')
 
 
 @pytest.mark.parametrize(

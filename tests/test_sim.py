@@ -1,12 +1,13 @@
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import gral.sim
-from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
+from gral.graph import Gateway, GraphPosition, Junction, Link, _add_up, build_graph
 from gral.packages import GatewayObservation, NodeContact, serialize_packages
 from gral.sim import (
     BRANCH_RADIUS,
@@ -356,7 +357,7 @@ def test_make_scenario_3_coverage_fraction():
     # each source-to-sink path is 200 units with a gateway at both ends
     for start in ("a1", "a2"):
         path = spec.graph.shortest_path(start, "f")
-        assert spec.graph.path_length(path) == 200.0
+        assert _add_up(spec.graph.link_lengths(path)) == 200.0
     covered = 2 * BRANCH_RADIUS
     assert covered / 200.0 == pytest.approx(math.sqrt(10.0) / 50.0)
     junction_degrees = {
@@ -543,8 +544,25 @@ def test_scenario_validation():
         ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], noise_p=1.5)
     with pytest.raises(ScenarioError, match="max_ticks"):
         ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], max_ticks=-5)
+    with pytest.raises(ScenarioError, match="measurement interval must be >= 1"):
+        ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], measurement_interval=0)
+    with pytest.raises(ScenarioError, match="insertion tick must be >= 0"):
+        ScenarioSpec(g, [Insertion("n", g.position_at("s"), -1)])
     with pytest.raises(ScenarioError, match="duplicate node"):
         ScenarioSpec(
             g,
             [Insertion("n", g.position_at("s"), 0), Insertion("n", g.position_at("s"), 1)],
         )
+
+
+def test_insertion_against_the_flow_runs_as_its_flowing_form():
+    # Scenario 1 flows a -> b -> c; an insertion written from b toward a is
+    # turned child -> parent before the run starts.
+    spec = make_scenario(1)
+    runs = [
+        run_instance(replace(spec, insertions=[Insertion("n1", at, 0)]), 5)
+        for at in (GraphPosition("b", "a", 10.0, 50.0), GraphPosition("a", "b", 40.0, 50.0))
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0].ground_truth[0].position == GraphPosition("a", "b", 40.0, 50.0)
+

@@ -110,6 +110,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     name, spec = _load_scenario_arg(args.scenario)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     results = run_experiment(spec, variants, args.instances, args.seed0, scenario_name=name)
+    truncated = results[0].truncated_seeds
+    if truncated:
+        print(
+            f"warning: {len(truncated)} of {args.instances} instances truncated at max_ticks"
+            f" (seeds {', '.join(map(str, truncated))})",
+            file=sys.stderr,
+        )
 
     columns = [
         "scenario",

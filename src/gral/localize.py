@@ -34,11 +34,21 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class BackendState:
-    """Backend-side view: the map plus everything learned from received data."""
+    """Backend-side view: the map plus everything learned from received data.
+
+    `placements` is left `None` by `build_state` and by `gral localize`, so a
+    state places every epoch it localizes. `run_experiment` gives the states of
+    one instance's variants one shared map from the `id` of each complete epoch
+    of their common `build_state` to that epoch and its first placement (`None`
+    until a variant places it). Each entry holds its epoch, so no other object
+    can take that `id` while the map lives; fragments split off later are never
+    in it.
+    """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
+    placements: Optional[dict[int, tuple[Epoch, Optional[list[LocalizedMeasurement]]]]] = None
 
 
 def build_state(
@@ -147,12 +157,25 @@ def localize_node(
     """Interpolate every complete epoch of the node's resolved epoch set.
 
     Incomplete epochs (typically a trailing stretch still waiting for an
-    anchor) yield no output yet.
+    anchor) yield no output yet. An epoch another variant has already placed
+    through the shared `state.placements` is only re-tagged with `method`.
     """
     out: list[LocalizedMeasurement] = []
+    placements = state.placements
     for epoch in state.epoch_sets[node].epochs:
-        if is_complete(epoch):
+        if not is_complete(epoch):
+            continue
+        entry = placements.get(id(epoch)) if placements is not None else None
+        if entry is None:
             out.extend(interpolate_epoch(state.graph, epoch, method))
+        elif entry[1] is None:
+            placed = interpolate_epoch(state.graph, epoch, method)
+            placements[id(epoch)] = (epoch, placed)
+            out.extend(placed)
+        else:
+            out.extend(
+                [LocalizedMeasurement(n, seq, t, pos, method) for n, seq, t, pos, _ in entry[1]]
+            )
     return out
 
 

@@ -9,10 +9,11 @@ scenario, and MAE gives the average error range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .epochs import is_complete
 from .graph import EnvironmentGraph
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
@@ -56,6 +57,7 @@ class VariantResult:
     pooled_rmse: float                  # dRMSE over all package errors
     mae: float
     normalized_mae_pct: float
+    truncated_seeds: list[int] = field(default_factory=list)  # instances cut at max_ticks
 
     @property
     def coverage_pct(self) -> float:
@@ -99,7 +101,14 @@ def run_experiment(
     seed0: int = 0,
     scenario_name: str = "custom",
 ) -> list[VariantResult]:
-    """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant."""
+    """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant.
+
+    The variants of one instance share its `build_state` epochs and their
+    placements: the first variant to localize a complete epoch routes and
+    places it, and the others re-tag those positions with their own method.
+    Fragments split off by checkpoints or rectification are placed by the
+    variant that cut them.
+    """
     if n_instances < 1:
         raise ValueError("need at least one instance")
     if not variants:
@@ -113,14 +122,23 @@ def run_experiment(
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_seeds: dict[str, list[int]] = {v: [] for v in variants}
+    truncated_seeds: list[int] = []
     total_packages = 0
     for seed in range(seed0, seed0 + n_instances):
         result = run_instance(spec, seed)
+        if result.truncated:
+            truncated_seeds.append(seed)
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
         segmented = build_state(spec.graph, streams)
+        placements = {
+            id(epoch): (epoch, None)
+            for epoch_set in segmented.epoch_sets.values()
+            for epoch in epoch_set.epochs
+            if is_complete(epoch)
+        }
         for variant in variants:
-            state = BackendState(spec.graph, dict(segmented.epoch_sets))
+            state = BackendState(spec.graph, dict(segmented.epoch_sets), placements=placements)
             estimates = run_pipeline(state, streams, variant)
             samples, _missing = instance_errors(spec.graph, result, estimates)
             errors = [s.error for s in samples]
@@ -147,6 +165,7 @@ def run_experiment(
                 normalized_mae_pct=normalized_mae(mae_value, route_length)
                 if errors
                 else float("nan"),
+                truncated_seeds=list(truncated_seeds),
             )
         )
     return out

@@ -87,6 +87,28 @@ def gated_tree_scenario(rng: random.Random) -> ScenarioSpec:
     )
 
 
+def swarm_like_scenario(rng: random.Random, depth: int, per_leaf: int) -> ScenarioSpec:
+    """Binary tree gated at its leaves and root; `per_leaf` nodes leave each
+    leaf one tick apart, so nodes travel in groups and meet at merges."""
+    junctions = [Junction("r", Gateway("gw-r", "r", CHAIN_RADIUS))]
+    links, level = [], ["r"]
+    for d in range(1, depth + 1):
+        children = []
+        for parent in level:
+            for side in "ab":
+                j = side if parent == "r" else parent + side
+                gateway = Gateway(f"gw-{j}", j, CHAIN_RADIUS) if d == depth else None
+                junctions.append(Junction(j, gateway))
+                links.append(Link(j, parent, float(rng.randint(4, 12))))
+                children.append(j)
+        level = children
+    graph = build_graph(junctions, links, "r")
+    insertions = [
+        Insertion(f"{leaf}{k}", graph.position_at(leaf), k) for leaf in level for k in range(per_leaf)
+    ]
+    return ScenarioSpec(graph, insertions, gateway_radius_default=CHAIN_RADIUS)
+
+
 def random_position(rng: random.Random, graph: EnvironmentGraph) -> GraphPosition:
     link = rng.choice(graph.links)
     return GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length)

@@ -254,6 +254,34 @@ def test_simulate_warns_when_an_instance_is_truncated(tmp_path, capsys):
     assert len(truth) == 1 + 6  # header, then ticks 0..5
 
 
+@pytest.mark.parametrize(
+    "max_ticks, instances, warning",
+    [
+        (40, 2, "warning: 2 of 2 instances truncated at max_ticks (seeds 0, 1)"),
+        # Seed 0 of scenario 2 takes 69 ticks to reach the root, seeds 1 and 2 fewer.
+        (67, 3, "warning: 1 of 3 instances truncated at max_ticks (seeds 0)"),
+        (5000, 3, None),
+    ],
+)
+def test_evaluate_warns_with_the_seeds_of_truncated_instances(
+    tmp_path, capsys, max_ticks, instances, warning
+):
+    obj = scenario_to_json(make_scenario(2))
+    obj["max_ticks"] = max_ticks
+    scenario = tmp_path / "short.json"
+    scenario.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "summary.csv"
+    argv = ["--scenario", str(scenario), "--instances", str(instances), "--out", str(out)]
+    assert run_cli("evaluate", *argv) == 0
+    err = capsys.readouterr().err
+    assert (warning in err) if warning else "warning" not in err
+    # Truncated instances are still scored as they are.
+    rows = {r["variant"]: r for r in csv.DictReader(out.read_text().splitlines())}
+    if max_ticks == 40:
+        assert rows["gral"]["packages"] == "133"
+        assert rows["gral"]["coverage_pct"] == "87.96992481203007"
+
+
 @pytest.mark.parametrize("variant, builds", [("baseline", 0), ("gral", 1)])
 def test_localize_segments_only_for_graph_variants(tmp_path, monkeypatch, variant, builds):
     out = tmp_path / "inst"

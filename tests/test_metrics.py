@@ -8,9 +8,12 @@ from dataclasses import replace
 import pytest
 
 from gral import localize, metrics
+from gral.epochs import is_complete
 from gral.localize import VARIANTS, BackendState, build_state, run_pipeline
 from gral.metrics import VariantResult, mae, normalized_mae, rmse, run_experiment
 from gral.sim import ScenarioError, make_scenario, run_instance
+
+from conftest import gated_tree_scenario, swarm_like_scenario
 
 
 def test_zero_errors():
@@ -125,9 +128,10 @@ def test_experiment_validates_inputs():
         run_experiment(spec, ["gral", "baseline", "gral"], 1)
 
 
-def fresh_experiment(spec, n_instances):
+def fresh_experiment(spec, n_instances, estimates=None):
     """`run_experiment` spelled out: a fresh `BackendState` for every variant,
-    and each error scored from the instance's own records."""
+    and each error scored from the instance's own records. Each variant's
+    estimates are appended to `estimates`, if given."""
     errors = {v: [] for v in VARIANTS}
     irmse = {v: [] for v in VARIANTS}
     seeds = {v: [] for v in VARIANTS}
@@ -141,10 +145,12 @@ def fresh_experiment(spec, n_instances):
         segmented = build_state(spec.graph, streams)
         for variant in VARIANTS:
             state = BackendState(spec.graph, dict(segmented.epoch_sets))
-            estimates = run_pipeline(state, streams, variant)
+            placed = run_pipeline(state, streams, variant)
+            if estimates is not None:
+                estimates.append((variant, placed))
             errs = [
                 spec.graph.geodesic_distance(truth[(m.node, m.seq)], m.position)
-                for measurements in estimates.values()
+                for measurements in placed.values()
                 for m in measurements
                 if (m.node, m.seq) in emitted
             ]
@@ -153,11 +159,14 @@ def fresh_experiment(spec, n_instances):
                 irmse[variant].append(rmse(errs))
                 seeds[variant].append(seed)
     route = spec.route_length()
+    nan = float("nan")
     return [
         VariantResult(
             "s", v, n_instances, total, len(errors[v]), irmse[v], seeds[v],
             rmse(errors[v]), mae(errors[v]), normalized_mae(mae(errors[v]), route),
         )
+        if errors[v]
+        else VariantResult("s", v, n_instances, total, 0, [], [], nan, nan, nan)
         for v in VARIANTS
     ]
 
@@ -167,6 +176,123 @@ def test_experiment_equals_fresh_per_variant_recomputation(scenario):
     spec = make_scenario(scenario)
     got = run_experiment(spec, VARIANTS, 10, seed0=0, scenario_name="s")
     assert got == fresh_experiment(spec, 10)
+
+
+def shared_and_fresh(monkeypatch, spec, n_instances):
+    """Assert that `run_experiment`'s results and its variants' estimates equal
+    `fresh_experiment`'s; returns the number of cuts the shared run made."""
+    shared, fresh = [], []
+    splits = 0
+    real_pipeline, real_split = metrics.run_pipeline, localize._split_epoch
+
+    def recording_pipeline(state, streams, variant):
+        estimates = real_pipeline(state, streams, variant)
+        shared.append((variant, estimates))
+        return estimates
+
+    def counting_split(epoch, cuts):
+        nonlocal splits
+        splits += len(cuts)
+        return real_split(epoch, cuts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "run_pipeline", recording_pipeline)
+        patch.setattr(localize, "_split_epoch", counting_split)
+        got = run_experiment(spec, VARIANTS, n_instances, seed0=0, scenario_name="s")
+    expected = fresh_experiment(spec, n_instances, fresh)
+    # repr compares the NaN of a variant that localized nothing, too.
+    assert repr(got) == repr(expected)
+    assert shared == fresh
+    return splits
+
+
+def test_shared_placements_equal_fresh_states_on_swarm_trees(monkeypatch):
+    # Two nodes per leaf of a depth-3 binary tree meet at every merge.
+    for tree_seed in range(3):
+        spec = swarm_like_scenario(random.Random(tree_seed), 3, 2)
+        assert len(spec.insertions) == 16
+        assert shared_and_fresh(monkeypatch, spec, 3) > 50, tree_seed
+
+
+def test_shared_placements_equal_fresh_states_on_gated_trees(monkeypatch):
+    splits = sum(
+        shared_and_fresh(monkeypatch, gated_tree_scenario(random.Random(seed)), 2)
+        for seed in range(20)
+    )
+    assert splits > 10
+
+
+def test_experiment_places_each_segmented_epoch_once(monkeypatch):
+    segmented = []  # every epoch build_state returned
+    cut_by = {}  # id of a fragment -> (the fragment, the variant that cut it)
+    placed = []  # (epoch, method) of every interpolate_epoch call
+    tagged = []  # (variant, estimates) of every run_pipeline call
+    running = None
+    real_build, real_pipeline = metrics.build_state, metrics.run_pipeline
+    real_split, real_interpolate = localize._split_epoch, localize.interpolate_epoch
+
+    def recording_build(*args):
+        state = real_build(*args)
+        segmented.extend(e for epoch_set in state.epoch_sets.values() for e in epoch_set.epochs)
+        return state
+
+    def recording_pipeline(state, streams, variant):
+        nonlocal running
+        running = variant
+        estimates = real_pipeline(state, streams, variant)
+        tagged.append((variant, estimates))
+        return estimates
+
+    def recording_split(epoch, cuts):
+        fragments = real_split(epoch, cuts)
+        cut_by.update((id(f), (f, running)) for f in fragments)
+        return fragments
+
+    def recording_interpolate(graph, epoch, method="gral"):
+        placed.append((epoch, method))
+        return real_interpolate(graph, epoch, method)
+
+    monkeypatch.setattr(metrics, "build_state", recording_build)
+    monkeypatch.setattr(metrics, "run_pipeline", recording_pipeline)
+    monkeypatch.setattr(localize, "_split_epoch", recording_split)
+    monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
+    run_experiment(make_scenario(4), VARIANTS, 5, seed0=0)
+
+    # Every recorded epoch stays alive, so their ids are distinct.
+    times_placed = Counter(id(epoch) for epoch, _ in placed)
+    assert [times_placed[id(e)] for e in segmented] == [int(is_complete(e)) for e in segmented]
+    segmented_ids = {id(e) for e in segmented}
+    fragments = [(e, method) for e, method in placed if id(e) not in segmented_ids]
+    assert fragments
+    for epoch, method in fragments:
+        fragment, variant = cut_by[id(epoch)]
+        assert fragment is epoch and variant == method
+        assert times_placed[id(epoch)] == 1
+    assert [variant for variant, _ in tagged] == list(VARIANTS) * 5
+    for variant, estimates in tagged:
+        assert {m.method for ms in estimates.values() for m in ms} == {variant}
+
+
+def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypatch):
+    spec = make_scenario(4)
+    placed = []
+    real_interpolate = localize.interpolate_epoch
+
+    def recording_interpolate(graph, epoch, method="gral"):
+        placed.append(epoch)
+        return real_interpolate(graph, epoch, method)
+
+    monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
+    for seed in range(5):
+        streams = run_instance(spec, seed).streams()
+        state = build_state(spec.graph, streams)
+        assert state.placements is None
+        complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
+        # A second run on the same state finds nothing kept from the first.
+        for _ in range(2):
+            placed.clear()
+            run_pipeline(state, streams, "gral")
+            assert sorted(map(id, placed)) == sorted(map(id, complete)), seed
 
 
 def test_instance_errors_keeps_its_samples_and_missing_count():

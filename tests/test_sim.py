@@ -29,7 +29,7 @@ from gral.sim import (
     _oriented,
 )
 
-from conftest import gated_tree_scenario
+from conftest import gated_tree_scenario, swarm_like_scenario
 
 
 def long_pipe(length=400000.0):
@@ -188,28 +188,6 @@ def all_pairs_observe(world, node, active):
         if d <= radius:
             contacts.append(NodeContact(peer, radius - d))
     return _gateway_observations(graph, st.position), tuple(contacts)
-
-
-def swarm_like_scenario(rng, depth, per_leaf):
-    """Binary tree gated at its leaves and root; `per_leaf` nodes leave each
-    leaf one tick apart, so nodes travel in groups and meet at merges."""
-    junctions = [Junction("r", Gateway("gw-r", "r", CHAIN_RADIUS))]
-    links, level = [], ["r"]
-    for d in range(1, depth + 1):
-        children = []
-        for parent in level:
-            for side in "ab":
-                j = side if parent == "r" else parent + side
-                gateway = Gateway(f"gw-{j}", j, CHAIN_RADIUS) if d == depth else None
-                junctions.append(Junction(j, gateway))
-                links.append(Link(j, parent, float(rng.randint(4, 12))))
-                children.append(j)
-        level = children
-    graph = build_graph(junctions, links, "r")
-    insertions = [
-        Insertion(f"{leaf}{k}", graph.position_at(leaf), k) for leaf in level for k in range(per_leaf)
-    ]
-    return ScenarioSpec(graph, insertions, gateway_radius_default=CHAIN_RADIUS)
 
 
 def test_pruned_contact_scan_matches_all_pairs(monkeypatch):

@@ -352,19 +352,29 @@ class Route:
     def points_at(self, arclengths: Iterable[float]) -> list[GraphPosition]:
         """Positions `arclengths` units from the route start, each clamped to the ends.
 
-        The route's legs are read once for the whole batch.
+        One loop places the whole batch and reads the route's legs once. A
+        point stays on its leg's link: its offset is clamped to [0, span],
+        also on a route within one link. Clamps are conditional expressions,
+        which give the bits `min(max(x, lo), hi)` gives (±0.0, NaN and ±inf
+        included), and positions are built by `tuple.__new__`, so neither
+        costs a call per point. A point on the middle path goes through
+        `_walk`, the walk `canonicalize` uses.
         """
         total = self.total
         start = self.start
         if total <= POSITION_TOL:
             return [start for _ in arclengths]
+        new = tuple.__new__
         u, v, offset, span = start
+        out: list[GraphPosition] = []
+        append = out.append
         if self._off_end is not None:
             direction = 1.0 if self._off_end >= offset else -1.0
-            return [
-                GraphPosition(u, v, offset + direction * min(max(x, 0.0), total), span)
-                for x in arclengths
-            ]
+            for x in arclengths:
+                off = offset + direction * (0.0 if x < 0.0 else total if x > total else x)
+                off = 0.0 if off < 0.0 else span if off > span else off
+                append(new(GraphPosition, (u, v, off, span)))
+            return out
         # Start link: from the start point toward the exit junction.
         head = self._head
         head_limit = head + POSITION_TOL if u != v else -math.inf
@@ -377,19 +387,22 @@ class Route:
         tail = self._tail
         tail_dir = 1.0 if self._enter == end_u else -1.0
         tail_from = 0.0 if self._enter == end_u else end_span
-        out = []
         for x in arclengths:
-            s = min(max(x, 0.0), total)
+            s = 0.0 if x < 0.0 else total if x > total else x
             if s <= head_limit:
-                off = offset + head_dir * min(s, head)
-                out.append(GraphPosition(u, v, min(max(off, 0.0), span), span))
+                off = offset + head_dir * (head if head < s else s)
+                off = 0.0 if off < 0.0 else span if off > span else off
+                append(new(GraphPosition, (u, v, off, span)))
                 continue
-            s_mid = s - head
-            if s_mid <= mid_limit:
-                out.append(_walk(mid_path, mid_lengths, min(max(s_mid, 0.0), mid_len)))
-            else:
-                off = tail_from + tail_dir * min(max(s_mid - mid_len, 0.0), tail)
-                out.append(GraphPosition(end_u, end_v, min(max(off, 0.0), end_span), end_span))
+            s -= head
+            if s <= mid_limit:
+                s = 0.0 if s < 0.0 else mid_len if s > mid_len else s
+                append(_walk(mid_path, mid_lengths, s))
+                continue
+            s -= mid_len
+            off = tail_from + tail_dir * (0.0 if s < 0.0 else tail if s > tail else s)
+            off = 0.0 if off < 0.0 else end_span if off > end_span else off
+            append(new(GraphPosition, (end_u, end_v, off, end_span)))
         return out
 
     def contains(self, pos: GraphPosition, tol: float = POSITION_TOL) -> bool:
@@ -409,10 +422,12 @@ def _walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosit
     # The point `remaining` units along `path`, whose links have `lengths`;
     # `remaining` is already clamped to [0, sum(lengths)]. A point within
     # tolerance of an interior junction lands at offset 0 on the outgoing link.
+    # `canonicalize` and `Route.points_at` share it, so both give a point the same bits.
     last = len(lengths) - 1
     for i, length in enumerate(lengths):
         if remaining < length - POSITION_TOL or i == last:
-            return GraphPosition(path[i], path[i + 1], min(remaining, length), length)
+            off = length if length < remaining else remaining
+            return tuple.__new__(GraphPosition, (path[i], path[i + 1], off, length))
         remaining -= length
         if remaining < POSITION_TOL:
             remaining = 0.0

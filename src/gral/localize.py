@@ -26,8 +26,8 @@ from .epochs import (
     merge_same_gateway,
     resolve_positions,
 )
-from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
-from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package, strongest
+from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL, Route
+from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +77,7 @@ def interpolate_epoch(
 
     The first package maps to the start position, the last to the final
     position, and everything between moves linearly in time along the route.
+    Measurements are built by `tuple.__new__`, without a call per package.
     """
     if not is_complete(epoch):
         raise ValueError("cannot interpolate an incomplete epoch")
@@ -97,10 +98,11 @@ def interpolate_epoch(
             )
         positions = [epoch.final_pos] * len(packages)
     else:
-        total = route.total
-        positions = route.points_at([(pkg.t - t0) / (t1 - t0) * total for pkg in packages])
+        total, dt = route.total, t1 - t0
+        positions = route.points_at([(pkg.t - t0) / dt * total for pkg in packages])
+    new = tuple.__new__
     return [
-        LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method)
+        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
         for pkg, pos in zip(packages, positions)
     ]
 
@@ -118,7 +120,9 @@ def baseline_localize(
     anchors: list[tuple[int, GraphPosition]] = []
     i = 0  # index of the run's first package
     # Runs of consecutive packages with the same strongest gateway (None: silent).
-    for gateway, run in groupby(packages, key=lambda p: getattr(strongest(p), "gateway", None)):
+    # Observations are kept strongest-first, so the first one is the strongest.
+    runs = groupby(packages, key=lambda p: p.observations[0].gateway if p.observations else None)
+    for gateway, run in runs:
         n = len(list(run))
         if gateway in graph.gateways:
             junction_pos = graph.position_at(graph.gateways[gateway].junction)
@@ -142,11 +146,12 @@ def baseline_localize(
         if t1 <= t0:
             positions += route.points_at([0.0] * len(owned))
         else:
-            total = route.total
-            positions += route.points_at([(pkg.t - t0) / (t1 - t0) * total for pkg in owned])
+            total, dt = route.total, t1 - t0
+            positions += route.points_at([(pkg.t - t0) / dt * total for pkg in owned])
     positions += [anchors[-1][1]] * (len(packages) - len(positions))
+    new = tuple.__new__
     return [
-        LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method)
+        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
         for pkg, pos in zip(packages, positions)
     ]
 
@@ -173,9 +178,11 @@ def localize_node(
             placements[id(epoch)] = (epoch, placed)
             out.extend(placed)
         else:
-            out.extend(
-                [LocalizedMeasurement(n, seq, t, pos, method) for n, seq, t, pos, _ in entry[1]]
-            )
+            new = tuple.__new__
+            out += [
+                new(LocalizedMeasurement, (n, seq, t, pos, method))
+                for n, seq, t, pos, _ in entry[1]
+            ]
     return out
 
 
@@ -224,10 +231,12 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
     later than the checkpoint; both fragments adopt the checkpoint position as
     their shared boundary. Checkpoints outside any complete epoch, beyond its
     last package, or off the epoch's interpolation path are discarded. The
-    split set replaces the node's entry in `state.epoch_sets`.
+    split set replaces the node's entry in `state.epoch_sets`. Each epoch's
+    route is built once, when a checkpoint first falls in it.
     """
     graph = state.graph
     epochs = list(state.epoch_sets[node].epochs)
+    routes: list[Optional[Route]] = [None] * len(epochs)  # routes[i] is epochs[i]'s
     pending = sorted(
         (c for c in state.checkpoints if c.target == node), key=lambda c: (c.t, c.issuer)
     )
@@ -238,15 +247,20 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
             reason = "outside all epochs"
         elif not is_complete(epoch := epochs[idx]):
             reason = "in incomplete epoch"
-        elif not graph.route(epoch.start_pos, epoch.final_pos).contains(ck.position, tol=1e-6):
-            reason = "off the epoch path"
         else:
-            reason = "leaves an empty fragment"
-            split_at = next((i for i, p in enumerate(epoch.packages) if p.t > ck.t), None)
+            route = routes[idx]
+            if route is None:
+                route = routes[idx] = graph.route(epoch.start_pos, epoch.final_pos)
+            if not route.contains(ck.position, tol=1e-6):
+                reason = "off the epoch path"
+            else:
+                reason = "leaves an empty fragment"
+                split_at = next((i for i, p in enumerate(epoch.packages) if p.t > ck.t), None)
         if split_at is None:
             log.info("checkpoint %s->%s at t=%s %s; discarded", ck.issuer, ck.target, ck.t, reason)
             continue
         epochs[idx : idx + 1] = _split_epoch(epoch, {split_at: ck.position})
+        routes[idx : idx + 1] = [None, None]
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return state.epoch_sets[node]
 

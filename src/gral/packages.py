@@ -43,6 +43,12 @@ class _PackageFields(NamedTuple):
     payload: Any = None
 
 
+def _strongest_first(o: GatewayObservation) -> tuple[float, str]:
+    # Strongest first; ties broken by lowest gateway id so "the strongest
+    # signal" is well-defined even on equal readings.
+    return (-o.strength, o.gateway)
+
+
 class Package(_PackageFields):
     """One measurement record. Observations are kept sorted strongest-first.
 
@@ -63,9 +69,7 @@ class Package(_PackageFields):
         if type(observations) is not tuple:
             observations = tuple(observations)
         if len(observations) > 1:
-            # Strongest first; ties broken by lowest gateway id so "the
-            # strongest signal" is well-defined even on equal readings.
-            observations = tuple(sorted(observations, key=lambda o: (-o.strength, o.gateway)))
+            observations = tuple(sorted(observations, key=_strongest_first))
         if type(contacts) is not tuple:
             contacts = tuple(contacts)
         return tuple.__new__(cls, (node, seq, t, observations, contacts, payload))
@@ -106,11 +110,16 @@ class LocalizedMeasurement(NamedTuple):
 
 _PACKAGE_KEYS = {"node", "seq", "t", "obs", "contacts", "payload"}
 _INF = math.inf
-_raw_decode = json.JSONDecoder().raw_decode
+# What `JSONDecoder.raw_decode` calls, without its frame: it raises
+# StopIteration where no value starts, and JSONDecodeError on a malformed one.
+_scan_once = json.JSONDecoder().scan_once
 
 # Each field is first tested for the exact type a well-formed record holds.
 # Only a value that fails that test goes through the `check_*` helper, which
 # coerces it (an integer `t` or strength, a whole-float `seq`) or raises.
+# Records are built by `tuple.__new__`, which skips the `__new__` of the
+# NamedTuple classes and of `Package`; the parser sorts observations itself,
+# with `Package`'s key.
 
 
 def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float]]:
@@ -120,6 +129,9 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
     # caller reports it only after every other field has passed.
     if type(value) is not list:
         raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
+    if not value:
+        return (), None
+    new = tuple.__new__
     signals = []
     non_finite = None
     for entry in value:
@@ -134,7 +146,7 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
                 raise ValueError(f"negative strength {strength} for {signal._fields[0]} {ident!r}")
             if non_finite is None and not math.isfinite(strength):
                 non_finite = strength
-        signals.append(signal(ident, strength))
+        signals.append(new(signal, (ident, strength)))
     return tuple(signals), non_finite
 
 
@@ -156,7 +168,9 @@ def _package_from_json(obj: Any, line: int) -> Package:
             seq = check_integer(seq, "seq")
         if type(t) is not float:
             t = check_number(t, "t")
-        pkg = Package(node, seq, t, observations, contacts, obj["payload"])
+        if len(observations) > 1:
+            observations = tuple(sorted(observations, key=_strongest_first))
+        pkg = tuple.__new__(Package, (node, seq, t, observations, contacts, obj["payload"]))
     except (TypeError, ValueError) as exc:
         raise StreamFormatError(str(exc), line) from exc
     if not -_INF < t < _INF:
@@ -175,7 +189,9 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
 
     Sequence numbers must be strictly increasing and timestamps non-decreasing
     per node; violations and malformed records raise StreamFormatError with
-    the line number.
+    the line number. A well-formed line costs one call of the JSON decoder's
+    scanner and one `_package_from_json`, which builds its records by
+    `tuple.__new__`.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -185,11 +201,11 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
     # breaks raw, and the "\r" of a CRLF line is JSON whitespace.
     for lineno, line in enumerate(data.split("\n"), start=1):
         # A record that fills its line, or all of a CRLF line but its "\r",
-        # decodes in one call; padded, blank and malformed lines take
+        # decodes in one scanner call; padded, blank and malformed lines take
         # `json.loads` and its error message.
         try:
-            obj, end = _raw_decode(line)
-        except json.JSONDecodeError:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
             end = -1
         if end != len(line) and (end < 0 or line[end:] != "\r"):
             if not line.strip():

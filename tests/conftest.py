@@ -15,7 +15,6 @@ from gral.graph import (
     Junction,
     Link,
     Route,
-    _walk,
     build_graph,
 )
 from gral.packages import GatewayObservation, NodeContact, Package
@@ -114,16 +113,31 @@ def random_position(rng: random.Random, graph: EnvironmentGraph) -> GraphPositio
     return GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length)
 
 
+def reference_walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosition:
+    """The path walk as it was before the flat `Route.points_at` kernel, with
+    `min` for its clamp (oracle for `gral.graph._walk`)."""
+    last = len(lengths) - 1
+    for i, length in enumerate(lengths):
+        if remaining < length - POSITION_TOL or i == last:
+            return GraphPosition(path[i], path[i + 1], min(remaining, length), length)
+        remaining -= length
+        if remaining < POSITION_TOL:
+            remaining = 0.0
+    raise AssertionError("unreachable")
+
+
 def reference_point_at(route: Route, arclength: float) -> GraphPosition:
     """`Route.point_at` as it was before `Route.points_at`: one point per call,
-    the route's legs re-read each time (oracle for the batch)."""
+    the route's legs re-read each time, clamps by `min` and `max` (oracle for
+    the batch). A route within one link keeps its points on the link."""
     s = min(max(arclength, 0.0), route.total)
     if route.total <= POSITION_TOL:
         return route.start
     if route._off_end is not None:
         direction = 1.0 if route._off_end >= route.start.offset else -1.0
+        off = route.start.offset + direction * s
         return GraphPosition(
-            route.start.u, route.start.v, route.start.offset + direction * s, route.start.span
+            route.start.u, route.start.v, min(max(off, 0.0), route.start.span), route.start.span
         )
     if s <= route._head + POSITION_TOL and not route.start.at_junction():
         direction = -1.0 if route._exit == route.start.u else 1.0
@@ -134,9 +148,9 @@ def reference_point_at(route: Route, arclength: float) -> GraphPosition:
     s_mid = s - route._head
     mid_len = route._mid_len
     if s_mid <= mid_len + POSITION_TOL and route._mid_lengths:
-        return _walk(route._mid_path, route._mid_lengths, min(max(s_mid, 0.0), mid_len))
-    if route.end.at_junction():
-        return route.end
+        return reference_walk(route._mid_path, route._mid_lengths, min(max(s_mid, 0.0), mid_len))
+    # A junction end has a tail of length 0, so this gives the end itself
+    # (and a NaN arclength a NaN offset, as it does everywhere else).
     s_tail = min(max(s_mid - mid_len, 0.0), route._tail)
     direction = 1.0 if route._enter == route.end.u else -1.0
     off = (0.0 if route._enter == route.end.u else route.end.span) + direction * s_tail

@@ -378,7 +378,8 @@ def sample_routes(rng, g):
 
 def probe_arclengths(rng, route):
     """Arclengths before, at and past the route's ends and leg boundaries,
-    within tolerance of each, plus random ones, in no particular order."""
+    within tolerance of each, -0.0, ±inf and NaN, plus random ones, in no
+    particular order."""
     marks = [0.0, route.total]
     if route._off_end is None:
         # The head's end, each junction on the middle path, the tail's start.
@@ -387,24 +388,40 @@ def probe_arclengths(rng, route):
         for length in route._mid_lengths:
             mark += length
             marks.append(mark)
-    xs = [-1.0, route.total + 1.0] + [rng.uniform(0.0, route.total) for _ in range(4)]
+    xs = [-1.0, route.total + 1.0, -0.0, -math.inf, math.inf, math.nan]
+    xs += [rng.uniform(0.0, route.total) for _ in range(4)]
     xs += [m + eps for m in marks for eps in (-POSITION_TOL, -1e-10, 0.0, 1e-10, POSITION_TOL)]
     rng.shuffle(xs)
     return xs
 
 
 def test_points_at_equals_point_at_one_by_one():
-    # Scenarios 1-4 and the random trees of tests/test_golden.py.
+    # Scenarios 1-4 and the random trees of tests/test_golden.py. Compared by
+    # `repr`, which tells -0.0 from 0.0, shows NaN (unequal to itself) and
+    # names the type, so a plain tuple in place of a position fails.
     graphs = [make_scenario(k).graph for k in (1, 2, 3, 4)]
     graphs += [gated_tree_scenario(random.Random(seed)).graph for seed in range(150)]
     rng = random.Random(13)
     for g in graphs:
         for route in sample_routes(rng, g):
             xs = probe_arclengths(rng, route)
-            expected = [reference_point_at(route, x) for x in xs]
-            assert route.points_at(xs) == expected
-            assert [route.point_at(x) for x in xs] == expected
+            expected = repr([reference_point_at(route, x) for x in xs])
+            assert repr(route.points_at(xs)) == expected
+            assert repr([route.point_at(x) for x in xs]) == expected
             assert route.points_at([]) == []
+
+
+def test_points_at_keeps_a_same_link_route_on_its_link():
+    # Both ends on link a-b: start + (end - start) rounds past the link's
+    # length, and the point is clamped back onto the link, as the start
+    # and end legs of a longer route are.
+    g = build_graph([Junction("a"), Junction("b")], [Link("a", "b", 61.436)], "b")
+    route = g.route(GraphPosition("a", "b", 9.596, 61.436), GraphPosition("a", "b", 61.436, 61.436))
+    assert 9.596 + route.total > 61.436
+    end = route.points_at([route.total])[0]
+    assert repr(end) == repr(GraphPosition("a", "b", 61.436, 61.436))
+    assert g.canonicalize(end) is end
+    assert repr(route.point_at(math.inf)) == repr(end)
 
 
 def test_route_total_and_points_agree_with_the_geodesic():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+from collections import Counter
 from itertools import groupby
 
 import pytest
@@ -29,7 +30,16 @@ from gral.localize import (
     localize_node,
     run_pipeline,
 )
-from gral.packages import Checkpoint, GatewayObservation, LocalizedMeasurement, Package, strongest
+from gral.packages import (
+    Checkpoint,
+    GatewayObservation,
+    LocalizedMeasurement,
+    NodeContact,
+    Package,
+    parse_package_stream,
+    serialize_packages,
+    strongest,
+)
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
 
 from conftest import (
@@ -461,6 +471,44 @@ def test_apply_checkpoint_same_before_and_after_localize_node(chain_graph):
     )
 
 
+@pytest.mark.parametrize("variant", ["gral+cp", "gral+cp+pr"])
+def test_apply_checkpoints_routes_each_epoch_at_most_once(variant, monkeypatch):
+    # However many checkpoints fall in an epoch, or in a fragment cut from it,
+    # one call builds that epoch's route once. A route is told apart by the
+    # identity of its bound objects; a fragment may share both with an epoch
+    # cut earlier in the call (two checkpoints at one position object), so a
+    # pair of bounds may be routed once for each epoch that has it.
+    spec = make_scenario(4)
+    real_apply, real_split = localize.apply_checkpoints, localize._split_epoch
+    fragments = []
+    routes_per_call = []
+
+    def recording_split(epoch, cuts):
+        made = real_split(epoch, cuts)
+        fragments.extend(made)
+        return made
+
+    def checked_apply(state, node):
+        calls.clear()
+        fragments.clear()
+        epochs = list(state.epoch_sets[node].epochs)
+        out = real_apply(state, node)
+        # `calls` and `fragments` keep every bound object alive, so ids are unique.
+        routed = Counter((id(start), id(end)) for start, end in calls)
+        held = Counter((id(e.start_pos), id(e.final_pos)) for e in epochs + fragments)
+        assert all(n <= held[bounds] for bounds, n in routed.items()), node
+        routes_per_call.append(len(calls))
+        return out
+
+    monkeypatch.setattr(localize, "apply_checkpoints", checked_apply)
+    monkeypatch.setattr(localize, "_split_epoch", recording_split)
+    calls = counted_routes(spec.graph, monkeypatch)
+    for seed in range(5):
+        streams = run_instance(spec, seed).streams()
+        run_pipeline(build_state(spec.graph, streams), streams, variant)
+    assert sum(routes_per_call) > 0
+
+
 def test_two_checkpoints_compose_like_sequential_splits(chain_graph):
     state_a, _ = resolved_single_node_state(chain_graph)
     ck1 = Checkpoint("p1", "n", 8.0, line_position(18.0))
@@ -690,6 +738,36 @@ def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
         run_pipeline(build_state(spec.graph, streams), streams, variant)
         assert len(fragments_made) - rectified == len(streams)
     assert sum(fragments_made) > 0
+
+
+def test_parsed_and_placed_records_have_their_exact_types():
+    # A plain tuple compares equal to a NamedTuple of the same fields, so the
+    # equality checks elsewhere would not notice a record of the wrong type.
+    spec = make_scenario(4)
+    result = run_instance(spec, 0)
+    data = serialize_packages([p for batch in result.batches for p in batch.packages])
+    packages = parse_package_stream(data)
+    assert {type(p) for p in packages} == {Package}
+    assert {type(o) for p in packages for o in p.observations} == {GatewayObservation}
+    assert {type(c) for p in packages for c in p.contacts} == {NodeContact}
+    streams: dict[str, list[Package]] = {}
+    for pkg in packages:
+        streams.setdefault(pkg.node, []).append(pkg)
+
+    def assert_exact(measurements):
+        assert {type(m) for m in measurements} == {LocalizedMeasurement}
+        assert {type(m.position) for m in measurements} == {GraphPosition}
+
+    for variant in VARIANTS:
+        estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
+        assert_exact([m for node in estimates.values() for m in node])
+    # Placed once through a shared map, then re-tagged by a second variant.
+    state = build_state(spec.graph, streams)
+    state.placements = {
+        id(e): (e, None) for es in state.epoch_sets.values() for e in es.epochs if e.final_pos
+    }
+    for method in ("gral", "gral+cp"):
+        assert_exact([m for node in streams for m in localize_node(state, node, method)])
 
 
 def test_pipeline_deterministic():

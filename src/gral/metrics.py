@@ -14,7 +14,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .epochs import is_complete
-from .graph import EnvironmentGraph
+from .graph import EnvironmentGraph, GraphPosition
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
 from .sim import InstanceResult, ScenarioSpec, run_instance
@@ -66,6 +66,27 @@ class VariantResult:
         return self.packages_localized / self.packages_total * 100.0
 
 
+def package_errors(
+    graph: EnvironmentGraph,
+    truth: dict[tuple[str, int], GraphPosition],
+    estimates: dict[str, list[LocalizedMeasurement]],
+) -> list[float]:
+    """Geodesic error of each estimate whose `(node, seq)` is in `truth`.
+
+    Errors come in estimate order; an estimate of a package that `truth` does
+    not hold is skipped. This is the scoring kernel of `run_experiment`: one
+    dict lookup and one geodesic per estimate, and no record per package.
+    """
+    true_position = truth.get
+    distance = graph.geodesic_distance
+    return [
+        distance(position, estimate)
+        for measurements in estimates.values()
+        for node, seq, _t, estimate, _method in measurements
+        if (position := true_position((node, seq))) is not None
+    ]
+
+
 def instance_errors(
     graph: EnvironmentGraph,
     result: InstanceResult,
@@ -74,24 +95,18 @@ def instance_errors(
     """Per-package geodesic errors for one localized instance.
 
     Returns the samples for localized packages and the count of packages that
-    were emitted but not localized.
+    were emitted but not localized. The errors are `package_errors`' against
+    the instance's emitted truth, each labelled with its package; the
+    evaluation runner scores through `package_errors` directly and does not
+    call this.
     """
     truth = result.emitted_truth
-    true_position = truth.get
-    distance = graph.geodesic_distance
-    samples: list[ErrorSample] = []
-    append = samples.append
-    localized_keys: set[tuple[str, int]] = set()
-    add_key = localized_keys.add
-    for measurements in estimates.values():
-        for node, seq, _t, estimate, _method in measurements:
-            key = (node, seq)
-            position = true_position(key)
-            if position is None:
-                continue
-            add_key(key)
-            append(ErrorSample(node, seq, distance(position, estimate)))
-    return samples, len(truth) - len(localized_keys)
+    scored = [
+        m for measurements in estimates.values() for m in measurements if (m.node, m.seq) in truth
+    ]
+    errors = package_errors(graph, truth, estimates)
+    samples = [ErrorSample(m.node, m.seq, e) for m, e in zip(scored, errors, strict=True)]
+    return samples, len(truth) - len({(m.node, m.seq) for m in scored})
 
 
 def run_experiment(
@@ -107,7 +122,10 @@ def run_experiment(
     placements: the first variant to localize a complete epoch routes and
     places it, and the others re-tag those positions with their own method.
     Fragments split off by checkpoints or rectification are placed by the
-    variant that cut them.
+    variant that cut them. Each variant's estimates are scored by
+    `package_errors` against the instance's emitted truth, as bare floats in
+    estimate order; `instance_errors`, which labels each error with its
+    package, is not called.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")
@@ -140,8 +158,7 @@ def run_experiment(
         for variant in variants:
             state = BackendState(spec.graph, dict(segmented.epoch_sets), placements=placements)
             estimates = run_pipeline(state, streams, variant)
-            samples, _missing = instance_errors(spec.graph, result, estimates)
-            errors = [s.error for s in samples]
+            errors = package_errors(spec.graph, result.emitted_truth, estimates)
             per_variant_errors[variant].extend(errors)
             if errors:
                 per_variant_irmse[variant].append(rmse(errors))

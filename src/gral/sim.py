@@ -29,7 +29,7 @@ from .graph import (
     graph_from_json,
     graph_to_json,
 )
-from .packages import GatewayObservation, NodeContact, Package
+from .packages import GatewayObservation, NodeContact, Package, _strongest_first
 
 
 class ScenarioError(ValueError):
@@ -128,9 +128,13 @@ class WorldState:
     nodes: dict[str, _NodeState] = field(default_factory=dict)  # the nodes in flight
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
 
+    @cached_property
+    def _insertion_order(self) -> tuple[str, ...]:
+        return tuple(i.node for i in self.spec.insertions)
+
     def active_nodes(self) -> list[str]:
-        order = [i.node for i in self.spec.insertions]
-        return [n for n in order if n in self.nodes]
+        nodes = self.nodes
+        return [n for n in self._insertion_order if n in nodes]
 
 
 @dataclass
@@ -183,7 +187,7 @@ def _advance(graph: EnvironmentGraph, pos: GraphPosition, distance: float) -> Gr
             return pos
         gap = pos.span - pos.offset
         if remaining < gap:
-            return GraphPosition(pos.u, pos.v, pos.offset + remaining, pos.span)
+            return tuple.__new__(GraphPosition, (pos.u, pos.v, pos.offset + remaining, pos.span))
         remaining -= gap
         junction = pos.v
         if junction == graph.root:
@@ -213,11 +217,12 @@ def _gateway_observations(
     # `position` is canonical. Its distance to each gateway comes out of the
     # same sums as `geodesic_distance`, with the tie going to u.
     head, tail = position.offset, position.span - position.offset
+    new = tuple.__new__
     observations = []
     for gateway, du, dv in graph.link_gateways(position.u, position.v):
         d = min(head + du + 0.0, tail + dv + 0.0)
         if d <= gateway.radius:
-            observations.append(GatewayObservation(gateway.id, gateway.radius - d))
+            observations.append(new(GatewayObservation, (gateway.id, gateway.radius - d)))
     return tuple(observations)
 
 
@@ -237,6 +242,7 @@ def observe(
     nodes = world.nodes
     dist_to_root = graph.dist_to_root
     here = nodes[node].position
+    new = tuple.__new__
     contacts = []
     radius = world.spec.effective_contact_radius
     reach = radius + 1e-6
@@ -249,7 +255,7 @@ def observe(
             continue
         d = graph.geodesic_distance(here, there)
         if d <= radius:
-            contacts.append(NodeContact(peer, radius - d))
+            contacts.append(new(NodeContact, (peer, radius - d)))
     return _gateway_observations(graph, here), tuple(contacts)
 
 
@@ -259,26 +265,35 @@ def record_and_emit(world: WorldState) -> list[Batch]:
     Nodes record on the measurement-interval grid, plus one forced final
     package upon reaching the root so the journey's end is always observed;
     after that final record the node leaves the simulation.
+
+    Records are built by `tuple.__new__`, without the `__new__` of `Package`
+    or of the NamedTuples. `observe` returns tuples; more than one
+    observation is sorted strongest-first here, with the parser's key, as
+    `Package` keeps them. Each package gets its own payload dict.
     """
     batches = []
-    due = world.tick % world.spec.measurement_interval == 0
+    tick = world.tick
+    due = tick % world.spec.measurement_interval == 0
     active = world.active_nodes()
+    new = tuple.__new__
     for node in active:
         st = world.nodes[node]
         obs = None
         if due or st.at_root:
             obs, contacts = observe(world, node, active)
+            if len(obs) > 1:
+                obs = tuple(sorted(obs, key=_strongest_first))
             st.seq += 1
             st.buffer.append(
-                Package(node, st.seq, float(world.tick), obs, contacts, payload={"tick": world.tick})
+                new(Package, (node, st.seq, float(tick), obs, contacts, {"tick": tick}))
             )
-            world.ground_truth.append(GroundTruthRecord(node, st.seq, world.tick, st.position))
+            world.ground_truth.append(new(GroundTruthRecord, (node, st.seq, tick, st.position)))
         if not st.buffer:
             continue
         if obs is None:
             obs = _gateway_observations(world.spec.graph, st.position)
         if obs:
-            batches.append(Batch(node, world.tick, tuple(st.buffer)))
+            batches.append(Batch(node, tick, tuple(st.buffer)))
             st.buffer.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
     for node in active:

@@ -8,10 +8,11 @@ import pytest
 
 import gral.sim
 from gral.graph import Gateway, GraphPosition, Junction, Link, _add_up, build_graph
-from gral.packages import GatewayObservation, NodeContact, serialize_packages
+from gral.packages import GatewayObservation, NodeContact, Package, serialize_packages
 from gral.sim import (
     BRANCH_RADIUS,
     CHAIN_RADIUS,
+    GroundTruthRecord,
     Insertion,
     ScenarioError,
     ScenarioSpec,
@@ -262,6 +263,44 @@ def test_gateway_observations_belong_to_their_graph():
     for k in range(40):
         fast, slow = readings(4.0 + k / 8, 10.0 - k / 16)
         assert fast == slow
+
+
+def test_simulated_records_have_their_exact_types():
+    specs = [make_scenario(k) for k in (1, 2, 3, 4)]
+    specs += [gated_tree_scenario(random.Random(seed)) for seed in range(10)]
+    contacts = 0
+    for spec in specs:
+        result = run_instance(spec, 1)
+        packages = [p for b in result.batches for p in b.packages]
+        for p in packages:
+            assert type(p) is Package
+            assert type(p.observations) is tuple and type(p.contacts) is tuple
+            assert all(type(o) is GatewayObservation for o in p.observations)
+            assert all(type(c) is NodeContact for c in p.contacts)
+            assert type(p.payload) is dict and p.payload == {"tick": int(p.t)}
+            contacts += len(p.contacts)
+        # Each package holds its own payload; all are alive, so ids differ.
+        assert len({id(p.payload) for p in packages}) == len(packages)
+        for r in result.ground_truth:
+            assert type(r) is GroundTruthRecord and type(r.position) is GraphPosition
+    assert contacts > 0
+
+
+def test_simulated_observations_are_strongest_first():
+    # Both gateways reach the whole link: gw-a is the stronger up to the
+    # midpoint, equal there, and gw-b, the higher id, is stronger after it.
+    g = build_graph(
+        [Junction("s", Gateway("gw-a", "s", 10.0)), Junction("r", Gateway("gw-b", "r", 10.0))],
+        [Link("s", "r", 10.0)],
+        "r",
+    )
+    spec = ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], noise_p=0.0)
+    packages = [p for b in run_instance(spec, 0).batches for p in b.packages]
+    expected = []
+    for t in range(11):
+        a, b = ("gw-a", 10.0 - t), ("gw-b", float(t))
+        expected.append((a, b) if t <= 5 else (b, a))
+    assert [p.observations for p in packages] == expected
 
 
 def test_buffer_grows_without_emission():

@@ -192,13 +192,16 @@ def issue_checkpoints(
     """Create one checkpoint per (epoch, contacted peer) at the strongest contact.
 
     The checkpoint carries the issuer's localized position at that package's
-    timestamp; packages that could not be localized issue nothing.
+    timestamp; packages that could not be localized issue nothing. Only
+    packages that heard a peer are read.
     """
     by_seq = {m.seq: m for m in localized}
     issued = []
     for epoch in state.epoch_sets[node].epochs:
         best: dict[str, tuple[float, Package]] = {}
         for pkg in epoch.packages:
+            if not pkg.contacts:
+                continue
             for contact in pkg.contacts:
                 cur = best.get(contact.peer)
                 if cur is None or contact.strength > cur[0]:
@@ -301,6 +304,8 @@ def _confluence_cuts(
     # Per contacted peer, the indices of the packages that heard it, ascending.
     meetings: dict[str, list[int]] = {}
     for i, pkg in enumerate(epoch.packages):
+        if not pkg.contacts:
+            continue
         for peer in {c.peer for c in pkg.contacts}:
             meetings.setdefault(peer, []).append(i)
     for peer in sorted(meetings):
@@ -334,11 +339,13 @@ def rectify_paths(
     split set replaces the node's entry in `state.epoch_sets`, and only its
     new fragments are interpolated. Detection runs on the given estimates;
     splits never move a package past the confluence, so they cannot overshoot.
+    When nothing is cut, the epoch set stays and `localized` is returned as is.
     """
     placed = {m.seq: m.position for m in localized}
+    unsplit = state.epoch_sets[node].epochs
     epochs: list[Epoch] = []
     replaced: dict[int, LocalizedMeasurement] = {}
-    for idx, epoch in enumerate(state.epoch_sets[node].epochs):
+    for idx, epoch in enumerate(unsplit):
         cuts = _confluence_cuts(state, node, idx, placed)
         if not cuts:
             epochs.append(epoch)
@@ -347,6 +354,8 @@ def rectify_paths(
         for fragment in fragments:
             replaced.update((m.seq, m) for m in interpolate_epoch(state.graph, fragment, method))
         epochs.extend(fragments)
+    if len(epochs) == len(unsplit):  # every cut adds a fragment
+        return localized
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return [replaced.get(m.seq, m) for m in localized]
 

@@ -13,7 +13,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -112,56 +111,53 @@ class Batch:
     packages: tuple[Package, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeState:
     position: GraphPosition  # oriented child -> parent
     at_root: bool = False
     seq: int = 0
     buffer: list[Package] = field(default_factory=list)
+    # `((node, seq), true position)` of each buffered package, in buffer order.
+    held: list[tuple[tuple[str, int], GraphPosition]] = field(default_factory=list)
 
 
 @dataclass
 class WorldState:
+    """The simulation at `tick`: the nodes in flight and what was recorded.
+
+    `nodes` holds the in-flight nodes in the spec's insertion order, which is
+    the order of every per-tick pass and of the RNG draws; `run_instance`
+    restores that order whenever it inserts nodes. `emitted_truth` gains the
+    true position of each package when its buffer is flushed.
+    """
+
     spec: ScenarioSpec
     rng: random.Random
     tick: int = 0
-    nodes: dict[str, _NodeState] = field(default_factory=dict)  # the nodes in flight
+    nodes: dict[str, _NodeState] = field(default_factory=dict)
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
-
-    @cached_property
-    def _insertion_order(self) -> tuple[str, ...]:
-        return tuple(i.node for i in self.spec.insertions)
-
-    def active_nodes(self) -> list[str]:
-        nodes = self.nodes
-        return [n for n in self._insertion_order if n in nodes]
+    emitted_truth: dict[tuple[str, int], GraphPosition] = field(default_factory=dict)
 
 
 @dataclass
 class InstanceResult:
+    """One run: its batches in upload order and every recorded ground truth.
+
+    `emitted_truth` maps the `(node, seq)` of every emitted package to its
+    true position, in batch order; the simulator fills it as it flushes each
+    buffer, and every variant scored against the instance reads it.
+    """
+
     batches: list[Batch]
     ground_truth: list[GroundTruthRecord]
     truncated: bool
+    emitted_truth: dict[tuple[str, int], GraphPosition]
 
     def streams(self) -> dict[str, list[Package]]:
         streams: dict[str, list[Package]] = {}
         for batch in self.batches:
             streams.setdefault(batch.node, []).extend(batch.packages)
         return streams
-
-    @cached_property
-    def emitted_truth(self) -> dict[tuple[str, int], GraphPosition]:
-        """True position of every emitted package by `(node, seq)`.
-
-        Built on first use and kept, so every variant scored against this
-        instance reads the same map; the result is not changed after a run.
-        """
-        truth = {(r.node, r.seq): r.position for r in self.ground_truth}
-        return {
-            (pkg.node, pkg.seq): truth[(pkg.node, pkg.seq)]
-            for batch in self.batches
-            for pkg in batch.packages
-        }
 
 
 def _oriented(graph: EnvironmentGraph, pos: GraphPosition) -> GraphPosition:
@@ -199,13 +195,26 @@ def _advance(graph: EnvironmentGraph, pos: GraphPosition, distance: float) -> Gr
 
 
 def step(world: WorldState) -> WorldState:
-    """Advance every active node one tick of noisy drift toward the root."""
+    """Advance every in-flight node one tick of noisy drift toward the root.
+
+    One RNG draw per node, in `world.nodes` order. A node that stays on its
+    link moves by one new tuple; `_advance` handles junction crossings.
+    """
     spec = world.spec
-    for node in world.active_nodes():
-        st = world.nodes[node]
-        noise = 1 if world.rng.random() < spec.noise_p else 0
-        st.position = _advance(spec.graph, st.position, spec.base_step * (1 + noise))
-        if st.position.at_junction() and st.position.u == spec.graph.root:
+    graph = spec.graph
+    rand = world.rng.random
+    noise_p = spec.noise_p
+    slow, fast = spec.base_step * 1, spec.base_step * 2  # base_step * (1 + noise)
+    new = tuple.__new__
+    for st in world.nodes.values():
+        distance = fast if rand() < noise_p else slow
+        pos = st.position
+        u, v, offset, span = pos
+        if u != v and distance < span - offset:
+            st.position = new(GraphPosition, (u, v, offset + distance, span))
+            continue
+        pos = st.position = _advance(graph, pos, distance)
+        if pos.u == pos.v == graph.root:
             st.at_root = True
     world.tick += 1
     return world
@@ -227,36 +236,42 @@ def _gateway_observations(
 
 
 def observe(
-    world: WorldState, node: str, active: list[str]
-) -> tuple[tuple[GatewayObservation, ...], tuple[NodeContact, ...]]:
-    """Radio snapshot for one node: gateway signals and peer contacts in range.
+    world: WorldState,
+) -> list[tuple[tuple[GatewayObservation, ...], tuple[NodeContact, ...]]]:
+    """Radio snapshot of one tick: each in-flight node's gateway signals and
+    peer contacts in range, as `(observations, contacts)` in `world.nodes` order.
 
-    `active` is `world.active_nodes()`, built once per tick by the caller.
-    A tree geodesic is never shorter than the gap between the two points'
-    distances to the root, so a peer whose gap exceeds the contact radius
-    (plus rounding slack) is out of range without a geodesic. Positions are
-    oriented child -> parent and the root is held in junction form, so that
-    distance is `dist_to_root[v] + span - offset`.
+    Each node's distance to the root (its level) is computed once. A tree
+    geodesic is never shorter than the gap between two points' levels, so a
+    peer whose gap exceeds the contact radius (plus rounding slack) is out of
+    range without a geodesic. Positions are oriented child -> parent and the
+    root is held in junction form, so a level is `dist_to_root[v] + span -
+    offset`. Every other pair gets its own `geodesic_distance(here, there)`:
+    `(a, b)` and `(b, a)` add up in different orders, so a contact is not
+    mirrored.
     """
-    graph = world.spec.graph
-    nodes = world.nodes
+    spec = world.spec
+    graph = spec.graph
+    geodesic = graph.geodesic_distance
     dist_to_root = graph.dist_to_root
-    here = nodes[node].position
-    new = tuple.__new__
-    contacts = []
-    radius = world.spec.effective_contact_radius
+    radius = spec.effective_contact_radius
     reach = radius + 1e-6
-    level = dist_to_root[here.v] + here.span - here.offset
-    for peer in active:
-        if peer == node:
-            continue
-        there = nodes[peer].position
-        if abs(dist_to_root[there.v] + there.span - there.offset - level) > reach:
-            continue
-        d = graph.geodesic_distance(here, there)
-        if d <= radius:
-            contacts.append(new(NodeContact, (peer, radius - d)))
-    return _gateway_observations(graph, here), tuple(contacts)
+    new = tuple.__new__
+    flight = []  # (node, position, level)
+    for node, st in world.nodes.items():
+        pos = st.position
+        flight.append((node, pos, dist_to_root[pos.v] + pos.span - pos.offset))
+    radio = []
+    for node, here, level in flight:
+        contacts = []
+        for peer, there, peer_level in flight:
+            if abs(peer_level - level) > reach or peer == node:
+                continue
+            d = geodesic(here, there)
+            if d <= radius:
+                contacts.append(new(NodeContact, (peer, radius - d)))
+        radio.append((_gateway_observations(graph, here), tuple(contacts)))
+    return radio
 
 
 def record_and_emit(world: WorldState) -> list[Batch]:
@@ -264,54 +279,71 @@ def record_and_emit(world: WorldState) -> list[Batch]:
 
     Nodes record on the measurement-interval grid, plus one forced final
     package upon reaching the root so the journey's end is always observed;
-    after that final record the node leaves the simulation.
+    after that final record the node leaves the simulation. A tick on which
+    any node records takes one `observe` snapshot of every node in flight.
 
     Records are built by `tuple.__new__`, without the `__new__` of `Package`
     or of the NamedTuples. `observe` returns tuples; more than one
     observation is sorted strongest-first here, with the parser's key, as
-    `Package` keeps them. Each package gets its own payload dict.
+    `Package` keeps them. Each package gets its own payload dict. A flush
+    adds its packages' true positions to `world.emitted_truth`.
     """
     batches = []
     tick = world.tick
+    nodes = world.nodes
+    graph = world.spec.graph
     due = tick % world.spec.measurement_interval == 0
-    active = world.active_nodes()
+    recording = nodes and (due or any(st.at_root for st in nodes.values()))
+    radio = observe(world) if recording else None
+    truth = world.ground_truth
+    emitted = world.emitted_truth
     new = tuple.__new__
-    for node in active:
-        st = world.nodes[node]
+    leaving = []
+    for k, (node, st) in enumerate(nodes.items()):
         obs = None
         if due or st.at_root:
-            obs, contacts = observe(world, node, active)
+            obs, contacts = radio[k]
             if len(obs) > 1:
                 obs = tuple(sorted(obs, key=_strongest_first))
-            st.seq += 1
-            st.buffer.append(
-                new(Package, (node, st.seq, float(tick), obs, contacts, {"tick": tick}))
-            )
-            world.ground_truth.append(new(GroundTruthRecord, (node, st.seq, tick, st.position)))
+            seq = st.seq = st.seq + 1
+            st.buffer.append(new(Package, (node, seq, float(tick), obs, contacts, {"tick": tick})))
+            truth.append(new(GroundTruthRecord, (node, seq, tick, st.position)))
+            st.held.append(((node, seq), st.position))
+            if st.at_root:
+                leaving.append(node)
         if not st.buffer:
             continue
         if obs is None:
-            obs = _gateway_observations(world.spec.graph, st.position)
+            obs = _gateway_observations(graph, st.position)
         if obs:
             batches.append(Batch(node, tick, tuple(st.buffer)))
+            emitted.update(st.held)
             st.buffer.clear()
+            st.held.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
-    for node in active:
-        if world.nodes[node].at_root:
-            del world.nodes[node]
+    for node in leaving:
+        del nodes[node]
     return batches
 
 
 def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
-    """One deterministic simulation run: a pure function of (spec, seed)."""
+    """One deterministic simulation run: a pure function of (spec, seed).
+
+    Each tick inserts the nodes due then, calls `record_and_emit` and, unless
+    the run is over, `step`. After an insertion the in-flight map is put back
+    in the spec's insertion order.
+    """
     world = WorldState(spec, random.Random(seed))
     batches: list[Batch] = []
     pending = sorted(spec.insertions, key=lambda i: (i.tick, i.node))
+    rank = {ins.node: k for k, ins in enumerate(spec.insertions)}
     truncated = False
     while True:
-        while pending and pending[0].tick == world.tick:
-            ins = pending.pop(0)
-            world.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
+        if pending and pending[0].tick == world.tick:
+            while pending and pending[0].tick == world.tick:
+                ins = pending.pop(0)
+                world.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
+            world.nodes = dict(sorted(world.nodes.items(), key=lambda item: rank[item[0]]))
         batches.extend(record_and_emit(world))
         if not world.nodes and not pending:
             break
@@ -319,7 +351,7 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
             truncated = True
             break
         step(world)
-    return InstanceResult(batches, world.ground_truth, truncated)
+    return InstanceResult(batches, world.ground_truth, truncated, world.emitted_truth)
 
 
 # -- built-in scenarios -------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -130,7 +131,7 @@ def test_node_inserted_at_root_records_twice(chain_graph):
 def test_observe_maximum_strength_under_gateway(chain_graph):
     spec = ScenarioSpec(chain_graph, [Insertion("n", chain_graph.position_at("a"), 0)])
     w = world_with_node(spec)
-    obs, contacts = observe(w, "n", w.active_nodes())
+    ((obs, contacts),) = observe(w)
     assert contacts == ()
     assert obs[0].gateway == "gw-a"
     assert obs[0].strength == pytest.approx(CHAIN_RADIUS)
@@ -141,7 +142,7 @@ def test_observe_nothing_outside_radius(chain_graph):
         chain_graph, [Insertion("n", GraphPosition("a", "b", 25.0, 50.0), 0)]
     )
     w = world_with_node(spec)
-    obs, _ = observe(w, "n", w.active_nodes())
+    ((obs, _),) = observe(w)
     assert obs == ()
 
 
@@ -151,7 +152,7 @@ def test_observe_strength_strictly_decreasing_with_distance(chain_graph):
     strengths = []
     for d in (0.0, 1.0, 2.0, 3.0):
         w.nodes["n"].position = GraphPosition("a", "b", d, 50.0)
-        obs, _ = observe(w, "n", w.active_nodes())
+        ((obs, _),) = observe(w)
         strengths.append(obs[0].strength)
     assert strengths == sorted(strengths, reverse=True)
     assert len(set(strengths)) == len(strengths)
@@ -169,26 +170,46 @@ def test_observe_mutual_contact_strength(chain_graph):
     w = WorldState(spec, random.Random(0))
     for ins in spec.insertions:
         w.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
-    _, c1 = observe(w, "n1", w.active_nodes())
-    _, c2 = observe(w, "n2", w.active_nodes())
+    (_, c1), (_, c2) = observe(w)
     assert c1 == (NodeContact("n2", 2.0),)
     assert c2 == (NodeContact("n1", 2.0),)
 
 
-def all_pairs_observe(world, node, active):
-    """`observe` with one geodesic to every other active node."""
+def test_observe_gives_each_ordered_pair_its_own_geodesic():
+    # On this chain the two directions of one geodesic add up to different
+    # last bits, so each node's contact carries its own direction's sum.
+    g = build_graph(
+        [Junction("a"), Junction("b"), Junction("c"), Junction("d")],
+        [Link("a", "b", 0.8), Link("b", "c", 0.8), Link("c", "d", 0.7)],
+        "d",
+    )
+    here, there = GraphPosition("a", "b", 0.4, 0.8), GraphPosition("c", "d", 0.2, 0.7)
+    spec = ScenarioSpec(g, [Insertion("n1", here, 0), Insertion("n2", there, 0)], contact_radius=3.0)
+    w = WorldState(spec, random.Random(0))
+    for ins in spec.insertions:
+        w.nodes[ins.node] = _NodeState(_oriented(g, ins.position))
+    (_, c1), (_, c2) = observe(w)
+    assert g.geodesic_distance(here, there) != g.geodesic_distance(there, here)
+    assert c1 == (NodeContact("n2", 3.0 - g.geodesic_distance(here, there)),)
+    assert c2 == (NodeContact("n1", 3.0 - g.geodesic_distance(there, here)),)
+
+
+def all_pairs_observe(world):
+    """`observe` with one geodesic from each in-flight node to every other."""
     spec = world.spec
     graph = spec.graph
-    st = world.nodes[node]
     radius = spec.effective_contact_radius
-    contacts = []
-    for peer in active:
-        if peer == node:
-            continue
-        d = graph.geodesic_distance(st.position, world.nodes[peer].position)
-        if d <= radius:
-            contacts.append(NodeContact(peer, radius - d))
-    return _gateway_observations(graph, st.position), tuple(contacts)
+    radio = []
+    for node, st in world.nodes.items():
+        contacts = []
+        for peer, other in world.nodes.items():
+            if peer == node:
+                continue
+            d = graph.geodesic_distance(st.position, other.position)
+            if d <= radius:
+                contacts.append(NodeContact(peer, radius - d))
+        radio.append((_gateway_observations(graph, st.position), tuple(contacts)))
+    return radio
 
 
 def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
@@ -197,12 +218,76 @@ def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
              for seed, (depth, per_leaf) in enumerate([(2, 2), (3, 2), (3, 4), (3, 8)])]
     cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
     pruned = [run_instance(spec, seed) for spec, seed in cases]
-    monkeypatch.setattr(gral.sim, "observe", all_pairs_observe)
-    contacts = 0
+    calls = []
+
+    def counted(world):
+        calls.append(world.tick)
+        return all_pairs_observe(world)
+
+    # `record_and_emit` reads `observe` from the module on every recording tick.
+    monkeypatch.setattr(gral.sim, "observe", counted)
+    contacts = recording_ticks = 0
     for (spec, seed), got in zip(cases, pruned):
         assert got == run_instance(spec, seed), seed
         contacts += sum(len(p.contacts) for b in got.batches for p in b.packages)
+        recording_ticks += len({r.tick for r in got.ground_truth})
     assert contacts > 1000
+    # One snapshot per tick on which some node records, never one per node.
+    assert len(calls) == recording_ticks
+
+
+def reconstructed_truth(result):
+    """The true position of each emitted package, in batch order, rebuilt
+    from the ground truth."""
+    truth = {(r.node, r.seq): r.position for r in result.ground_truth}
+    return [
+        ((p.node, p.seq), truth[(p.node, p.seq)]) for b in result.batches for p in b.packages
+    ]
+
+
+def test_emitted_truth_is_the_ground_truth_of_the_emitted_packages():
+    cases = [(make_scenario(k), seed) for k in (1, 2, 3, 4) for seed in range(3)]
+    cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    # Truncated: the run stops with packages still buffered.
+    truncated = replace(make_scenario(4), max_ticks=60)
+    # No gateway at the root: the buffer filled after the last gateway is
+    # never flushed.
+    g = build_graph(
+        [Junction("s", Gateway("gw-s", "s", 2.0)), Junction("m", Gateway("gw-m", "m", 2.0)),
+         Junction("r")],
+        [Link("s", "m", 20.0), Link("m", "r", 20.0)],
+        "r",
+    )
+    ungated = ScenarioSpec(g, [Insertion("n1", g.position_at("s"), 0),
+                               Insertion("n2", g.position_at("s"), 3)])
+    for spec, seed in cases + [(truncated, 0), (ungated, 0)]:
+        result = run_instance(spec, seed)
+        assert list(result.emitted_truth.items()) == reconstructed_truth(result), seed
+    for spec, stops_early in ((truncated, True), (ungated, False)):
+        result = run_instance(spec, 0)
+        assert result.truncated is stops_early
+        assert result.batches and len(result.emitted_truth) < len(result.ground_truth)
+
+
+# Pinned with the simulator that called `observe` once per recording node,
+# before the per-tick radio pass: the pass must not change a byte.
+DENSE_SWARM_DIGEST = "c00f983b04c895dce221c7e0dd0fbabdc768f4464f524d8594a350e8f3efd8c0"
+
+
+def test_dense_swarm_instances_match_golden_digest():
+    digest = hashlib.sha256()
+    contacts = 0
+    for seed in (0, 1):
+        spec = swarm_like_scenario(random.Random(seed), 3, 2)
+        assert len(spec.insertions) == 16
+        result = run_instance(spec, seed)
+        packages = [p for b in result.batches for p in b.packages]
+        contacts += sum(len(p.contacts) for p in packages)
+        digest.update(serialize_packages(packages).encode())
+        for r in result.ground_truth:
+            digest.update(repr((r.node, r.seq, r.tick, tuple(r.position))).encode())
+    assert contacts > 1000
+    assert digest.hexdigest() == DENSE_SWARM_DIGEST
 
 
 def observations_by_geodesic(graph, position):

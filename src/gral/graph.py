@@ -298,6 +298,19 @@ class EnvironmentGraph:
     def route(self, start: GraphPosition, end: GraphPosition) -> "Route":
         return Route(self, start, end)
 
+    def on_path(
+        self, start: GraphPosition, pos: GraphPosition, end: GraphPosition, tol: float = POSITION_TOL
+    ) -> bool:
+        """Whether `pos` lies on the path from `start` to `end` (within tolerance).
+
+        The detour through `pos` may exceed the direct geodesic by at most
+        `max(tol, 1e-9 * max(1.0, total))`. No route is built: the direct
+        geodesic has the bits of `Route.total` for the same ends.
+        """
+        total = self.geodesic_distance(start, end)
+        d = self.geodesic_distance(start, pos) + self.geodesic_distance(pos, end)
+        return abs(d - total) <= max(tol, 1e-9 * max(1.0, total))
+
     def confluence_vertex(self, v_a: str, v_b: str, v_f: str) -> str:
         """Tree median of v_a, v_b and v_f: the one junction on all three paths between them.
 
@@ -316,7 +329,6 @@ class Route:
     """The unique path between two on-network points, parameterized by arclength."""
 
     def __init__(self, graph: EnvironmentGraph, start: GraphPosition, end: GraphPosition):
-        self.graph = graph
         self.start = a = graph.canonicalize(start)
         self.end = b = graph.canonicalize(end)
         # Decompose into: leg on the start link, junction-to-junction path,
@@ -404,12 +416,6 @@ class Route:
             off = 0.0 if off < 0.0 else end_span if off > end_span else off
             append(new(GraphPosition, (end_u, end_v, off, end_span)))
         return out
-
-    def contains(self, pos: GraphPosition, tol: float = POSITION_TOL) -> bool:
-        """Whether `pos` lies on this route (within tolerance)."""
-        g = self.graph
-        d = g.geodesic_distance(self.start, pos) + g.geodesic_distance(pos, self.end)
-        return abs(d - self.total) <= max(tol, 1e-9 * max(1.0, self.total))
 
 
 def _add_up(lengths: Iterable[float]) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from itertools import groupby, pairwise, takewhile
+from operator import itemgetter
 from typing import Optional
 
 from .epochs import (
@@ -26,7 +27,7 @@ from .epochs import (
     merge_same_gateway,
     resolve_positions,
 )
-from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL, Route
+from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
 from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package
 
 log = logging.getLogger(__name__)
@@ -36,19 +37,17 @@ log = logging.getLogger(__name__)
 class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
-    `placements` is left `None` by `build_state` and by `gral localize`, so a
-    state places every epoch it localizes. `run_experiment` gives the states of
-    one instance's variants one shared map from the `id` of each complete epoch
-    of their common `build_state` to that epoch and its first placement (`None`
-    until a variant places it). Each entry holds its epoch, so no other object
-    can take that `id` while the map lives; fragments split off later are never
-    in it.
+    `placements` memoizes `localize_node`: it maps the `id` of every epoch
+    placed through this state to that epoch and its first placement. Each
+    entry holds its epoch, so no other object can take that `id` while the
+    map lives. States that start from one segmentation may share one map, as
+    `run_experiment`'s variants do; an epoch then is routed and placed once.
     """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    placements: Optional[dict[int, tuple[Epoch, Optional[list[LocalizedMeasurement]]]]] = None
+    placements: dict[int, tuple[Epoch, list[LocalizedMeasurement]]] = field(default_factory=dict)
 
 
 def build_state(
@@ -162,28 +161,39 @@ def localize_node(
     """Interpolate every complete epoch of the node's resolved epoch set.
 
     Incomplete epochs (typically a trailing stretch still waiting for an
-    anchor) yield no output yet. An epoch another variant has already placed
-    through the shared `state.placements` is only re-tagged with `method`.
+    anchor) yield no output yet. A complete epoch is placed once and
+    remembered in `state.placements`; an epoch found there, placed by an
+    earlier call or by another state sharing the map, is only re-tagged with
+    `method`.
     """
     out: list[LocalizedMeasurement] = []
     placements = state.placements
+    new = tuple.__new__
     for epoch in state.epoch_sets[node].epochs:
         if not is_complete(epoch):
             continue
-        entry = placements.get(id(epoch)) if placements is not None else None
+        entry = placements.get(id(epoch))
         if entry is None:
-            out.extend(interpolate_epoch(state.graph, epoch, method))
-        elif entry[1] is None:
             placed = interpolate_epoch(state.graph, epoch, method)
             placements[id(epoch)] = (epoch, placed)
-            out.extend(placed)
+            out += placed
         else:
-            new = tuple.__new__
             out += [
                 new(LocalizedMeasurement, (n, seq, t, pos, method))
                 for n, seq, t, pos, _ in entry[1]
             ]
     return out
+
+
+def _meetings(epoch: Epoch) -> dict[str, list[tuple[int, float]]]:
+    """Per contacted peer, the `(package index, strength)` of each contact with
+    it, in package order; only packages that heard a peer are read."""
+    meetings: dict[str, list[tuple[int, float]]] = {}
+    for i, pkg in enumerate(epoch.packages):
+        if pkg.contacts:
+            for peer, strength in pkg.contacts:
+                meetings.setdefault(peer, []).append((i, strength))
+    return meetings
 
 
 def issue_checkpoints(
@@ -192,22 +202,17 @@ def issue_checkpoints(
     """Create one checkpoint per (epoch, contacted peer) at the strongest contact.
 
     The checkpoint carries the issuer's localized position at that package's
-    timestamp; packages that could not be localized issue nothing. Only
-    packages that heard a peer are read.
+    timestamp; packages that could not be localized issue nothing. Of equally
+    strong contacts with one peer, the first in `_meetings` order wins. The
+    issued checkpoints are appended to `state.checkpoints` and returned.
     """
     by_seq = {m.seq: m for m in localized}
     issued = []
     for epoch in state.epoch_sets[node].epochs:
-        best: dict[str, tuple[float, Package]] = {}
-        for pkg in epoch.packages:
-            if not pkg.contacts:
-                continue
-            for contact in pkg.contacts:
-                cur = best.get(contact.peer)
-                if cur is None or contact.strength > cur[0]:
-                    best[contact.peer] = (contact.strength, pkg)
-        for peer in sorted(best):
-            _, pkg = best[peer]
+        meetings = _meetings(epoch)
+        for peer in sorted(meetings):
+            i, _ = max(meetings[peer], key=itemgetter(1))
+            pkg = epoch.packages[i]
             measurement = by_seq.get(pkg.seq)
             if measurement is None:
                 continue
@@ -234,12 +239,11 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
     later than the checkpoint; both fragments adopt the checkpoint position as
     their shared boundary. Checkpoints outside any complete epoch, beyond its
     last package, or off the epoch's interpolation path are discarded. The
-    split set replaces the node's entry in `state.epoch_sets`. Each epoch's
-    route is built once, when a checkpoint first falls in it.
+    split set replaces the node's entry in `state.epoch_sets`. The path test
+    is `EnvironmentGraph.on_path` between the epoch's bounds; no route is built.
     """
     graph = state.graph
     epochs = list(state.epoch_sets[node].epochs)
-    routes: list[Optional[Route]] = [None] * len(epochs)  # routes[i] is epochs[i]'s
     pending = sorted(
         (c for c in state.checkpoints if c.target == node), key=lambda c: (c.t, c.issuer)
     )
@@ -250,20 +254,15 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
             reason = "outside all epochs"
         elif not is_complete(epoch := epochs[idx]):
             reason = "in incomplete epoch"
+        elif not graph.on_path(epoch.start_pos, ck.position, epoch.final_pos, tol=1e-6):
+            reason = "off the epoch path"
         else:
-            route = routes[idx]
-            if route is None:
-                route = routes[idx] = graph.route(epoch.start_pos, epoch.final_pos)
-            if not route.contains(ck.position, tol=1e-6):
-                reason = "off the epoch path"
-            else:
-                reason = "leaves an empty fragment"
-                split_at = next((i for i, p in enumerate(epoch.packages) if p.t > ck.t), None)
+            reason = "leaves an empty fragment"
+            split_at = next((i for i, p in enumerate(epoch.packages) if p.t > ck.t), None)
         if split_at is None:
             log.info("checkpoint %s->%s at t=%s %s; discarded", ck.issuer, ck.target, ck.t, reason)
             continue
         epochs[idx : idx + 1] = _split_epoch(epoch, {split_at: ck.position})
-        routes[idx : idx + 1] = [None, None]
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
     return state.epoch_sets[node]
 
@@ -285,13 +284,14 @@ def _confluence_cuts(
     """Package index -> confluence boundary for each contact placed upstream of it.
 
     Per peer, only the epoch's earliest flagged contact cuts; when two peers
-    flag the same package, the first peer's confluence wins.
+    flag the same package, the first peer's confluence wins. An epoch that
+    heard no peer returns before any anchor or provenance lookup.
     """
     graph = state.graph
     epochs = state.epoch_sets[node].epochs
     epoch = epochs[idx]
     cuts: dict[int, GraphPosition] = {}
-    if not is_complete(epoch):
+    if not is_complete(epoch) or not (meetings := _meetings(epoch)):
         return cuts
     v_f = anchor_junction(graph, epochs[idx + 1 :])
     if v_f is None:
@@ -301,24 +301,17 @@ def _confluence_cuts(
     if v_a is None:
         log.info("rectification skipped for %s: own provenance unknown", node)
         return cuts
-    # Per contacted peer, the indices of the packages that heard it, ascending.
-    meetings: dict[str, list[int]] = {}
-    for i, pkg in enumerate(epoch.packages):
-        if not pkg.contacts:
-            continue
-        for peer in {c.peer for c in pkg.contacts}:
-            meetings.setdefault(peer, []).append(i)
     for peer in sorted(meetings):
         met = meetings[peer]
         # The peer's origin before the encounter; a gateway it reaches
         # after the meeting must not move the confluence downstream.
-        v_b = _provenance_before(state, peer, epoch.packages[met[0]].t)
+        v_b = _provenance_before(state, peer, epoch.packages[met[0][0]].t)
         if v_b is None:
             log.info("rectification skipped for peer %s of %s: provenance unknown", peer, node)
             continue
         v_c_pos = graph.position_at(graph.confluence_vertex(v_a, v_b, v_f))
         limit = graph.geodesic_distance(v_c_pos, v_f_pos)
-        for i in met:
+        for i, _ in met:
             pos = placed.get(epoch.packages[i].seq)
             if pos is not None and graph.geodesic_distance(pos, v_f_pos) > limit + POSITION_TOL:
                 if i > 0:  # nothing before an epoch's first package to cut off

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .epochs import is_complete
 from .graph import EnvironmentGraph, GraphPosition
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
@@ -118,13 +117,13 @@ def run_experiment(
 ) -> list[VariantResult]:
     """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant.
 
-    The variants of one instance share its `build_state` epochs and their
-    placements: the first variant to localize a complete epoch routes and
-    places it, and the others re-tag those positions with their own method.
-    Fragments split off by checkpoints or rectification are placed by the
-    variant that cut them. Each variant's estimates are scored by
-    `package_errors` against the instance's emitted truth, as bare floats in
-    estimate order; `instance_errors`, which labels each error with its
+    The variants of one instance share its `build_state` epochs and that
+    state's placement memo: the first variant to localize a complete epoch
+    routes and places it, and the others re-tag those positions with their
+    own method. Fragments split off by checkpoints or rectification are
+    placed by the variant that cut them. Each variant's estimates are scored
+    by `package_errors` against the instance's emitted truth, as bare floats
+    in estimate order; `instance_errors`, which labels each error with its
     package, is not called.
     """
     if n_instances < 1:
@@ -149,14 +148,10 @@ def run_experiment(
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
         segmented = build_state(spec.graph, streams)
-        placements = {
-            id(epoch): (epoch, None)
-            for epoch_set in segmented.epoch_sets.values()
-            for epoch in epoch_set.epochs
-            if is_complete(epoch)
-        }
         for variant in variants:
-            state = BackendState(spec.graph, dict(segmented.epoch_sets), placements=placements)
+            state = BackendState(
+                spec.graph, dict(segmented.epoch_sets), placements=segmented.placements
+            )
             estimates = run_pipeline(state, streams, variant)
             errors = package_errors(spec.graph, result.emitted_truth, estimates)
             per_variant_errors[variant].extend(errors)

@@ -190,9 +190,44 @@ def test_route_point_interpolation(y_graph):
     mid = route.point_at(2.0)
     assert y_graph.geodesic_distance(start, mid) == pytest.approx(2.0)
     assert y_graph.geodesic_distance(mid, end) == pytest.approx(2.0)
-    assert route.contains(mid)
+    assert y_graph.on_path(start, mid, end)
     off = GraphPosition("b", "c", 0.5, 4.0)
-    assert not route.contains(off)
+    assert not y_graph.on_path(start, off, end)
+    # The detour through a point may exceed the direct path by at most
+    # max(tol, 1e-9 * max(1.0, total)). On a 1e6-long path that bound is
+    # 1e-3 for tol=0: a point 4e-4 up a side stub (detour 8e-4) is on it,
+    # one 6e-4 up (detour 1.2e-3) is not unless tol covers it.
+    long = build_graph(
+        [Junction("a"), Junction("m"), Junction("f"), Junction("s")],
+        [Link("a", "m", 5e5), Link("m", "f", 5e5), Link("s", "m", 1.0)],
+        "f",
+    )
+    at = y_graph.position_at
+    cases = [
+        (y_graph, at("a"), at("c"), at("f"), POSITION_TOL, True),
+        (y_graph, at("a"), GraphPosition("c", "a", 2.0, 3.0), at("f"), POSITION_TOL, True),
+        (y_graph, at("a"), at("b"), at("f"), POSITION_TOL, False),
+        (y_graph, at("a"), at("a"), at("a"), 0.0, True),
+        (y_graph, at("a"), GraphPosition("a", "c", 1e-10, 3.0), at("a"), 0.0, True),
+        (y_graph, at("a"), GraphPosition("a", "c", 1e-8, 3.0), at("a"), 0.0, False),
+        # Inside one link, in either orientation of the point.
+        (y_graph, GraphPosition("c", "f", 1.0, 5.0), GraphPosition("c", "f", 2.5, 5.0),
+         GraphPosition("c", "f", 4.0, 5.0), POSITION_TOL, True),
+        (y_graph, GraphPosition("c", "f", 4.0, 5.0), GraphPosition("f", "c", 2.0, 5.0),
+         GraphPosition("c", "f", 1.0, 5.0), POSITION_TOL, True),
+        (y_graph, GraphPosition("c", "f", 1.0, 5.0), GraphPosition("c", "f", 4.5, 5.0),
+         GraphPosition("c", "f", 4.0, 5.0), POSITION_TOL, False),
+        (y_graph, GraphPosition("c", "f", 1.0, 5.0), at("c"),
+         GraphPosition("c", "f", 4.0, 5.0), POSITION_TOL, False),
+        (long, long.position_at("a"), GraphPosition("s", "m", 1.0 - 4e-4, 1.0),
+         long.position_at("f"), 0.0, True),
+        (long, long.position_at("a"), GraphPosition("s", "m", 1.0 - 6e-4, 1.0),
+         long.position_at("f"), 0.0, False),
+        (long, long.position_at("a"), GraphPosition("s", "m", 1.0 - 6e-4, 1.0),
+         long.position_at("f"), 2e-3, True),
+    ]
+    for g, a, pos, b, tol, expected in cases:
+        assert g.on_path(a, pos, b, tol=tol) is expected, (a, pos, b, tol)
 
 
 def test_confluence_same_vertex(y_graph):

@@ -82,10 +82,10 @@ def test_interpolation_midpoint(chain_graph):
 def test_interpolation_monotone_and_on_route(chain_graph):
     epoch = span_epoch(chain_graph, [0, 1, 3, 4, 9, 10], 12.0, 87.0)
     out = interpolate_epoch(chain_graph, epoch)
-    route = chain_graph.route(line_position(12.0), line_position(87.0))
-    arclengths = [chain_graph.geodesic_distance(route.start, m.position) for m in out]
+    start, end = line_position(12.0), line_position(87.0)
+    arclengths = [chain_graph.geodesic_distance(start, m.position) for m in out]
     assert arclengths == sorted(arclengths)
-    assert all(route.contains(m.position, tol=1e-9) for m in out)
+    assert all(chain_graph.on_path(start, m.position, end, tol=1e-9) for m in out)
 
 
 def test_interpolation_equal_bounds(chain_graph):
@@ -473,40 +473,28 @@ def test_apply_checkpoint_same_before_and_after_localize_node(chain_graph):
 
 @pytest.mark.parametrize("variant", ["gral+cp", "gral+cp+pr"])
 def test_apply_checkpoints_routes_each_epoch_at_most_once(variant, monkeypatch):
-    # However many checkpoints fall in an epoch, or in a fragment cut from it,
-    # one call builds that epoch's route once. A route is told apart by the
-    # identity of its bound objects; a fragment may share both with an epoch
-    # cut earlier in the call (two checkpoints at one position object), so a
-    # pair of bounds may be routed once for each epoch that has it.
+    # At most once is now never: however many checkpoints fall in an epoch,
+    # or in a fragment cut from it, the path test is `on_path` between the
+    # epoch's bounds and builds no route. The calls still split epochs.
     spec = make_scenario(4)
-    real_apply, real_split = localize.apply_checkpoints, localize._split_epoch
-    fragments = []
-    routes_per_call = []
-
-    def recording_split(epoch, cuts):
-        made = real_split(epoch, cuts)
-        fragments.extend(made)
-        return made
+    real_apply = localize.apply_checkpoints
+    splits = 0
 
     def checked_apply(state, node):
+        nonlocal splits
+        before = len(state.epoch_sets[node].epochs)
         calls.clear()
-        fragments.clear()
-        epochs = list(state.epoch_sets[node].epochs)
         out = real_apply(state, node)
-        # `calls` and `fragments` keep every bound object alive, so ids are unique.
-        routed = Counter((id(start), id(end)) for start, end in calls)
-        held = Counter((id(e.start_pos), id(e.final_pos)) for e in epochs + fragments)
-        assert all(n <= held[bounds] for bounds, n in routed.items()), node
-        routes_per_call.append(len(calls))
+        assert calls == [], node
+        splits += len(out.epochs) - before
         return out
 
     monkeypatch.setattr(localize, "apply_checkpoints", checked_apply)
-    monkeypatch.setattr(localize, "_split_epoch", recording_split)
     calls = counted_routes(spec.graph, monkeypatch)
     for seed in range(5):
         streams = run_instance(spec, seed).streams()
         run_pipeline(build_state(spec.graph, streams), streams, variant)
-    assert sum(routes_per_call) > 0
+    assert splits > 0
 
 
 def test_two_checkpoints_compose_like_sequential_splits(chain_graph):
@@ -620,6 +608,46 @@ def test_rectification_skips_a_peer_without_a_stream(variant, caplog):
     assert "rectification skipped for peer n2 of n1: provenance unknown" in caplog.messages
     vanilla = run_pipeline(build_state(spec.graph, streams), streams, "gral")
     assert [(m.seq, m.position) for m in got["n1"]] == [(m.seq, m.position) for m in vanilla["n1"]]
+
+
+def test_contact_index_takes_the_first_strongest_contact():
+    # u's one epoch heard w on its packages 42-52, strongest (3.75) on 47.
+    # Package 45 now lists w twice, the second time as strongly as 47, and
+    # packages 44 and 49 hear a peer x (which has no stream) equally.
+    graph, streams, _ = rectification_fixture()
+    crafted = list(streams["u"])
+    extra = {
+        44: [NodeContact("x", 1.0)],
+        45: [NodeContact("w", 3.75)],
+        49: [NodeContact("x", 1.0)],
+    }
+    for i, contacts in extra.items():
+        crafted[i] = crafted[i]._replace(contacts=(*crafted[i].contacts, *contacts))
+    assert crafted[45].contacts == (NodeContact("w", 2.75), NodeContact("w", 3.75))
+    assert crafted[47].contacts == (NodeContact("w", 3.75),)
+    crafted_streams = {**streams, "u": crafted}
+
+    state = build_state(graph, crafted_streams)
+    assert len(state.epoch_sets["u"].epochs[0].packages) > 52
+    localized = localize_node(state, "u")
+    position = {m.seq: m.position for m in localized}
+    issued = issue_checkpoints(state, "u", localized)
+    # One checkpoint per peer, at the earliest of the strongest contacts.
+    assert issued == [
+        Checkpoint("u", peer, crafted[i].t, position[crafted[i].seq])
+        for peer, i in (("w", 45), ("x", 44))
+    ]
+    assert state.checkpoints == issued
+
+    def rectified_shape(streams):
+        state = build_state(graph, streams)
+        localize.rectify_paths(state, "u", localize_node(state, "u"))
+        return [[p.seq for p in e.packages] for e in state.epoch_sets["u"].epochs]
+
+    # Strengths and repeated listings do not move rectification's cut.
+    shape = rectified_shape(crafted_streams)
+    assert len(shape) == 3
+    assert shape == rectified_shape(streams)
 
 
 # -- pipeline ---------------------------------------------------------------------
@@ -761,11 +789,8 @@ def test_parsed_and_placed_records_have_their_exact_types():
     for variant in VARIANTS:
         estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
         assert_exact([m for node in estimates.values() for m in node])
-    # Placed once through a shared map, then re-tagged by a second variant.
+    # Placed once into the state's memo, then re-tagged by a second method.
     state = build_state(spec.graph, streams)
-    state.placements = {
-        id(e): (e, None) for es in state.epoch_sets.values() for e in es.epochs if e.final_pos
-    }
     for method in ("gral", "gral+cp"):
         assert_exact([m for node in streams for m in localize_node(state, node, method)])
 

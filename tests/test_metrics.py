@@ -292,13 +292,62 @@ def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypat
     for seed in range(5):
         streams = run_instance(spec, seed).streams()
         state = build_state(spec.graph, streams)
-        assert state.placements is None
+        assert state.placements == {}
         complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
-        # A second run on the same state finds nothing kept from the first.
-        for _ in range(2):
-            placed.clear()
-            run_pipeline(state, streams, "gral")
-            assert sorted(map(id, placed)) == sorted(map(id, complete)), seed
+        placed.clear()
+        first = run_pipeline(state, streams, "gral")
+        assert sorted(map(id, placed)) == sorted(map(id, complete)), seed
+        # A second run on the same state re-tags what the first placed.
+        placed.clear()
+        assert run_pipeline(state, streams, "gral") == first
+        assert placed == [], seed
+
+
+def test_refinements_skip_routes_and_lookups_they_cannot_use(monkeypatch):
+    # `apply_checkpoints` tests "on the epoch path" without building a route,
+    # and `_confluence_cuts` looks up provenance only for an epoch that heard
+    # a peer, since no other epoch can be cut.
+    spec = make_scenario(4)
+    applying = False
+    epochs_seen = Counter()  # by whether the epoch heard a peer
+    current = []  # the epoch `_confluence_cuts` is looking at
+    lookups = 0
+    real_apply, real_cuts = localize.apply_checkpoints, localize._confluence_cuts
+    real_provenance, real_route = localize._provenance_before, spec.graph.route
+
+    def flagged_apply(state, node):
+        nonlocal applying
+        applying = True
+        try:
+            return real_apply(state, node)
+        finally:
+            applying = False
+
+    def checked_route(start, end):
+        assert not applying
+        return real_route(start, end)
+
+    def recording_cuts(state, node, idx, placed):
+        epoch = state.epoch_sets[node].epochs[idx]
+        epochs_seen[any(p.contacts for p in epoch.packages)] += 1
+        current.append(epoch)
+        try:
+            return real_cuts(state, node, idx, placed)
+        finally:
+            current.pop()
+
+    def checked_provenance(state, node, t):
+        nonlocal lookups
+        lookups += 1
+        assert any(p.contacts for p in current[-1].packages)
+        return real_provenance(state, node, t)
+
+    monkeypatch.setattr(localize, "apply_checkpoints", flagged_apply)
+    monkeypatch.setattr(spec.graph, "route", checked_route)
+    monkeypatch.setattr(localize, "_confluence_cuts", recording_cuts)
+    monkeypatch.setattr(localize, "_provenance_before", checked_provenance)
+    run_experiment(spec, VARIANTS, 20, 0)
+    assert epochs_seen[True] > 0 and epochs_seen[False] > 0 and lookups > 0
 
 
 def test_instance_errors_keeps_its_samples_and_missing_count():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -129,6 +130,8 @@ class WorldState:
     the order of every per-tick pass and of the RNG draws; `run_instance`
     restores that order whenever it inserts nodes. `emitted_truth` gains the
     true position of each package when its buffer is flushed.
+    `reach` is the contact radius plus the rounding slack of `observe`'s
+    range tests, fixed by the graph for the whole run.
     """
 
     spec: ScenarioSpec
@@ -137,6 +140,19 @@ class WorldState:
     nodes: dict[str, _NodeState] = field(default_factory=dict)
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
     emitted_truth: dict[tuple[str, int], GraphPosition] = field(default_factory=dict)
+    reach: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        # Levels and junction distances are sums of lengths, so their rounding
+        # grows with the network (near 1e10 it outgrows a fixed 1e-6). The
+        # largest root distance plus the longest link bounds every level,
+        # offset and sum that `observe` compares.
+        graph = self.spec.graph
+        longest = max((link.length for link in graph.links), default=0.0)
+        extent = max(graph.dist_to_root.values()) + longest
+        self.reach = (
+            self.spec.effective_contact_radius + 1e-6 + 16 * sys.float_info.epsilon * extent
+        )
 
 
 @dataclass
@@ -241,35 +257,52 @@ def observe(
     """Radio snapshot of one tick: each in-flight node's gateway signals and
     peer contacts in range, as `(observations, contacts)` in `world.nodes` order.
 
-    Each node's distance to the root (its level) is computed once. A tree
-    geodesic is never shorter than the gap between two points' levels, so a
-    peer whose gap exceeds the contact radius (plus rounding slack) is out of
-    range without a geodesic. Positions are oriented child -> parent and the
-    root is held in junction form, so a level is `dist_to_root[v] + span -
-    offset`. Every other pair gets its own `geodesic_distance(here, there)`:
-    `(a, b)` and `(b, a)` add up in different orders, so a contact is not
-    mirrored.
+    Positions are oriented child -> parent, with the root held in junction
+    form, and two tests put a pair out of range without a geodesic:
+
+    - Levels. A tree geodesic is never shorter than the gap between two
+      points' distances to the root. Each node's level, `dist_to_root[v] +
+      span - offset`, is computed once per tick.
+    - Junctions. By the triangle inequality a geodesic is never shorter than
+      `junction_distance(u_a, u_b) - offset_a - offset_b`, for each node's
+      child junction `u` and its offset from `u` (the root: itself and 0).
+
+    Both gaps are symmetric, so each pair is tested once, by the later of its
+    two nodes in `world.nodes` order, and skipped when either gap exceeds
+    `world.reach`: the contact radius plus a slack that grows with the
+    network's extent, since the rounding of these sums does. A pair that
+    passes gets `geodesic_distance(here, there)` for the one node and
+    `(there, here)` for the other: the two add up in different orders, so a
+    contact is not mirrored. Each node's contacts come out in `world.nodes`
+    order.
     """
     spec = world.spec
     graph = spec.graph
     geodesic = graph.geodesic_distance
+    junction_distance = graph.junction_distance
     dist_to_root = graph.dist_to_root
     radius = spec.effective_contact_radius
-    reach = radius + 1e-6
+    reach = world.reach
     new = tuple.__new__
-    flight = []  # (node, position, level)
+    flight = []  # (node, position, level, contacts) of the nodes met so far
     for node, st in world.nodes.items():
-        pos = st.position
-        flight.append((node, pos, dist_to_root[pos.v] + pos.span - pos.offset))
-    radio = []
-    for node, here, level in flight:
+        here = st.position
+        level = dist_to_root[here.v] + here.span - here.offset
         contacts = []
-        for peer, there, peer_level in flight:
-            if abs(peer_level - level) > reach or peer == node:
+        for peer, there, peer_level, peer_contacts in flight:
+            if abs(peer_level - level) > reach:
                 continue
+            if junction_distance(there[0], here[0]) - there[2] - here[2] > reach:
+                continue
+            d = geodesic(there, here)
+            if d <= radius:
+                peer_contacts.append(new(NodeContact, (node, radius - d)))
             d = geodesic(here, there)
             if d <= radius:
                 contacts.append(new(NodeContact, (peer, radius - d)))
+        flight.append((node, here, level, contacts))
+    radio = []
+    for _, here, _, contacts in flight:
         radio.append((_gateway_observations(graph, here), tuple(contacts)))
     return radio
 

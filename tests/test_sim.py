@@ -31,7 +31,7 @@ from gral.sim import (
     _oriented,
 )
 
-from conftest import gated_tree_scenario, swarm_like_scenario
+from conftest import gated_tree_scenario, random_position, random_tree, swarm_like_scenario
 
 
 def long_pipe(length=400000.0):
@@ -194,6 +194,88 @@ def test_observe_gives_each_ordered_pair_its_own_geodesic():
     assert c2 == (NodeContact("n1", 3.0 - g.geodesic_distance(there, here)),)
 
 
+def test_observe_keeps_contacts_on_a_long_link():
+    # Levels near 1e10 round by more than 1e-6: with a fixed slack the level
+    # gap of this pair came out above radius + 1e-6, although its geodesic is
+    # 3.16227760918 <= sqrt(10), and neither node heard the other.
+    g = long_pipe(1e10)
+    here = GraphPosition("s", "r", 9.3833835098105, 1e10)
+    there = GraphPosition("s", "r", 12.54566111898722, 1e10)
+    spec = ScenarioSpec(g, [Insertion("n1", here, 0), Insertion("n2", there, 0)],
+                        contact_radius=CHAIN_RADIUS)
+    w = WorldState(spec, random.Random(0))
+    for ins in spec.insertions:
+        w.nodes[ins.node] = _NodeState(_oriented(g, ins.position))
+    assert g.geodesic_distance(here, there) <= CHAIN_RADIUS
+    (_, c1), (_, c2) = observe(w)
+    assert c1 == (NodeContact("n2", CHAIN_RADIUS - g.geodesic_distance(here, there)),)
+    assert c2 == (NodeContact("n1", CHAIN_RADIUS - g.geodesic_distance(there, here)),)
+
+
+def scaled(graph, factor):
+    """The same tree with every link length multiplied by `factor`."""
+    links = [Link(link.u, link.v, link.length * factor) for link in graph.links]
+    return build_graph(list(graph.junctions.values()), links, graph.root)
+
+
+def test_range_tests_never_exceed_the_geodesic():
+    # `observe` skips a pair when its level gap or its junction bound exceeds
+    # `reach`; neither may exceed the geodesic by more than the slack, in
+    # either order, also on links shorter than the radius and on long links.
+    rng = random.Random(23)
+    checked = 0
+    for trial in range(150):
+        graph = scaled(random_tree(rng, rng.randint(1, 30)), rng.choice([1.0, 1.0, 1e5, 1e10]))
+        spec = ScenarioSpec(graph, [], contact_radius=CHAIN_RADIUS)
+        slack = WorldState(spec, rng).reach - CHAIN_RADIUS
+        dist_to_root = graph.dist_to_root
+        points = [graph.position_at(graph.root)]
+        if graph.links:
+            points += [_oriented(graph, random_position(rng, graph)) for _ in range(12)]
+        for a in points:
+            for b in points:
+                geodesic = graph.geodesic_distance(a, b)
+                level_gap = abs((dist_to_root[a.v] + a.span - a.offset)
+                                - (dist_to_root[b.v] + b.span - b.offset))
+                bound = graph.junction_distance(a.u, b.u) - a.offset - b.offset
+                assert level_gap <= geodesic + slack, (trial, a, b)
+                assert bound <= geodesic + slack, (trial, a, b)
+                checked += 1
+    assert checked > 10000
+
+
+def short_link_scenario(rng):
+    """Links of 1-3 units under a contact radius of 5, gated at the root only,
+    so a contact spans junctions."""
+    n = rng.randint(4, 12)
+    parents = {i: rng.randrange(i) for i in range(1, n)}
+    junctions = [Junction("v0", Gateway("gw-v0", "v0", 2.0))]
+    junctions += [Junction(f"v{i}") for i in range(1, n)]
+    links = [Link(f"v{i}", f"v{p}", rng.uniform(1.0, 3.0)) for i, p in parents.items()]
+    graph = build_graph(junctions, links, "v0")
+    leaves = sorted(set(range(1, n)) - set(parents.values()))
+    insertions = [
+        Insertion(f"n{k}", graph.position_at(f"v{rng.choice(leaves)}"), rng.randrange(4))
+        for k in range(6)
+    ]
+    return ScenarioSpec(graph, insertions, base_step=0.25, gateway_radius_default=2.0,
+                        contact_radius=5.0)
+
+
+def sibling_scenario():
+    """Three sibling links of equal length and noise-free drift: nodes that
+    leave together stay at equal levels, out of range until near their merge."""
+    g = build_graph(
+        [Junction("r", Gateway("gw-r", "r", 2.0)), Junction("p"),
+         Junction("a"), Junction("b"), Junction("c")],
+        [Link("p", "r", 20.0), Link("a", "p", 10.0), Link("b", "p", 10.0), Link("c", "p", 10.0)],
+        "r",
+    )
+    insertions = [Insertion(f"n{j}", g.position_at(j), 0) for j in "abc"]
+    insertions += [Insertion(f"m{j}", GraphPosition(j, "p", 3.0, 10.0), 2) for j in "ab"]
+    return ScenarioSpec(g, insertions, noise_p=0.0, gateway_radius_default=2.0, contact_radius=5.0)
+
+
 def all_pairs_observe(world):
     """`observe` with one geodesic from each in-flight node to every other."""
     spec = world.spec
@@ -217,6 +299,15 @@ def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
     cases = [(swarm_like_scenario(rng, depth, per_leaf), seed)
              for seed, (depth, per_leaf) in enumerate([(2, 2), (3, 2), (3, 4), (3, 8)])]
     cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    # A contact spans junctions; every pair is in range; equal levels on
+    # sibling links, which only the junction bound keeps apart.
+    spanning = [(short_link_scenario(random.Random(seed)), seed) for seed in range(20)]
+    everyone = [
+        (replace(swarm_like_scenario(random.Random(seed), 3, 2), contact_radius=1000.0), seed)
+        for seed in range(2)
+    ]
+    siblings = [(sibling_scenario(), 0)]
+    cases += spanning + everyone + siblings
     pruned = [run_instance(spec, seed) for spec, seed in cases]
     calls = []
 
@@ -234,6 +325,20 @@ def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
     assert contacts > 1000
     # One snapshot per tick on which some node records, never one per node.
     assert len(calls) == recording_ticks
+    result_of = {id(spec): got for (spec, _), got in zip(cases, pruned)}
+    for group in (spanning, everyone, siblings):
+        assert any(p.contacts for spec, _ in group
+                   for b in result_of[id(spec)].batches for p in b.packages)
+    for spec, _ in everyone:
+        # Radius 1000 puts every node in flight in range of every other.
+        got = result_of[id(spec)]
+        flying = {}
+        for r in got.ground_truth:
+            flying.setdefault(r.tick, set()).add(r.node)
+        tick = {(r.node, r.seq): r.tick for r in got.ground_truth}
+        for b in got.batches:
+            for p in b.packages:
+                assert len(p.contacts) == len(flying[tick[(p.node, p.seq)]]) - 1
 
 
 def reconstructed_truth(result):
@@ -288,6 +393,26 @@ def test_dense_swarm_instances_match_golden_digest():
             digest.update(repr((r.node, r.seq, r.tick, tuple(r.position))).encode())
     assert contacts > 1000
     assert digest.hexdigest() == DENSE_SWARM_DIGEST
+
+
+def test_dense_swarm_geodesics_are_the_contacts(monkeypatch):
+    # On these trees the level test and the junction bound leave exactly the
+    # pairs in range: one geodesic per contact. Without the bound,
+    # `run_instance` made 1732 and 1468 geodesic calls.
+    for seed, expected in ((0, 684), (1, 486)):
+        spec = swarm_like_scenario(random.Random(seed), 3, 2)
+        graph = spec.graph
+        calls = []
+        geodesic = graph.geodesic_distance
+
+        def counted(p1, p2):
+            calls.append(None)
+            return geodesic(p1, p2)
+
+        monkeypatch.setattr(graph, "geodesic_distance", counted)
+        result = run_instance(spec, seed)
+        assert len(calls) == expected
+        assert sum(len(p.contacts) for b in result.batches for p in b.packages) == expected
 
 
 def observations_by_geodesic(graph, position):

@@ -107,7 +107,7 @@ def interpolate_epoch(
 
 
 def baseline_localize(
-    graph: EnvironmentGraph, packages: list[Package], method: str = "baseline"
+    graph: EnvironmentGraph, packages: list[Package]
 ) -> list[LocalizedMeasurement]:
     """Linear interpolation between gateway junctions at contact times.
 
@@ -150,7 +150,7 @@ def baseline_localize(
     positions += [anchors[-1][1]] * (len(packages) - len(positions))
     new = tuple.__new__
     return [
-        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
+        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, "baseline"))
         for pkg, pos in zip(packages, positions)
     ]
 
@@ -329,28 +329,22 @@ def rectify_paths(
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
     earliest such package with the confluence junction as the boundary; the
-    split set replaces the node's entry in `state.epoch_sets`, and only its
-    new fragments are interpolated. Detection runs on the given estimates;
+    split set replaces the node's entry in `state.epoch_sets` and is placed by
+    `localize_node`, so its fragments enter `state.placements` and its unsplit
+    epochs are re-tagged from there. Detection runs on the given estimates;
     splits never move a package past the confluence, so they cannot overshoot.
     When nothing is cut, the epoch set stays and `localized` is returned as is.
     """
     placed = {m.seq: m.position for m in localized}
     unsplit = state.epoch_sets[node].epochs
     epochs: list[Epoch] = []
-    replaced: dict[int, LocalizedMeasurement] = {}
     for idx, epoch in enumerate(unsplit):
         cuts = _confluence_cuts(state, node, idx, placed)
-        if not cuts:
-            epochs.append(epoch)
-            continue
-        fragments = _split_epoch(epoch, cuts)
-        for fragment in fragments:
-            replaced.update((m.seq, m) for m in interpolate_epoch(state.graph, fragment, method))
-        epochs.extend(fragments)
+        epochs.extend(_split_epoch(epoch, cuts) if cuts else (epoch,))
     if len(epochs) == len(unsplit):  # every cut adds a fragment
         return localized
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
-    return [replaced.get(m.seq, m) for m in localized]
+    return localize_node(state, node, method)
 
 
 def run_pipeline(

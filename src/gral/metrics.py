@@ -95,9 +95,7 @@ def instance_errors(
 
     Returns the samples for localized packages and the count of packages that
     were emitted but not localized. The errors are `package_errors`' against
-    the instance's emitted truth, each labelled with its package; the
-    evaluation runner scores through `package_errors` directly and does not
-    call this.
+    the instance's emitted truth, each labelled with its package.
     """
     truth = result.emitted_truth
     scored = [
@@ -123,8 +121,7 @@ def run_experiment(
     own method. Fragments split off by checkpoints or rectification are
     placed by the variant that cut them. Each variant's estimates are scored
     by `package_errors` against the instance's emitted truth, as bare floats
-    in estimate order; `instance_errors`, which labels each error with its
-    package, is not called.
+    in estimate order.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")

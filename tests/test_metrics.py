@@ -279,8 +279,7 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
         assert {m.method for ms in estimates.values() for m in ms} == {variant}
 
 
-@pytest.mark.parametrize("variant", ["gral", "gral+pr"])
-def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypatch, variant):
+def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypatch):
     spec = make_scenario(4)
     placed = []
     real_interpolate = localize.interpolate_epoch
@@ -290,24 +289,25 @@ def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypat
         return real_interpolate(graph, epoch, method)
 
     monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
-    fragments = 0
-    for seed in range(5):
-        streams = run_instance(spec, seed).streams()
-        state = build_state(spec.graph, streams)
-        assert state.placements == {}
-        complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
-        placed.clear()
-        first = run_pipeline(state, streams, variant)
-        ids = sorted(map(id, placed))
-        # Every complete epoch is placed; rectification adds only its fragments.
-        assert set(map(id, complete)) <= set(ids), seed
-        fragments += len(ids) - len(complete)
-        # A second run on the same state re-tags what the first placed,
-        # rectification fragments included, and places nothing twice.
-        assert run_pipeline(state, streams, variant) == first
-        assert sorted(map(id, placed)) == ids, seed
-        assert len(set(ids)) == len(ids), seed
-    assert (fragments > 0) == (variant == "gral+pr")
+    for variant in ("gral", "gral+pr"):
+        fragments = 0
+        for seed in range(5):
+            streams = run_instance(spec, seed).streams()
+            state = build_state(spec.graph, streams)
+            assert state.placements == {}
+            complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
+            placed.clear()
+            first = run_pipeline(state, streams, variant)
+            ids = sorted(map(id, placed))
+            # Every complete epoch is placed; rectification adds only its fragments.
+            assert set(map(id, complete)) <= set(ids), (variant, seed)
+            fragments += len(ids) - len(complete)
+            # A second run on the same state re-tags what the first placed,
+            # rectification fragments included, and places nothing twice.
+            assert run_pipeline(state, streams, variant) == first
+            assert sorted(map(id, placed)) == ids, (variant, seed)
+            assert len(set(ids)) == len(ids), (variant, seed)
+        assert (fragments > 0) == (variant == "gral+pr")
 
 
 def test_refinements_skip_routes_and_lookups_they_cannot_use(monkeypatch):

@@ -35,7 +35,8 @@ class EpochKind(enum.Enum):
 
 # A fragment split off by a checkpoint or a rectification keeps the kind of the
 # visit it was cut from: kinds are read only before any split, and when dumped.
-@dataclass(frozen=True)
+# Epochs compare and hash by identity, so they key `BackendState.placements`.
+@dataclass(frozen=True, eq=False)
 class Epoch:
     kind: EpochKind
     packages: tuple[Package, ...]
@@ -205,7 +206,7 @@ def resolve_positions(
                 final = _under_gateway(graph, epoch.packages[-1])
         if final is None and idx < len(epochs) - 1:
             nxt = epochs[idx + 1]
-            if nxt.anchor is not None and nxt.anchor in graph.gateways:
+            if nxt.anchor in graph.gateways:
                 origin = start
                 if origin is None:
                     junction = anchor_junction(graph, reversed(epochs[: idx + 1]))

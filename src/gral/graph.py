@@ -9,7 +9,6 @@ an arclength offset along the (unique) path between them.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from collections import deque
@@ -18,7 +17,6 @@ from functools import reduce
 from operator import add
 from typing import Any, Iterable, NamedTuple, Optional
 
-log = logging.getLogger(__name__)
 
 # Two on-network points closer than this are considered the same point.
 POSITION_TOL = 1e-9

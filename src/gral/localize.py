@@ -37,17 +37,16 @@ log = logging.getLogger(__name__)
 class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
-    `placements` memoizes `localize_node`: it maps the `id` of every epoch
-    placed through this state to that epoch and its first placement. Each
-    entry holds its epoch, so no other object can take that `id` while the
-    map lives. States that start from one segmentation may share one map, as
-    `run_experiment`'s variants do; an epoch then is routed and placed once.
+    `placements` memoizes `localize_node`: it maps every epoch placed through
+    this state to its first placement. States that start from one
+    segmentation may share one map, as `run_experiment`'s variants do; an
+    epoch then is routed and placed once.
     """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    placements: dict[int, tuple[Epoch, list[LocalizedMeasurement]]] = field(default_factory=dict)
+    placements: dict[Epoch, list[LocalizedMeasurement]] = field(default_factory=dict)
 
 
 def build_state(
@@ -172,15 +171,14 @@ def localize_node(
     for epoch in state.epoch_sets[node].epochs:
         if not is_complete(epoch):
             continue
-        entry = placements.get(id(epoch))
-        if entry is None:
-            placed = interpolate_epoch(state.graph, epoch, method)
-            placements[id(epoch)] = (epoch, placed)
+        placed = placements.get(epoch)
+        if placed is None:
+            placed = placements[epoch] = interpolate_epoch(state.graph, epoch, method)
             out += placed
         else:
             out += [
                 new(LocalizedMeasurement, (n, seq, t, pos, method))
-                for n, seq, t, pos, _ in entry[1]
+                for n, seq, t, pos, _ in placed
             ]
     return out
 

@@ -210,7 +210,7 @@ def _advance(graph: EnvironmentGraph, pos: GraphPosition, distance: float) -> Gr
     return pos
 
 
-def step(world: WorldState) -> WorldState:
+def step(world: WorldState) -> None:
     """Advance every in-flight node one tick of noisy drift toward the root.
 
     One RNG draw per node, in `world.nodes` order. A node that stays on its
@@ -233,7 +233,6 @@ def step(world: WorldState) -> WorldState:
         if pos.u == pos.v == graph.root:
             st.at_root = True
     world.tick += 1
-    return world
 
 
 def _gateway_observations(

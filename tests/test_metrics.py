@@ -298,6 +298,7 @@ def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypat
             complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
             placed.clear()
             first = run_pipeline(state, streams, variant)
+            assert set(complete) <= set(state.placements), (variant, seed)
             ids = sorted(map(id, placed))
             # Every complete epoch is placed; rectification adds only its fragments.
             assert set(map(id, complete)) <= set(ids), (variant, seed)

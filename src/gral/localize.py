@@ -38,15 +38,15 @@ class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
     `placements` memoizes `localize_node`: it maps every epoch placed through
-    this state to its first placement. States that start from one
-    segmentation may share one map, as `run_experiment`'s variants do; an
-    epoch then is routed and placed once.
+    this state to its packages' positions, which carry no variant tag.
+    States that start from one segmentation may share one map, as
+    `run_experiment`'s variants do; an epoch then is routed and placed once.
     """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    placements: dict[Epoch, list[LocalizedMeasurement]] = field(default_factory=dict)
+    placements: dict[Epoch, list[GraphPosition]] = field(default_factory=dict)
 
 
 def build_state(
@@ -68,14 +68,11 @@ def build_state(
     return state
 
 
-def interpolate_epoch(
-    graph: EnvironmentGraph, epoch: Epoch, method: str = "gral"
-) -> list[LocalizedMeasurement]:
-    """Place every package of a complete epoch on the route between its bounds.
+def interpolate_epoch(graph: EnvironmentGraph, epoch: Epoch) -> list[GraphPosition]:
+    """Position of every package of a complete epoch, on the route between its bounds.
 
     The first package maps to the start position, the last to the final
     position, and everything between moves linearly in time along the route.
-    Measurements are built by `tuple.__new__`, without a call per package.
     """
     if not is_complete(epoch):
         raise ValueError("cannot interpolate an incomplete epoch")
@@ -94,15 +91,9 @@ def interpolate_epoch(
                 "epoch of node %s spans zero time but distinct positions; pinning at final",
                 packages[0].node,
             )
-        positions = [epoch.final_pos] * len(packages)
-    else:
-        total, dt = route.total, t1 - t0
-        positions = route.points_at([(pkg.t - t0) / dt * total for pkg in packages])
-    new = tuple.__new__
-    return [
-        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
-        for pkg, pos in zip(packages, positions)
-    ]
+        return [epoch.final_pos] * len(packages)
+    total, dt = route.total, t1 - t0
+    return route.points_at([(pkg.t - t0) / dt * total for pkg in packages])
 
 
 def baseline_localize(
@@ -157,13 +148,12 @@ def baseline_localize(
 def localize_node(
     state: BackendState, node: str, method: str = "gral"
 ) -> list[LocalizedMeasurement]:
-    """Interpolate every complete epoch of the node's resolved epoch set.
+    """Estimates, tagged `method`, for every complete epoch of the node's epoch set.
 
     Incomplete epochs (typically a trailing stretch still waiting for an
-    anchor) yield no output yet. A complete epoch is placed once and
-    remembered in `state.placements`; an epoch found there, placed by an
-    earlier call or by another state sharing the map, is only re-tagged with
-    `method`.
+    anchor) yield no output yet. A complete epoch is placed once; its
+    positions are kept in `state.placements` for later calls and for states
+    sharing the map.
     """
     out: list[LocalizedMeasurement] = []
     placements = state.placements
@@ -171,15 +161,13 @@ def localize_node(
     for epoch in state.epoch_sets[node].epochs:
         if not is_complete(epoch):
             continue
-        placed = placements.get(epoch)
-        if placed is None:
-            placed = placements[epoch] = interpolate_epoch(state.graph, epoch, method)
-            out += placed
-        else:
-            out += [
-                new(LocalizedMeasurement, (n, seq, t, pos, method))
-                for n, seq, t, pos, _ in placed
-            ]
+        positions = placements.get(epoch)
+        if positions is None:
+            positions = placements[epoch] = interpolate_epoch(state.graph, epoch)
+        out += [
+            new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
+            for pkg, pos in zip(epoch.packages, positions)
+        ]
     return out
 
 
@@ -319,19 +307,18 @@ def _confluence_cuts(
 
 
 def rectify_paths(
-    state: BackendState, node: str, localized: list[LocalizedMeasurement], method: str = "gral+pr"
-) -> list[LocalizedMeasurement]:
-    """Move impossible encounter estimates downstream to the confluence vertex.
+    state: BackendState, node: str, localized: list[LocalizedMeasurement]
+) -> bool:
+    """Split epochs whose encounter estimates lie upstream of the confluence vertex.
 
     Two nodes heading for a common destination can only have met at or after
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
-    earliest such package with the confluence junction as the boundary; the
-    split set replaces the node's entry in `state.epoch_sets` and is placed by
-    `localize_node`, so its fragments enter `state.placements` and its unsplit
-    epochs are re-tagged from there. Detection runs on the given estimates;
-    splits never move a package past the confluence, so they cannot overshoot.
-    When nothing is cut, the epoch set stays and `localized` is returned as is.
+    earliest such package with the confluence junction as the boundary, and
+    the split set replaces the node's entry in `state.epoch_sets`. Detection
+    runs on the given estimates; splits never move a package past the
+    confluence, so they cannot overshoot. Nothing is placed here. Returns
+    whether anything was cut; when nothing was, the epoch set stays.
     """
     placed = {m.seq: m.position for m in localized}
     unsplit = state.epoch_sets[node].epochs
@@ -340,9 +327,9 @@ def rectify_paths(
         cuts = _confluence_cuts(state, node, idx, placed)
         epochs.extend(_split_epoch(epoch, cuts) if cuts else (epoch,))
     if len(epochs) == len(unsplit):  # every cut adds a fragment
-        return localized
+        return False
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
-    return localize_node(state, node, method)
+    return True
 
 
 def run_pipeline(
@@ -352,7 +339,9 @@ def run_pipeline(
 
     Graph-based variants process nodes in gateway-arrival order (first package
     timestamp, then node id) so that checkpoints issued by early arrivers are
-    available to later ones.
+    available to later ones. Each node is placed after its checkpoint cuts,
+    and placed again after a rectification cut; `localize_node` then routes
+    only the new fragments.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -371,9 +360,9 @@ def run_pipeline(
             continue
         if use_cp:
             apply_checkpoints(state, node)
-        localized = localize_node(state, node, method=variant)
-        if use_pr:
-            localized = rectify_paths(state, node, localized, method=variant)
+        localized = localize_node(state, node, variant)
+        if use_pr and rectify_paths(state, node, localized):
+            localized = localize_node(state, node, variant)
         if use_cp:
             issue_checkpoints(state, node, localized)
         results[node] = localized

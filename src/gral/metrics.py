@@ -117,11 +117,11 @@ def run_experiment(
 
     The variants of one instance share its `build_state` epochs and that
     state's placement memo: the first variant to localize a complete epoch
-    routes and places it, and the others re-tag those positions with their
-    own method. Fragments split off by checkpoints or rectification are
-    placed by the variant that cut them. Each variant's estimates are scored
-    by `package_errors` against the instance's emitted truth, as bare floats
-    in estimate order.
+    routes and places it, and the others read its positions from the memo.
+    Fragments split off by checkpoints or rectification are placed by the
+    variant that cut them. Each variant's estimates are scored by
+    `package_errors` against the instance's emitted truth, as bare floats in
+    estimate order.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")

@@ -177,10 +177,10 @@ def test_criterion_6_interpolation_endpoint_exactness():
         if not is_complete(epoch):
             continue
         out = interpolate_epoch(spec.graph, epoch)
-        d0 = spec.graph.geodesic_distance(out[0].position, epoch.start_pos)
-        d1 = spec.graph.geodesic_distance(out[-1].position, epoch.final_pos)
+        d0 = spec.graph.geodesic_distance(out[0], epoch.start_pos)
+        d1 = spec.graph.geodesic_distance(out[-1], epoch.final_pos)
         worst = max(worst, d0, d1)
-        arcs = [spec.graph.geodesic_distance(epoch.start_pos, m.position) for m in out]
+        arcs = [spec.graph.geodesic_distance(epoch.start_pos, pos) for pos in out]
         monotone = monotone and all(b >= a - 1e-9 for a, b in zip(arcs, arcs[1:]))
         checked += 1
     ok = checked > 0 and worst <= 1e-9 and monotone

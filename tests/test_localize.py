@@ -69,38 +69,36 @@ def span_epoch(chain_graph, times, x0, x1):
 def test_interpolation_endpoints_exact(chain_graph):
     epoch = span_epoch(chain_graph, [0, 10], 0.0, 100.0)
     out = interpolate_epoch(chain_graph, epoch)
-    assert chain_graph.geodesic_distance(out[0].position, line_position(0.0)) <= 1e-9
-    assert chain_graph.geodesic_distance(out[-1].position, line_position(100.0)) <= 1e-9
+    assert chain_graph.geodesic_distance(out[0], line_position(0.0)) <= 1e-9
+    assert chain_graph.geodesic_distance(out[-1], line_position(100.0)) <= 1e-9
 
 
 def test_interpolation_midpoint(chain_graph):
     epoch = span_epoch(chain_graph, [0, 5, 10], 0.0, 100.0)
     out = interpolate_epoch(chain_graph, epoch)
-    assert chain_graph.geodesic_distance(out[1].position, line_position(50.0)) <= 1e-9
+    assert chain_graph.geodesic_distance(out[1], line_position(50.0)) <= 1e-9
 
 
 def test_interpolation_monotone_and_on_route(chain_graph):
     epoch = span_epoch(chain_graph, [0, 1, 3, 4, 9, 10], 12.0, 87.0)
     out = interpolate_epoch(chain_graph, epoch)
     start, end = line_position(12.0), line_position(87.0)
-    arclengths = [chain_graph.geodesic_distance(start, m.position) for m in out]
+    arclengths = [chain_graph.geodesic_distance(start, pos) for pos in out]
     assert arclengths == sorted(arclengths)
-    assert all(chain_graph.on_path(start, m.position, end, tol=1e-9) for m in out)
+    assert all(chain_graph.on_path(start, pos, end, tol=1e-9) for pos in out)
 
 
 def test_interpolation_equal_bounds(chain_graph):
     epoch = span_epoch(chain_graph, [0, 5, 10], 42.0, 42.0)
     out = interpolate_epoch(chain_graph, epoch)
-    assert all(
-        chain_graph.geodesic_distance(m.position, line_position(42.0)) <= 1e-9 for m in out
-    )
+    assert all(chain_graph.geodesic_distance(pos, line_position(42.0)) <= 1e-9 for pos in out)
 
 
 def test_interpolation_zero_timespan_pins_at_final(chain_graph, caplog):
     epoch = span_epoch(chain_graph, [7, 7], 10.0, 20.0)
     with caplog.at_level("WARNING", logger="gral.localize"):
         out = interpolate_epoch(chain_graph, epoch)
-    assert all(chain_graph.geodesic_distance(m.position, line_position(20.0)) <= 1e-9 for m in out)
+    assert all(chain_graph.geodesic_distance(pos, line_position(20.0)) <= 1e-9 for pos in out)
     assert any("zero time" in r.message for r in caplog.records)
 
 
@@ -573,6 +571,7 @@ def test_rectification_moves_contact_to_confluence():
     fixed = {mm.seq: mm for mm in rectified["u"]}
     for s in u_contact_seqs:
         assert graph.geodesic_distance(fixed[s].position, f_pos) <= limit + 1e-9
+    assert localize.rectify_paths(vanilla_state, "u", vanilla["u"]) is True
 
 
 def test_rectification_leaves_downstream_estimates_alone():
@@ -590,10 +589,14 @@ def test_rectification_same_origin_never_triggers(chain_graph):
     lead = chain_trajectory([float(x) for x in range(0, 101, 2)])
     trail = chain_trajectory([max(0.0, float(x) - 3) for x in range(0, 101, 2)])
     streams, _ = craft_streams(chain_graph, {"lead": lead, "trail": trail}, 4.0)
-    vanilla = run_pipeline(build_state(chain_graph, streams), streams, "gral")
+    state = build_state(chain_graph, streams)
+    vanilla = run_pipeline(state, streams, "gral")
     rectified = run_pipeline(build_state(chain_graph, streams), streams, "gral+pr")
     for node in vanilla:
         assert [m.position for m in vanilla[node]] == [m.position for m in rectified[node]]
+        epoch_set = state.epoch_sets[node]
+        assert localize.rectify_paths(state, node, vanilla[node]) is False
+        assert state.epoch_sets[node] is epoch_set
 
 
 @pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
@@ -739,32 +742,48 @@ def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monk
 def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
     spec = make_scenario(4)
     placed = []
-    real_interpolate, real_rectify = localize.interpolate_epoch, localize.rectify_paths
+    real_interpolate = localize.interpolate_epoch
+    real_rectify, real_localize = localize.rectify_paths, localize.localize_node
 
-    def recording_interpolate(graph, epoch, method="gral"):
+    def recording_interpolate(graph, epoch):
         placed.append(epoch)
-        return real_interpolate(graph, epoch, method)
+        return real_interpolate(graph, epoch)
 
     fragments_made = []
+    unplaced = {}  # node -> the fragments its rectification cut, until placed
 
-    def checked_rectify(state, node, localized, method):
+    def checked_rectify(state, node, localized):
         before = state.epoch_sets[node].epochs
         placed.clear()
-        out = real_rectify(state, node, localized, method)
+        cut = real_rectify(state, node, localized)
+        assert placed == [], node
         fragments = [e for e in state.epoch_sets[node].epochs if e not in before]
-        assert placed == fragments, node
-        # Oracle: placing every complete epoch of the rectified set again.
-        assert out == localize_node(state, node, method), node
+        assert cut == bool(fragments), node
+        if cut:
+            unplaced[node] = fragments
         fragments_made.append(len(fragments))
+        return cut
+
+    def checked_localize(state, node, method="gral"):
+        fragments = unplaced.pop(node, None)
+        placed.clear()
+        out = real_localize(state, node, method)
+        if fragments is not None:
+            assert placed == fragments, node
+            # Oracle: a fresh state places every complete epoch of the rectified set.
+            fresh = BackendState(state.graph, dict(state.epoch_sets))
+            assert out == real_localize(fresh, node, method), node
         return out
 
     monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
     monkeypatch.setattr(localize, "rectify_paths", checked_rectify)
+    monkeypatch.setattr(localize, "localize_node", checked_localize)
     for seed in range(5):
         streams = run_instance(spec, seed).streams()
         rectified = len(fragments_made)
         run_pipeline(build_state(spec.graph, streams), streams, variant)
         assert len(fragments_made) - rectified == len(streams)
+        assert unplaced == {}, seed
     assert sum(fragments_made) > 0
 
 
@@ -789,7 +808,7 @@ def test_parsed_and_placed_records_have_their_exact_types():
     for variant in VARIANTS:
         estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
         assert_exact([m for node in estimates.values() for m in node])
-    # Placed once into the state's memo, then re-tagged by a second method.
+    # Placed once into the state's memo; a second method's records read it.
     state = build_state(spec.graph, streams)
     for method in ("gral", "gral+cp"):
         assert_exact([m for node in streams for m in localize_node(state, node, method)])

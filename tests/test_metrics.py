@@ -231,7 +231,7 @@ def test_shared_placements_equal_fresh_states_on_gated_trees(monkeypatch):
 def test_experiment_places_each_segmented_epoch_once(monkeypatch):
     segmented = []  # every epoch build_state returned
     cut_by = {}  # id of a fragment -> (the fragment, the variant that cut it)
-    placed = []  # (epoch, method) of every interpolate_epoch call
+    placed = []  # (epoch, running variant) of every interpolate_epoch call
     tagged = []  # (variant, estimates) of every run_pipeline call
     running = None
     real_build, real_pipeline = metrics.build_state, metrics.run_pipeline
@@ -254,9 +254,9 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
         cut_by.update((id(f), (f, running)) for f in fragments)
         return fragments
 
-    def recording_interpolate(graph, epoch, method="gral"):
-        placed.append((epoch, method))
-        return real_interpolate(graph, epoch, method)
+    def recording_interpolate(graph, epoch):
+        placed.append((epoch, running))
+        return real_interpolate(graph, epoch)
 
     monkeypatch.setattr(metrics, "build_state", recording_build)
     monkeypatch.setattr(metrics, "run_pipeline", recording_pipeline)
@@ -268,11 +268,11 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
     times_placed = Counter(id(epoch) for epoch, _ in placed)
     assert [times_placed[id(e)] for e in segmented] == [int(is_complete(e)) for e in segmented]
     segmented_ids = {id(e) for e in segmented}
-    fragments = [(e, method) for e, method in placed if id(e) not in segmented_ids]
+    fragments = [(e, placer) for e, placer in placed if id(e) not in segmented_ids]
     assert fragments
-    for epoch, method in fragments:
+    for epoch, placer in fragments:
         fragment, variant = cut_by[id(epoch)]
-        assert fragment is epoch and variant == method
+        assert fragment is epoch and variant == placer
         assert times_placed[id(epoch)] == 1
     assert [variant for variant, _ in tagged] == list(VARIANTS) * 5
     for variant, estimates in tagged:
@@ -284,9 +284,9 @@ def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypat
     placed = []
     real_interpolate = localize.interpolate_epoch
 
-    def recording_interpolate(graph, epoch, method="gral"):
+    def recording_interpolate(graph, epoch):
         placed.append(epoch)
-        return real_interpolate(graph, epoch, method)
+        return real_interpolate(graph, epoch)
 
     monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
     for variant in ("gral", "gral+pr"):
@@ -303,7 +303,7 @@ def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypat
             # Every complete epoch is placed; rectification adds only its fragments.
             assert set(map(id, complete)) <= set(ids), (variant, seed)
             fragments += len(ids) - len(complete)
-            # A second run on the same state re-tags what the first placed,
+            # A second run on the same state reads what the first placed,
             # rectification fragments included, and places nothing twice.
             assert run_pipeline(state, streams, variant) == first
             assert sorted(map(id, placed)) == ids, (variant, seed)

@@ -17,7 +17,7 @@ from itertools import groupby, pairwise
 from typing import Iterable, Optional, Sequence
 
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
-from .packages import Package, strongest
+from .packages import Package, strongest, strongest_gateways
 
 log = logging.getLogger(__name__)
 
@@ -66,42 +66,39 @@ def classify(packages: Sequence[Package]) -> Optional[EpochKind]:
     hears the same strongest gateway with strictly-increasing respectively
     non-increasing strength. A lone observing package is vacuously both and is
     labelled rising until a second package disambiguates (arrival precedes
-    departure). Anything else does not form a valid epoch.
+    departure). Anything else does not form a valid epoch. Each package's top
+    observation is read once, into one list, with no call per package.
     """
     if not packages:
         raise EpochError("cannot classify an empty package run")
-    tops = [strongest(p) for p in packages]
-    if all(t is None for t in tops):
+    tops = [p.observations[0] if p.observations else None for p in packages]
+    silent = tops.count(None)
+    if silent == len(tops):
         return EpochKind.SILENT
-    if any(t is None for t in tops):
+    if silent:
         return None
     if len({t.gateway for t in tops}) != 1:
         return None
     strengths = [t.strength for t in tops]
-    if len(strengths) == 1:
+    if all(b > a for a, b in pairwise(strengths)):
         return EpochKind.RISING
-    if all(b > a for a, b in zip(strengths, strengths[1:])):
-        return EpochKind.RISING
-    if all(b <= a for a, b in zip(strengths, strengths[1:])):
+    if all(b <= a for a, b in pairwise(strengths)):
         return EpochKind.FALLING
     return None
 
 
 def anchor_of(packages: Sequence[Package]) -> Optional[str]:
     """Strongest gateway of the first observing package; None for silence."""
-    for p in packages:
-        top = strongest(p)
-        if top is not None:
-            return top.gateway
-    return None
+    return next((p.observations[0].gateway for p in packages if p.observations), None)
 
 
 def integrate_stream(node: str, packages: Iterable[Package]) -> EpochSet:
     """Segment a node's time-ordered stream into one epoch per gateway visit.
 
-    Each run of packages with the same strongest gateway, or of silence, is an
-    epoch whose kind is the run's trend, or mixed when its strengths form none.
-    A gateway heard again right after one silent run extends its earlier epoch
+    The strongest gateway of every package is read once, into one list. Each
+    run of one gateway in it, or of silence, is an epoch: a slice of the stream
+    whose kind is the run's trend, or mixed when its strengths form none. A
+    gateway heard again right after one silent run extends its earlier epoch
     by the silence and the new run (the node lingered at the gateway's range
     boundary), so no two neighbouring epochs share an anchor.
     """
@@ -109,17 +106,19 @@ def integrate_stream(node: str, packages: Iterable[Package]) -> EpochSet:
     for a, b in pairwise(packages):
         if b.t < a.t:
             raise EpochError(f"out-of-order package for node {node!r}: t={b.t} after {a.t}")
-    runs: list[tuple[Optional[str], list[Package]]] = []
-    for anchor, group in groupby(packages, key=lambda p: getattr(strongest(p), "gateway", None)):
+    runs: list[tuple[Optional[str], int]] = []  # (anchor, index of the run's first package)
+    start = 0
+    for anchor, group in groupby(strongest_gateways(packages)):
         if len(runs) > 1 and runs[-1][0] is None and runs[-2][0] == anchor:
-            _, silence = runs.pop()
-            runs[-1][1].extend(silence + list(group))
+            runs.pop()  # the silence and this run extend the visit before them
         else:
-            runs.append((anchor, list(group)))
-    return EpochSet(
-        node,
-        tuple(Epoch(classify(run) or EpochKind.MIXED, tuple(run), anchor) for anchor, run in runs),
-    )
+            runs.append((anchor, start))
+        start += len(list(group))
+    epochs = []
+    for (anchor, first), (_, end) in pairwise(runs + [(None, len(packages))]):
+        run = packages[first:end]
+        epochs.append(Epoch(classify(run) or EpochKind.MIXED, run, anchor))
+    return EpochSet(node, tuple(epochs))
 
 
 def merge_same_gateway(epoch_set: EpochSet) -> EpochSet:

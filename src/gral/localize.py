@@ -28,7 +28,7 @@ from .epochs import (
     resolve_positions,
 )
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
-from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package
+from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package, strongest_gateways
 
 log = logging.getLogger(__name__)
 
@@ -109,9 +109,7 @@ def baseline_localize(
     anchors: list[tuple[int, GraphPosition]] = []
     i = 0  # index of the run's first package
     # Runs of consecutive packages with the same strongest gateway (None: silent).
-    # Observations are kept strongest-first, so the first one is the strongest.
-    runs = groupby(packages, key=lambda p: p.observations[0].gateway if p.observations else None)
-    for gateway, run in runs:
+    for gateway, run in groupby(strongest_gateways(packages)):
         n = len(list(run))
         if gateway in graph.gateways:
             junction_pos = graph.position_at(graph.gateways[gateway].junction)

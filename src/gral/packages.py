@@ -80,6 +80,11 @@ def strongest(package: Package) -> Optional[GatewayObservation]:
     return package.observations[0] if package.observations else None
 
 
+def strongest_gateways(packages: Iterable[Package]) -> list[Optional[str]]:
+    """Strongest gateway id of each package, None where nothing was heard."""
+    return [p.observations[0].gateway if p.observations else None for p in packages]
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     """Position/time anchor one node issues for a peer it met."""
@@ -115,11 +120,11 @@ _INF = math.inf
 _scan_once = json.JSONDecoder().scan_once
 
 # Each field is first tested for the exact type a well-formed record holds.
-# Only a value that fails that test goes through the `check_*` helper, which
-# coerces it (an integer `t` or strength, a whole-float `seq`) or raises.
-# Records are built by `tuple.__new__`, which skips the `__new__` of the
-# NamedTuple classes and of `Package`; the parser sorts observations itself,
-# with `Package`'s key.
+# Only a value that fails goes through its `check_*` helper, which coerces it
+# (an integer `t` or strength, a whole-float `seq`) or raises, and only a
+# non-empty `obs` or `contacts` array through `_signals`. `tuple.__new__`
+# builds every record: it skips the `__new__` of the NamedTuple classes and
+# of `Package`, so the parser sorts observations itself, with `Package`'s key.
 
 
 def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float]]:
@@ -129,8 +134,6 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
     # caller reports it only after every other field has passed.
     if type(value) is not list:
         raise ValueError(f"{what} must be an array of [id, strength] pairs, got {value!r}")
-    if not value:
-        return (), None
     new = tuple.__new__
     signals = []
     non_finite = None
@@ -150,53 +153,20 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
     return tuple(signals), non_finite
 
 
-def _package_from_json(obj: Any, line: int) -> Package:
-    if type(obj) is not dict:
-        raise StreamFormatError("record is not a JSON object", line)
-    if obj.keys() != _PACKAGE_KEYS:
-        missing = _PACKAGE_KEYS - set(obj)
-        if missing:
-            raise StreamFormatError(f"missing field(s) {sorted(missing)}", line)
-        raise StreamFormatError(f"unknown field(s) {sorted(set(obj) - _PACKAGE_KEYS)}", line)
-    try:
-        observations, bad_obs = _signals(obj["obs"], "obs", GatewayObservation)
-        contacts, bad_contact = _signals(obj["contacts"], "contacts", NodeContact)
-        node, seq, t = obj["node"], obj["seq"], obj["t"]
-        if type(node) is not str:
-            node = check_string(node, "node")
-        if type(seq) is not int:
-            seq = check_integer(seq, "seq")
-        if type(t) is not float:
-            t = check_number(t, "t")
-        if len(observations) > 1:
-            observations = tuple(sorted(observations, key=_strongest_first))
-        pkg = tuple.__new__(Package, (node, seq, t, observations, contacts, obj["payload"]))
-    except (TypeError, ValueError) as exc:
-        raise StreamFormatError(str(exc), line) from exc
-    if not -_INF < t < _INF:
-        raise StreamFormatError(f"non-finite timestamp {t}", line)
-    bad = bad_obs if bad_obs is not None else bad_contact
-    if bad is not None:
-        raise StreamFormatError(f"non-finite strength {bad}", line)
-    for contact in contacts:
-        if contact.peer == node:
-            raise StreamFormatError(f"node {node!r} lists itself as a contact", line)
-    return pkg
-
-
 def parse_package_stream(data: str | bytes) -> list[Package]:
     """Parse newline-delimited JSON packages, enforcing per-node ordering.
 
     Sequence numbers must be strictly increasing and timestamps non-decreasing
     per node; violations and malformed records raise StreamFormatError with
-    the line number. A well-formed line costs one call of the JSON decoder's
-    scanner and one `_package_from_json`, which builds its records by
-    `tuple.__new__`.
+    the line number. A well-formed line with empty `obs` and `contacts` costs
+    one call of the JSON decoder's scanner and no Python function call; its
+    `Package` is built by `tuple.__new__`.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
+    new = tuple.__new__
     packages: list[Package] = []
-    last: dict[str, tuple[int, float]] = {}
+    last: dict[str, Package] = {}
     # Records are separated by "\n" only: JSON strings may hold other line
     # breaks raw, and the "\r" of a CRLF line is JSON whitespace.
     for lineno, line in enumerate(data.split("\n"), start=1):
@@ -214,20 +184,53 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
-        pkg = _package_from_json(obj, lineno)
-        previous = last.get(pkg.node)
+        if type(obj) is not dict:
+            raise StreamFormatError("record is not a JSON object", lineno)
+        try:  # six fields that all subscript are exactly the six names
+            if len(obj) != 6:
+                raise KeyError
+            node, seq, t = obj["node"], obj["seq"], obj["t"]
+            obs, contacts, payload = obj["obs"], obj["contacts"], obj["payload"]
+        except KeyError:
+            missing = _PACKAGE_KEYS - obj.keys()
+            if missing:
+                raise StreamFormatError(f"missing field(s) {sorted(missing)}", lineno) from None
+            unknown = sorted(obj.keys() - _PACKAGE_KEYS)
+            raise StreamFormatError(f"unknown field(s) {unknown}", lineno) from None
+        try:
+            obs, bad_obs = _signals(obs, "obs", GatewayObservation) if obs != [] else ((), None)
+            contacts, bad_contact = (
+                _signals(contacts, "contacts", NodeContact) if contacts != [] else ((), None)
+            )
+            if type(node) is not str:
+                node = check_string(node, "node")
+            if type(seq) is not int:
+                seq = check_integer(seq, "seq")
+            if type(t) is not float:
+                t = check_number(t, "t")
+            if len(obs) > 1:
+                obs = tuple(sorted(obs, key=_strongest_first))
+        except (TypeError, ValueError) as exc:
+            raise StreamFormatError(str(exc), lineno) from exc
+        if not -_INF < t < _INF:
+            raise StreamFormatError(f"non-finite timestamp {t}", lineno)
+        bad = bad_obs if bad_obs is not None else bad_contact
+        if bad is not None:
+            raise StreamFormatError(f"non-finite strength {bad}", lineno)
+        for contact in contacts:
+            if contact.peer == node:
+                raise StreamFormatError(f"node {node!r} lists itself as a contact", lineno)
+        previous = last.get(node)
         if previous is not None:
-            if pkg.seq <= previous[0]:
+            if seq <= previous.seq:
                 raise StreamFormatError(
-                    f"seq regression for node {pkg.node!r}: {pkg.seq} after {previous[0]}",
-                    lineno,
+                    f"seq regression for node {node!r}: {seq} after {previous.seq}", lineno
                 )
-            if pkg.t < previous[1]:
+            if t < previous.t:
                 raise StreamFormatError(
-                    f"timestamp regression for node {pkg.node!r}: {pkg.t} after {previous[1]}",
-                    lineno,
+                    f"timestamp regression for node {node!r}: {t} after {previous.t}", lineno
                 )
-        last[pkg.node] = (pkg.seq, pkg.t)
+        last[node] = pkg = new(Package, (node, seq, t, obs, contacts, payload))
         packages.append(pkg)
     return packages
 

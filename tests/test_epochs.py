@@ -271,27 +271,31 @@ def test_wide_streams_cover_every_integration_case():
 
 
 def test_segmentation_work_is_linear_in_stream_length(monkeypatch):
-    # Count the packages classify scans and the strongest-signal lookups that
-    # segmentation makes; re-scanning the open epoch per package would make
-    # either grow with the square of the stream length.
+    # Count the packages classify scans and the reads of a package's
+    # observations that segmentation makes; re-scanning the open epoch per
+    # package would make either grow with the square of the stream length.
     counts = {"scanned": 0, "lookups": 0}
-    real_classify, real_strongest = gral.epochs.classify, gral.epochs.strongest
+    real_classify = gral.epochs.classify
+
+    class CountingPackage(Package):
+        __slots__ = ()
+
+        @property
+        def observations(self):
+            counts["lookups"] += 1
+            return tuple.__getitem__(self, 3)
 
     def counting_classify(packages):
         counts["scanned"] += len(packages)
         return real_classify(packages)
 
-    def counting_strongest(package):
-        counts["lookups"] += 1
-        return real_strongest(package)
-
     monkeypatch.setattr(gral.epochs, "classify", counting_classify)
-    monkeypatch.setattr(gral.epochs, "strongest", counting_strongest)
     pkgs = wide_stream(random.Random(12), 1250)
     # A node lingering at a range boundary: gA heard on every other package,
     # so each reading coalesces with the stretch before it.
     pkgs += [mk(1250 + i, *([("gA", 1.0)] if i % 2 else []), seq=1251 + i) for i in range(1250)]
     pkgs += [mk(2500 + i, seq=2501 + i) for i in range(2500)]  # a long silent stretch
+    pkgs = [CountingPackage(*p) for p in pkgs]
     assert len(pkgs) == 5000
     merged = merge_same_gateway(gral.epochs.integrate_stream("n", pkgs))
     assert [p for e in merged.epochs for p in e.packages] == pkgs

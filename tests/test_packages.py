@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -236,6 +237,12 @@ def test_crlf_line_with_a_missing_value_still_fails():
     [
         (lambda o: o.pop("seq"), "missing"),
         (lambda o: o.update(color=1), "unknown"),
+        # Six fields, so the field count alone does not catch it.
+        pytest.param(
+            lambda o: o.update(color=o.pop("t")),
+            "^" + re.escape("line 1: missing field(s) ['t']") + "$",
+            id="six-fields",
+        ),
     ],
 )
 def test_field_validation(mutate, message):

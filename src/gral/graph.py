@@ -79,6 +79,8 @@ class GraphPosition(NamedTuple):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed position object: {obj!r}") from exc
+        if unknown := obj.keys() - {"from", "to", "offset", "span"}:
+            raise GraphError(f"unknown field(s) {sorted(unknown)} in position object")
         if not (math.isfinite(pos.offset) and math.isfinite(pos.span)):
             raise GraphError(f"non-finite offset or span in position object: {obj!r}")
         return pos

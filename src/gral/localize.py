@@ -37,10 +37,11 @@ log = logging.getLogger(__name__)
 class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
-    `placements` memoizes `localize_node`: it maps every epoch placed through
-    this state to its packages' positions, which carry no variant tag.
-    States that start from one segmentation may share one map, as
-    `run_experiment`'s variants do; an epoch then is routed and placed once.
+    `placements` memoizes `localize_node`: it maps every complete epoch placed
+    through this state to its packages' positions, which carry no variant tag,
+    and the refinements read positions there. States that start from one
+    segmentation may share one map, as `run_experiment`'s variants do; an
+    epoch then is routed and placed once. Only `run_pipeline` adds checkpoints.
     """
 
     graph: EnvironmentGraph
@@ -104,7 +105,8 @@ def baseline_localize(
     First and last contact with each gateway pin the node to that gateway's
     junction; packages between consecutive anchors interpolate along the
     shortest path between the junctions, and packages outside the anchored
-    window pin to the nearest anchor.
+    window pin to the nearest anchor. An anchor pair spanning no time pins
+    its packages at the later anchor, as `interpolate_epoch` does.
     """
     anchors: list[tuple[int, GraphPosition]] = []
     i = 0  # index of the run's first package
@@ -128,11 +130,11 @@ def baseline_localize(
         owned = packages[i0 + 1 : min(i1 + 1, last)]
         if not owned:
             continue
-        route = graph.route(p0, p1)
         t0, t1 = packages[i0].t, packages[i1].t
         if t1 <= t0:
-            positions += route.points_at([0.0] * len(owned))
+            positions += [p1] * len(owned)
         else:
+            route = graph.route(p0, p1)
             total, dt = route.total, t1 - t0
             positions += route.points_at([(pkg.t - t0) / dt * total for pkg in owned])
     positions += [anchors[-1][1]] * (len(packages) - len(positions))
@@ -180,28 +182,23 @@ def _meetings(epoch: Epoch) -> dict[str, list[tuple[int, float]]]:
     return meetings
 
 
-def issue_checkpoints(
-    state: BackendState, node: str, localized: list[LocalizedMeasurement]
-) -> list[Checkpoint]:
-    """Create one checkpoint per (epoch, contacted peer) at the strongest contact.
+def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
+    """One checkpoint per (placed epoch, contacted peer), at the strongest contact.
 
-    The checkpoint carries the issuer's localized position at that package's
-    timestamp; packages that could not be localized issue nothing. Of equally
+    The checkpoint carries the issuer's position for that package from
+    `state.placements`; epochs not placed there issue nothing. Of equally
     strong contacts with one peer, the first in `_meetings` order wins. The
-    issued checkpoints are appended to `state.checkpoints` and returned.
+    checkpoints are returned and nothing is written.
     """
-    by_seq = {m.seq: m for m in localized}
     issued = []
     for epoch in state.epoch_sets[node].epochs:
+        positions = state.placements.get(epoch)
+        if positions is None:
+            continue
         meetings = _meetings(epoch)
         for peer in sorted(meetings):
             i, _ = max(meetings[peer], key=itemgetter(1))
-            pkg = epoch.packages[i]
-            measurement = by_seq.get(pkg.seq)
-            if measurement is None:
-                continue
-            issued.append(Checkpoint(node, peer, pkg.t, measurement.position))
-    state.checkpoints.extend(issued)
+            issued.append(Checkpoint(node, peer, epoch.packages[i].t, positions[i]))
     return issued
 
 
@@ -216,15 +213,15 @@ def _split_epoch(epoch: Epoch, cuts: dict[int, GraphPosition]) -> list[Epoch]:
     ]
 
 
-def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
+def apply_checkpoints(state: BackendState, node: str) -> None:
     """Split the node's epochs at checkpoints received from earlier arrivers.
 
     A checkpoint splits its containing epoch at the first package strictly
     later than the checkpoint; both fragments adopt the checkpoint position as
     their shared boundary. Checkpoints outside any complete epoch, beyond its
     last package, or off the epoch's interpolation path are discarded. The
-    split set replaces the node's entry in `state.epoch_sets`. The path test
-    is `EnvironmentGraph.on_path` between the epoch's bounds; no route is built.
+    split set replaces the node's entry in `state.epoch_sets`; nothing is
+    returned. The path test is `EnvironmentGraph.on_path`; no route is built.
     """
     graph = state.graph
     epochs = list(state.epoch_sets[node].epochs)
@@ -248,7 +245,6 @@ def apply_checkpoints(state: BackendState, node: str) -> EpochSet:
             continue
         epochs[idx : idx + 1] = _split_epoch(epoch, {split_at: ck.position})
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
-    return state.epoch_sets[node]
 
 
 def _provenance_before(
@@ -262,20 +258,20 @@ def _provenance_before(
     return anchor_junction(state.graph, reversed(begun))
 
 
-def _confluence_cuts(
-    state: BackendState, node: str, idx: int, placed: dict[int, GraphPosition]
-) -> dict[int, GraphPosition]:
+def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, GraphPosition]:
     """Package index -> confluence boundary for each contact placed upstream of it.
 
     Per peer, only the epoch's earliest flagged contact cuts; when two peers
-    flag the same package, the first peer's confluence wins. An epoch that
-    heard no peer returns before any anchor or provenance lookup.
+    flag the same package, the first peer's confluence wins. Positions come
+    from `state.placements`; an epoch not placed there, or one that heard no
+    peer, returns before any anchor or provenance lookup.
     """
     graph = state.graph
     epochs = state.epoch_sets[node].epochs
     epoch = epochs[idx]
     cuts: dict[int, GraphPosition] = {}
-    if not is_complete(epoch) or not (meetings := _meetings(epoch)):
+    positions = state.placements.get(epoch)
+    if positions is None or not (meetings := _meetings(epoch)):
         return cuts
     v_f = anchor_junction(graph, epochs[idx + 1 :])
     if v_f is None:
@@ -296,17 +292,14 @@ def _confluence_cuts(
         v_c_pos = graph.position_at(graph.confluence_vertex(v_a, v_b, v_f))
         limit = graph.geodesic_distance(v_c_pos, v_f_pos)
         for i, _ in met:
-            pos = placed.get(epoch.packages[i].seq)
-            if pos is not None and graph.geodesic_distance(pos, v_f_pos) > limit + POSITION_TOL:
+            if graph.geodesic_distance(positions[i], v_f_pos) > limit + POSITION_TOL:
                 if i > 0:  # nothing before an epoch's first package to cut off
                     cuts.setdefault(i, v_c_pos)
                 break
     return cuts
 
 
-def rectify_paths(
-    state: BackendState, node: str, localized: list[LocalizedMeasurement]
-) -> bool:
+def rectify_paths(state: BackendState, node: str) -> bool:
     """Split epochs whose encounter estimates lie upstream of the confluence vertex.
 
     Two nodes heading for a common destination can only have met at or after
@@ -314,15 +307,14 @@ def rectify_paths(
     falls upstream of that confluence, the containing epoch splits at the
     earliest such package with the confluence junction as the boundary, and
     the split set replaces the node's entry in `state.epoch_sets`. Detection
-    runs on the given estimates; splits never move a package past the
+    reads `state.placements`; splits never move a package past the
     confluence, so they cannot overshoot. Nothing is placed here. Returns
     whether anything was cut; when nothing was, the epoch set stays.
     """
-    placed = {m.seq: m.position for m in localized}
     unsplit = state.epoch_sets[node].epochs
     epochs: list[Epoch] = []
     for idx, epoch in enumerate(unsplit):
-        cuts = _confluence_cuts(state, node, idx, placed)
+        cuts = _confluence_cuts(state, node, idx)
         epochs.extend(_split_epoch(epoch, cuts) if cuts else (epoch,))
     if len(epochs) == len(unsplit):  # every cut adds a fragment
         return False
@@ -339,7 +331,7 @@ def run_pipeline(
     timestamp, then node id) so that checkpoints issued by early arrivers are
     available to later ones. Each node is placed after its checkpoint cuts,
     and placed again after a rectification cut; `localize_node` then routes
-    only the new fragments.
+    only the new fragments. Issued checkpoints are stored in `state.checkpoints`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -359,9 +351,9 @@ def run_pipeline(
         if use_cp:
             apply_checkpoints(state, node)
         localized = localize_node(state, node, variant)
-        if use_pr and rectify_paths(state, node, localized):
+        if use_pr and rectify_paths(state, node):
             localized = localize_node(state, node, variant)
         if use_cp:
-            issue_checkpoints(state, node, localized)
+            state.checkpoints += issue_checkpoints(state, node)
         results[node] = localized
     return results

@@ -433,6 +433,7 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         lambda o: o["graph"]["links"][0].update(length="50"),
         lambda o: o["insertions"][0].update(node=1),
         lambda o: renumber_junction(o["graph"], "a", 0, o["insertions"][0]["at"]),
+        lambda o: o["insertions"][0]["at"].update(bogus=1),
     ],
     ids=[
         "base_step",
@@ -452,6 +453,7 @@ def test_localize_rejects_non_finite_input(tmp_path, mutate):
         "graph-string-length",
         "insertion-number-node",
         "junction-number-id",
+        "position-unknown-field",
     ],
 )
 def test_simulate_rejects_non_finite_scenario(tmp_path, mutate):

@@ -649,6 +649,13 @@ def test_position_from_json_rejects_non_string_junctions(field, bad):
         GraphPosition.from_json(obj)
 
 
+def test_position_from_json_rejects_unknown_fields():
+    obj = {**GraphPosition("a", "b", 10.0, 50.0).to_json(), "bogus": 1, "at": 2}
+    with pytest.raises(GraphError) as exc:
+        GraphPosition.from_json(obj)
+    assert str(exc.value) == "unknown field(s) ['at', 'bogus'] in position object"
+
+
 def test_gateway_validation():
     with pytest.raises(GraphError, match="nonpositive radius"):
         build_graph([Junction("a", Gateway("g", "a", 0.0))], [], "a")

@@ -167,9 +167,11 @@ def expected_baseline(graph, packages, anchors):
             (a, b) for a, b in zip(anchors, anchors[1:]) if a[0] <= k <= b[0]
         )
         t0, t1 = packages[i0].t, packages[i1].t
-        fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
+        if t1 <= t0:  # a pair that spans no time pins at its later anchor
+            out.append(graph.position_at(j1))
+            continue
         route = graph.route(graph.position_at(j0), graph.position_at(j1))
-        out.append(route.point_at(fraction * route.total))
+        out.append(route.point_at((pkg.t - t0) / (t1 - t0) * route.total))
     return out
 
 
@@ -214,6 +216,9 @@ def test_baseline_matches_per_package_routes(chain_graph, monkeypatch, times_and
     assert [m.position for m in out] == expected
     assert [(m.seq, m.t, m.method) for m in out] == [(p.seq, p.t, "baseline") for p in pkgs]
     assert len(calls) <= len(anchors) - 1
+    # Every anchor package sits at its gateway's junction.
+    for k, junction in anchors:
+        assert chain_graph.same_point(out[k].position, chain_graph.position_at(junction)), k
 
 
 def test_baseline_builds_one_route_per_anchor_pair(chain_graph, monkeypatch):
@@ -254,11 +259,13 @@ def reference_baseline(graph, packages, method="baseline"):
                 pair += 1
                 route = None
             (i0, p0), (i1, p1) = anchors[pair], anchors[pair + 1]
-            if route is None:
-                route = graph.route(p0, p1)
             t0, t1 = packages[i0].t, packages[i1].t
-            fraction = 0.0 if t1 <= t0 else (pkg.t - t0) / (t1 - t0)
-            pos = reference_point_at(route, fraction * route.total)
+            if t1 <= t0:  # a pair that spans no time pins at its later anchor
+                pos = p1
+            else:
+                if route is None:
+                    route = graph.route(p0, p1)
+                pos = reference_point_at(route, (pkg.t - t0) / (t1 - t0) * route.total)
         out.append(LocalizedMeasurement(pkg.node, pkg.seq, pkg.t, pos, method))
     return out
 
@@ -373,22 +380,30 @@ def checkpointable_state(chain_graph):
 
 def test_issue_checkpoint_at_strongest_contact(chain_graph):
     state, streams = checkpointable_state(chain_graph)
-    localized = localize_node(state, "i")
-    issued = issue_checkpoints(state, "i", localized)
+    # Epochs not yet placed issue nothing.
+    assert issue_checkpoints(state, "i") == []
+    localize_node(state, "i")
+    issued = issue_checkpoints(state, "i")
     assert len(issued) == 1
     ck = issued[0]
     assert (ck.issuer, ck.target) == ("i", "p")
     # contacts at x=69 (d=1) and x=71 (d=1) tie; the earlier one wins
     assert ck.t == 7.0
-    assert state.checkpoints == [ck]
+    # The position is the issuer's placement of that package, and issuing
+    # stores nothing: `run_pipeline` keeps the checkpoints.
+    (epoch, i), = [
+        (e, i) for e in state.epoch_sets["i"].epochs for i, p in enumerate(e.packages) if p.t == ck.t
+    ]
+    assert ck.position is state.placements[epoch][i]
+    assert state.checkpoints == []
 
 
 def test_issue_no_contacts_no_checkpoints(chain_graph):
     xs = chain_trajectory([0.0, 50.0, 100.0])
     streams, _ = craft_streams(chain_graph, {"i": xs}, 4.0)
     state = build_state(chain_graph, streams)
-    localized = localize_node(state, "i")
-    assert issue_checkpoints(state, "i", localized) == []
+    localize_node(state, "i")
+    assert issue_checkpoints(state, "i") == []
 
 
 def test_issue_one_checkpoint_per_peer(chain_graph):
@@ -397,8 +412,8 @@ def test_issue_one_checkpoint_per_peer(chain_graph):
     far = chain_trajectory([80.0] * 11)
     streams, _ = craft_streams(chain_graph, {"i": issuer, "p1": near, "p2": far}, 3.0)
     state = build_state(chain_graph, streams)
-    localized = localize_node(state, "i")
-    issued = issue_checkpoints(state, "i", localized)
+    localize_node(state, "i")
+    issued = issue_checkpoints(state, "i")
     assert sorted(c.target for c in issued) == ["p1", "p2"]
 
 
@@ -484,7 +499,7 @@ def test_apply_checkpoints_routes_each_epoch_at_most_once(variant, monkeypatch):
         calls.clear()
         out = real_apply(state, node)
         assert calls == [], node
-        splits += len(out.epochs) - before
+        splits += len(state.epoch_sets[node].epochs) - before
         return out
 
     monkeypatch.setattr(localize, "apply_checkpoints", checked_apply)
@@ -571,7 +586,7 @@ def test_rectification_moves_contact_to_confluence():
     fixed = {mm.seq: mm for mm in rectified["u"]}
     for s in u_contact_seqs:
         assert graph.geodesic_distance(fixed[s].position, f_pos) <= limit + 1e-9
-    assert localize.rectify_paths(vanilla_state, "u", vanilla["u"]) is True
+    assert localize.rectify_paths(vanilla_state, "u") is True
 
 
 def test_rectification_leaves_downstream_estimates_alone():
@@ -595,7 +610,7 @@ def test_rectification_same_origin_never_triggers(chain_graph):
     for node in vanilla:
         assert [m.position for m in vanilla[node]] == [m.position for m in rectified[node]]
         epoch_set = state.epoch_sets[node]
-        assert localize.rectify_paths(state, node, vanilla[node]) is False
+        assert localize.rectify_paths(state, node) is False
         assert state.epoch_sets[node] is epoch_set
 
 
@@ -634,17 +649,21 @@ def test_contact_index_takes_the_first_strongest_contact():
     assert len(state.epoch_sets["u"].epochs[0].packages) > 52
     localized = localize_node(state, "u")
     position = {m.seq: m.position for m in localized}
-    issued = issue_checkpoints(state, "u", localized)
+    issued = issue_checkpoints(state, "u")
     # One checkpoint per peer, at the earliest of the strongest contacts.
     assert issued == [
         Checkpoint("u", peer, crafted[i].t, position[crafted[i].seq])
         for peer, i in (("w", 45), ("x", 44))
     ]
-    assert state.checkpoints == issued
+    # Each position is the placement itself, and issuing stores nothing.
+    placed = state.placements[state.epoch_sets["u"].epochs[0]]
+    assert [ck.position is placed[i] for ck, i in zip(issued, (45, 44))] == [True, True]
+    assert state.checkpoints == []
 
     def rectified_shape(streams):
         state = build_state(graph, streams)
-        localize.rectify_paths(state, "u", localize_node(state, "u"))
+        localize_node(state, "u")
+        localize.rectify_paths(state, "u")
         return [[p.seq for p in e.packages] for e in state.epoch_sets["u"].epochs]
 
     # Strengths and repeated listings do not move rectification's cut.
@@ -752,10 +771,10 @@ def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
     fragments_made = []
     unplaced = {}  # node -> the fragments its rectification cut, until placed
 
-    def checked_rectify(state, node, localized):
+    def checked_rectify(state, node):
         before = state.epoch_sets[node].epochs
         placed.clear()
-        cut = real_rectify(state, node, localized)
+        cut = real_rectify(state, node)
         assert placed == [], node
         fragments = [e for e in state.epoch_sets[node].epochs if e not in before]
         assert cut == bool(fragments), node
@@ -838,13 +857,19 @@ def test_pipeline_checkpoint_shifts_later_arriver(chain_graph):
     trail = chain_trajectory(lagged)
     streams, _ = craft_streams(chain_graph, {"a-lead": lead, "b-trail": trail}, R)
     vanilla = run_pipeline(build_state(chain_graph, streams), streams, "gral")
-    with_cp = run_pipeline(build_state(chain_graph, streams), streams, "gral+cp")
+    state = build_state(chain_graph, streams)
+    with_cp = run_pipeline(state, streams, "gral+cp")
     moved = sum(
         1
         for m_v, m_c in zip(vanilla["b-trail"], with_cp["b-trail"])
         if chain_graph.geodesic_distance(m_v.position, m_c.position) > 1e-9
     )
     assert moved > 0
+    # The pipeline stores what each node issues, in arrival order.
+    assert state.checkpoints
+    assert state.checkpoints == [
+        ck for node in ("a-lead", "b-trail") for ck in issue_checkpoints(state, node)
+    ]
 
 
 def test_pipeline_method_tags(chain_graph):

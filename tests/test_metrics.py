@@ -335,12 +335,12 @@ def test_refinements_skip_routes_and_lookups_they_cannot_use(monkeypatch):
         assert not applying
         return real_route(start, end)
 
-    def recording_cuts(state, node, idx, placed):
+    def recording_cuts(state, node, idx):
         epoch = state.epoch_sets[node].epochs[idx]
         epochs_seen[any(p.contacts for p in epoch.packages)] += 1
         current.append(epoch)
         try:
-            return real_cuts(state, node, idx, placed)
+            return real_cuts(state, node, idx)
         finally:
             current.pop()
 

@@ -14,6 +14,7 @@ import enum
 import logging
 from dataclasses import dataclass, replace
 from itertools import groupby, pairwise
+from operator import attrgetter, gt
 from typing import Iterable, Optional, Sequence
 
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
@@ -103,9 +104,11 @@ def integrate_stream(node: str, packages: Iterable[Package]) -> EpochSet:
     boundary), so no two neighbouring epochs share an anchor.
     """
     packages = tuple(packages)
-    for a, b in pairwise(packages):
-        if b.t < a.t:
-            raise EpochError(f"out-of-order package for node {node!r}: t={b.t} after {a.t}")
+    # One C-level pass checks the order; the first bad pair is found only on failure.
+    ts = list(map(attrgetter("t"), packages))
+    if any(map(gt, ts, ts[1:])):
+        a, b = next((a, b) for a, b in pairwise(ts) if b < a)
+        raise EpochError(f"out-of-order package for node {node!r}: t={b} after {a}")
     runs: list[tuple[Optional[str], int]] = []  # (anchor, index of the run's first package)
     start = 0
     for anchor, group in groupby(strongest_gateways(packages)):

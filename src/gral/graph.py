@@ -369,8 +369,9 @@ class Route:
         also on a route within one link. Clamps are conditional expressions,
         which give the bits `min(max(x, lo), hi)` gives (±0.0, NaN and ±inf
         included), and positions are built by `tuple.__new__`, so neither
-        costs a call per point. A point on the middle path goes through
-        `_walk`, the walk `canonicalize` uses.
+        costs a call per point. A point on the middle path is walked in
+        place, with `_walk`'s steps in `_walk`'s order, so it gets the bits
+        `canonicalize` gives it.
         """
         total = self.total
         start = self.start
@@ -394,6 +395,8 @@ class Route:
         # Junction-to-junction path.
         mid_path, mid_lengths, mid_len = self._mid_path, self._mid_lengths, self._mid_len
         mid_limit = mid_len + POSITION_TOL if mid_lengths else -math.inf
+        mid_last = len(mid_lengths) - 1
+        mid_stops = [length - POSITION_TOL for length in mid_lengths]
         # End link: away from the enter junction toward the end point.
         end_u, end_v, _, end_span = self.end
         tail = self._tail
@@ -409,7 +412,15 @@ class Route:
             s -= head
             if s <= mid_limit:
                 s = 0.0 if s < 0.0 else mid_len if s > mid_len else s
-                append(_walk(mid_path, mid_lengths, s))
+                i = 0
+                while i < mid_last and not s < mid_stops[i]:
+                    s -= mid_lengths[i]
+                    if s < POSITION_TOL:
+                        s = 0.0
+                    i += 1
+                length = mid_lengths[i]
+                off = length if length < s else s
+                append(new(GraphPosition, (mid_path[i], mid_path[i + 1], off, length)))
                 continue
             s -= mid_len
             off = tail_from + tail_dir * (0.0 if s < 0.0 else tail if s > tail else s)
@@ -428,7 +439,8 @@ def _walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosit
     # The point `remaining` units along `path`, whose links have `lengths`;
     # `remaining` is already clamped to [0, sum(lengths)]. A point within
     # tolerance of an interior junction lands at offset 0 on the outgoing link.
-    # `canonicalize` and `Route.points_at` share it, so both give a point the same bits.
+    # `Route.points_at` repeats these steps in this order inline, so both give
+    # a point the same bits.
     last = len(lengths) - 1
     for i, length in enumerate(lengths):
         if remaining < length - POSITION_TOL or i == last:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from itertools import groupby, pairwise, takewhile
-from operator import itemgetter
 from typing import Optional
 
 from .epochs import (
@@ -186,8 +185,9 @@ def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
     """One checkpoint per (placed epoch, contacted peer), at the strongest contact.
 
     The checkpoint carries the issuer's position for that package from
-    `state.placements`; epochs not placed there issue nothing. Of equally
-    strong contacts with one peer, the first in `_meetings` order wins. The
+    `state.placements`; epochs not placed there issue nothing. One pass over
+    the contact packages keeps each peer's strongest contact; of equally
+    strong contacts with one peer, the first in package order wins. The
     checkpoints are returned and nothing is written.
     """
     issued = []
@@ -195,9 +195,16 @@ def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
         positions = state.placements.get(epoch)
         if positions is None:
             continue
-        meetings = _meetings(epoch)
-        for peer in sorted(meetings):
-            i, _ = max(meetings[peer], key=itemgetter(1))
+        strongest: dict[str, float] = {}  # peer -> its strongest contact so far
+        at: dict[str, int] = {}  # peer -> index of the package that heard it
+        for i, pkg in enumerate(epoch.packages):
+            if pkg.contacts:
+                for peer, strength in pkg.contacts:
+                    if peer not in strongest or strength > strongest[peer]:
+                        strongest[peer] = strength
+                        at[peer] = i
+        for peer in sorted(at):
+            i = at[peer]
             issued.append(Checkpoint(node, peer, epoch.packages[i].t, positions[i]))
     return issued
 

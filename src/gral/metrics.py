@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple, Sequence
 
+from .epochs import Epoch
 from .graph import EnvironmentGraph, GraphPosition
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
 from .packages import LocalizedMeasurement
@@ -73,8 +74,9 @@ def package_errors(
     """Geodesic error of each estimate whose `(node, seq)` is in `truth`.
 
     Errors come in estimate order; an estimate of a package that `truth` does
-    not hold is skipped. This is the scoring kernel of `run_experiment`: one
-    dict lookup and one geodesic per estimate, and no record per package.
+    not hold is skipped. This kernel scores `run_experiment`'s baseline and
+    `instance_errors`: one dict lookup and one geodesic per estimate, and no
+    record per package.
     """
     true_position = truth.get
     distance = graph.geodesic_distance
@@ -84,6 +86,40 @@ def package_errors(
         for node, seq, _t, estimate, _method in measurements
         if (position := true_position((node, seq))) is not None
     ]
+
+
+def epoch_errors(
+    state: BackendState,
+    truth: dict[tuple[str, int], GraphPosition],
+    scored: dict[Epoch, list[float]],
+) -> list[float]:
+    """Geodesic error of each placed package of the state's complete epochs.
+
+    After `run_pipeline`, these are `package_errors` of the estimates it
+    returned, in epoch order; a package that `truth` does not hold is skipped.
+    `scored` memoizes each epoch's errors against `truth`. The states of one
+    instance, whose variants share its epochs, share one `scored`: an epoch
+    is scored by the first state that holds it, and the others extend their
+    list by its errors.
+    """
+    errors: list[float] = []
+    placements = state.placements
+    true_position = truth.get
+    distance = state.graph.geodesic_distance
+    for epoch_set in state.epoch_sets.values():
+        for epoch in epoch_set.epochs:
+            epoch_scored = scored.get(epoch)
+            if epoch_scored is None:
+                positions = placements.get(epoch)
+                if positions is None:  # incomplete, so never placed
+                    continue
+                epoch_scored = scored[epoch] = [
+                    distance(position, estimate)
+                    for pkg, estimate in zip(epoch.packages, positions)
+                    if (position := true_position((pkg.node, pkg.seq))) is not None
+                ]
+            errors += epoch_scored
+    return errors
 
 
 def instance_errors(
@@ -119,9 +155,12 @@ def run_experiment(
     state's placement memo: the first variant to localize a complete epoch
     routes and places it, and the others read its positions from the memo.
     Fragments split off by checkpoints or rectification are placed by the
-    variant that cut them. Each variant's estimates are scored by
-    `package_errors` against the instance's emitted truth, as bare floats in
-    estimate order.
+    variant that cut them. A graph-based variant is scored by `epoch_errors`
+    over the epochs `run_pipeline` leaves in its state, with one error memo
+    per instance, so an epoch several variants keep is scored once. The
+    baseline is scored by `package_errors` over its estimates. Both score
+    against the instance's emitted truth; the order of the errors does not
+    matter, since `rmse` and `mae` add them up with `math.fsum`.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")
@@ -145,12 +184,16 @@ def run_experiment(
         streams = result.streams()
         total_packages += sum(len(b.packages) for b in result.batches)
         segmented = build_state(spec.graph, streams)
+        scored: dict[Epoch, list[float]] = {}
         for variant in variants:
             state = BackendState(
                 spec.graph, dict(segmented.epoch_sets), placements=segmented.placements
             )
             estimates = run_pipeline(state, streams, variant)
-            errors = package_errors(spec.graph, result.emitted_truth, estimates)
+            if variant == "baseline":
+                errors = package_errors(spec.graph, result.emitted_truth, estimates)
+            else:
+                errors = epoch_errors(state, result.emitted_truth, scored)
             per_variant_errors[variant].extend(errors)
             if errors:
                 per_variant_irmse[variant].append(rmse(errors))

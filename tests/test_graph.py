@@ -391,6 +391,45 @@ def test_route_between_junctions_walks_like_point_at():
             assert route.point_at(s) == _walk(path, lengths, min(s, _add_up(lengths)))
 
 
+def test_points_at_walks_the_middle_path_with_the_bits_of_walk():
+    # `points_at` walks the middle path in its own loop; every point that
+    # lands there must have the bits `_walk` gives it. Routes start and end at
+    # junctions (no head or tail leg) or at link points (both legs), and their
+    # middle paths have two or more links. A NaN arclength fails every leg test
+    # and lands on the end link, as `reference_point_at` places it.
+    rng = random.Random(29)
+    walked = 0
+    for _ in range(150):
+        g = random_tree(rng, rng.randint(4, 12))
+        u, v = rng.sample(sorted(g.junctions), 2)
+        starts = [g.position_at(u), random_position(rng, g)]
+        ends = [g.position_at(v), random_position(rng, g)]
+        for start, end in zip(starts, ends):
+            route = g.route(start, end)
+            if route._off_end is not None or len(route._mid_lengths) < 2:
+                continue
+            path, lengths, mid_len = route._mid_path, route._mid_lengths, route._mid_len
+            marks = [0.0]  # the path's ends and its interior junctions
+            for length in lengths[:-1]:
+                marks.append(marks[-1] + length)
+            marks.append(mid_len)
+            eps = (-POSITION_TOL, -POSITION_TOL / 2, 0.0, POSITION_TOL / 2, POSITION_TOL)
+            offsets = [m + e for m in marks for e in eps]
+            offsets += [rng.uniform(0.0, mid_len) for _ in range(4)]
+            xs = [route._head + s for s in offsets] + [math.nan]
+            got = route.points_at(xs)
+            assert repr(got[-1]) == repr(reference_point_at(route, math.nan))
+            in_head = -math.inf if route.start.at_junction() else route._head + POSITION_TOL
+            for x, point in zip(xs[:-1], got):
+                s = min(max(x, 0.0), route.total)
+                if s <= in_head or s - route._head > mid_len + POSITION_TOL:
+                    continue
+                s = min(max(s - route._head, 0.0), mid_len)
+                assert repr(point) == repr(_walk(path, lengths, s))
+                walked += 1
+    assert walked > 1000
+
+
 def sample_routes(rng, g):
     """Junction-to-junction routes, one of zero length, and routes between
     link-interior points in both orientations, also within one link, with

@@ -435,6 +435,94 @@ def test_experiment_scores_each_estimate_once_on_gated_trees(monkeypatch):
     assert localized_nothing > 0 and localized_in_some > 0
 
 
+def epoch_scored_experiment(monkeypatch, spec, n_instances):
+    """Per graph-based variant run, the errors `run_experiment` scored through
+    its epoch memo and `package_errors` over the estimates `run_pipeline`
+    returned for that run, against the same instance's emitted truth."""
+    runs, instances, estimates = [], [], []
+    real_instance, real_pipeline = metrics.run_instance, metrics.run_pipeline
+    real_epoch_errors = metrics.epoch_errors
+
+    def capture_instance(spec, seed):
+        instances.append(real_instance(spec, seed))
+        return instances[-1]
+
+    def capture_pipeline(state, streams, variant):
+        estimates.append(real_pipeline(state, streams, variant))
+        return estimates[-1]
+
+    def capture_epoch_errors(state, truth, scored):
+        errors = real_epoch_errors(state, truth, scored)
+        assert truth is instances[-1].emitted_truth
+        expected = metrics.package_errors(spec.graph, truth, estimates[-1])
+        runs.append((errors, expected))
+        return errors
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "run_instance", capture_instance)
+        patch.setattr(metrics, "run_pipeline", capture_pipeline)
+        patch.setattr(metrics, "epoch_errors", capture_epoch_errors)
+        run_experiment(spec, VARIANTS, n_instances, seed0=0)
+    assert len(runs) == n_instances * (len(VARIANTS) - 1)
+    return runs
+
+
+def test_epoch_errors_equal_package_errors_of_the_returned_estimates(monkeypatch):
+    # The memo scores epochs, not estimates, so the order may differ; the
+    # errors, counted with their repeats, may not.
+    specs = [make_scenario(k) for k in (1, 2, 3, 4)]
+    specs += [gated_tree_scenario(random.Random(tree_seed)) for tree_seed in range(5, 25)]
+    scored = 0
+    for spec in specs:
+        for errors, expected in epoch_scored_experiment(monkeypatch, spec, 3):
+            assert len(errors) == len(expected)
+            assert sorted(errors) == sorted(expected)
+            scored += len(errors)
+    assert scored > 0
+
+
+def test_experiment_scores_each_complete_epoch_once_per_instance(monkeypatch):
+    # Every variant's final epochs are scored from one memo per instance: an
+    # unsplit epoch that several variants keep costs one geodesic per emitted
+    # package once, and a fragment is scored by the variant that cut it.
+    spec = make_scenario(4)
+    scoring = False
+    geodesics = 0
+    kept = []  # (memo, complete epochs of the state, truth) of each epoch_errors call
+    real_epoch_errors, real_geodesic = metrics.epoch_errors, spec.graph.geodesic_distance
+
+    def counting_geodesic(p1, p2):
+        nonlocal geodesics
+        geodesics += scoring
+        return real_geodesic(p1, p2)
+
+    def counting_epoch_errors(state, truth, scored):
+        nonlocal scoring
+        if not kept or scored is not kept[-1][0]:
+            assert scored == {}  # a new instance starts a new memo
+        complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
+        kept.append((scored, complete, truth))
+        scoring = True
+        try:
+            return real_epoch_errors(state, truth, scored)
+        finally:
+            scoring = False
+
+    monkeypatch.setattr(metrics, "epoch_errors", counting_epoch_errors)
+    monkeypatch.setattr(spec.graph, "geodesic_distance", counting_geodesic)
+    run_experiment(spec, VARIANTS, 5, seed0=0)
+
+    assert len({id(scored) for scored, _, _ in kept}) == 5
+    unique, reads = {}, 0
+    for scored, complete, truth in kept:
+        reads += len(complete)
+        for epoch in complete:
+            assert epoch in scored
+            unique[id(epoch)] = sum((p.node, p.seq) in truth for p in epoch.packages)
+    assert reads > len(unique)  # some epochs are read by several variants
+    assert geodesics == sum(unique.values())
+
+
 def test_experiment_rejects_every_insertion_at_the_root_before_simulating(monkeypatch):
     spec = make_scenario(2)
     root = spec.graph.position_at(spec.graph.root)

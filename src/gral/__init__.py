@@ -21,30 +21,9 @@ from .packages import (
     StreamFormatError,
     parse_package_stream,
     serialize_packages,
-    strongest,
 )
-from .epochs import (
-    Epoch,
-    EpochKind,
-    EpochSet,
-    classify,
-    integrate_stream,
-    is_complete,
-    merge_same_gateway,
-    resolve_positions,
-)
-from .localize import (
-    VARIANTS,
-    BackendState,
-    apply_checkpoints,
-    baseline_localize,
-    build_state,
-    interpolate_epoch,
-    issue_checkpoints,
-    localize_node,
-    rectify_paths,
-    run_pipeline,
-)
+from .epochs import Epoch, EpochKind, EpochSet
+from .localize import VARIANTS, BackendState, baseline_localize, build_state, run_pipeline
 from .sim import (
     Insertion,
     InstanceResult,
@@ -54,7 +33,7 @@ from .sim import (
     make_scenario,
     run_instance,
 )
-from .metrics import ErrorSample, VariantResult, mae, normalized_mae, rmse, run_experiment
+from .metrics import VariantResult, mae, normalized_mae, rmse, run_experiment
 
 __all__ = [
     "EnvironmentGraph",
@@ -73,24 +52,13 @@ __all__ = [
     "StreamFormatError",
     "parse_package_stream",
     "serialize_packages",
-    "strongest",
     "Epoch",
     "EpochKind",
     "EpochSet",
-    "classify",
-    "integrate_stream",
-    "is_complete",
-    "merge_same_gateway",
-    "resolve_positions",
     "VARIANTS",
     "BackendState",
-    "apply_checkpoints",
     "baseline_localize",
     "build_state",
-    "interpolate_epoch",
-    "issue_checkpoints",
-    "localize_node",
-    "rectify_paths",
     "run_pipeline",
     "Insertion",
     "InstanceResult",
@@ -99,7 +67,6 @@ __all__ = [
     "load_scenario",
     "make_scenario",
     "run_instance",
-    "ErrorSample",
     "VariantResult",
     "mae",
     "normalized_mae",

@@ -70,6 +70,8 @@ class ScenarioSpec:
             raise ScenarioError("noise_p must be a probability")
         if not 0 < self.effective_contact_radius < math.inf:
             raise ScenarioError("contact radius must be positive and finite")
+        if not 0 < self.gateway_radius_default < math.inf:
+            raise ScenarioError("gateway_radius_default must be positive and finite")
         if self.measurement_interval < 1:
             raise ScenarioError("measurement interval must be >= 1")
         if self.max_ticks < 0:
@@ -444,9 +446,9 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
                     kwargs[key] = check_integer(obj[key], key)
                 else:
                     kwargs[key] = check_number(obj[key], key)
+        return ScenarioSpec(graph, insertions, **kwargs)
     except GraphError as exc:
         raise ScenarioError(str(exc)) from exc
-    return ScenarioSpec(graph, insertions, **kwargs)
 
 
 def load_scenario(text: str) -> ScenarioSpec:

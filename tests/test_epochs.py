@@ -494,3 +494,35 @@ def test_segmentation_from_build_state_is_frozen():
                     setattr(epoch, f.name, getattr(epoch, f.name))
     missing = [name for name in gral.__all__ if not hasattr(gral, name)]
     assert missing == []
+
+
+# -- public surface ---------------------------------------------------------------
+
+
+def test_gral_exports_the_pipeline_and_each_stage_stays_in_its_module():
+    assert set(gral.__all__) == {
+        "EnvironmentGraph", "Gateway", "GraphError", "GraphPosition", "Junction", "Link",
+        "build_graph", "load_graph",
+        "Checkpoint", "GatewayObservation", "LocalizedMeasurement", "NodeContact", "Package",
+        "StreamFormatError", "parse_package_stream", "serialize_packages",
+        "Epoch", "EpochKind", "EpochSet",
+        "VARIANTS", "BackendState", "baseline_localize", "build_state", "run_pipeline",
+        "Insertion", "InstanceResult", "ScenarioError", "ScenarioSpec",
+        "load_scenario", "make_scenario", "run_instance",
+        "VariantResult", "mae", "normalized_mae", "rmse", "run_experiment",
+    }
+    stages = {
+        "packages": ["strongest"],
+        "epochs": [
+            "classify", "integrate_stream", "is_complete", "merge_same_gateway",
+            "resolve_positions",
+        ],
+        "localize": [
+            "apply_checkpoints", "interpolate_epoch", "issue_checkpoints", "localize_node",
+            "rectify_paths",
+        ],
+        "metrics": ["ErrorSample"],
+    }
+    for module, names in stages.items():
+        for name in names:
+            assert hasattr(getattr(gral, module), name), f"gral.{module}.{name}"

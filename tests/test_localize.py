@@ -471,6 +471,38 @@ def test_apply_checkpoint_discards_with_one_reason(
     assert messages == [f"checkpoint peer->n at t={t} {reason}; discarded"]
 
 
+@pytest.mark.parametrize(
+    "t, x, reason",
+    [
+        (10.0, 21.0, "leaves an empty fragment"),
+        (10.0, 30.0, "off the epoch path"),
+        (23.5, 22.0, "outside all epochs"),
+    ],
+    ids=["same-t-on-path", "same-t-off-path", "between-epochs"],
+)
+def test_checkpoint_after_an_accepted_cut_keeps_its_discard_reason(
+    chain_graph, caplog, t, x, reason
+):
+    # Epochs span t 0-23, 24-48 and 49-50. p1's cut at t=10 closes a fragment
+    # at t=10, and a second checkpoint at that time is tested against the
+    # fragment the cut closed, not the one it opened.
+    state, _ = resolved_single_node_state(chain_graph)
+    assert [(e.t_first, e.t_last) for e in state.epoch_sets["n"].epochs] == [
+        (0.0, 23.0), (24.0, 48.0), (49.0, 50.0)
+    ]
+    state.checkpoints.append(Checkpoint("p1", "n", 10.0, line_position(22.0)))
+    state.checkpoints.append(Checkpoint("p2", "n", t, line_position(x)))
+    with caplog.at_level("INFO", logger="gral.localize"):
+        apply_checkpoints(state, "n")
+    epochs = state.epoch_sets["n"].epochs
+    assert [(e.t_first, e.t_last) for e in epochs] == [
+        (0.0, 10.0), (11.0, 23.0), (24.0, 48.0), (49.0, 50.0)
+    ]
+    assert chain_graph.same_point(epochs[0].final_pos, line_position(22.0))
+    messages = [r.getMessage() for r in caplog.records if r.name == "gral.localize"]
+    assert messages == [f"checkpoint p2->n at t={t} {reason}; discarded"]
+
+
 def test_apply_checkpoint_same_before_and_after_localize_node(chain_graph):
     localized, streams = resolved_single_node_state(chain_graph)
     fresh = build_state(chain_graph, streams)

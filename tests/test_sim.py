@@ -700,8 +700,18 @@ def test_scenario_json_rejects_unknown_fields():
         (lambda o, bad: o.update(contact_radius=bad), "contact radius"),
         (lambda o, bad: o.update(gateway_radius_default=bad), "contact radius"),
         (lambda o, bad: o["insertions"][0]["at"].update(offset=bad), "non-finite"),
+        (
+            lambda o, bad: o.update(contact_radius=2.0, gateway_radius_default=bad),
+            "gateway_radius_default must be positive and finite",
+        ),
     ],
-    ids=["base_step", "contact_radius", "gateway_radius_default", "insertion_offset"],
+    ids=[
+        "base_step",
+        "contact_radius",
+        "gateway_radius_default",
+        "insertion_offset",
+        "gateway_radius_default_beside_contact_radius",
+    ],
 )
 def test_load_scenario_rejects_non_finite(mutate, message, bad):
     obj = scenario_to_json(make_scenario(1))
@@ -753,6 +763,23 @@ def test_load_scenario_names_missing_field_or_container(mutate, message):
         load_scenario(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ({"from": "nowhere"}, "unknown junction: 'nowhere'"),
+        ({"offset": 1e6}, "degenerate position with nonzero extent"),
+    ],
+    ids=["unknown-junction", "offset-off-the-link"],
+)
+def test_load_scenario_rejects_an_insertion_off_the_network(at, message):
+    # The insertion parses as a position; only the spec's canonicalization
+    # finds it off the graph, and that error is a scenario error too.
+    obj = scenario_to_json(make_scenario(1))
+    obj["insertions"][0]["at"].update(at)
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(json.dumps(obj))
+
+
 def test_load_scenario_reads_whole_floats_as_integers():
     obj = scenario_to_json(make_scenario(2))
     obj["insertions"][1]["tick"] = 5.0
@@ -779,6 +806,13 @@ def test_scenario_validation():
         ScenarioSpec(
             g,
             [Insertion("n", g.position_at("s"), 0), Insertion("n", g.position_at("s"), 1)],
+        )
+    with pytest.raises(ScenarioError, match="gateway_radius_default must be positive"):
+        ScenarioSpec(
+            g,
+            [Insertion("n", g.position_at("s"), 0)],
+            gateway_radius_default=-5.0,
+            contact_radius=2.0,
         )
 
 

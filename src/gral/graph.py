@@ -292,9 +292,6 @@ class EnvironmentGraph:
                     best = d
         return best
 
-    def same_point(self, p1: GraphPosition, p2: GraphPosition, tol: float = POSITION_TOL) -> bool:
-        return self.geodesic_distance(p1, p2) <= tol
-
     def route(self, start: GraphPosition, end: GraphPosition) -> "Route":
         return Route(self, start, end)
 

@@ -12,7 +12,7 @@ the two nodes' paths.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby, pairwise, takewhile
 from typing import Optional
 
@@ -36,17 +36,23 @@ log = logging.getLogger(__name__)
 class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
-    `placements` memoizes `localize_node`: it maps every complete epoch placed
-    through this state to its packages' positions, which carry no variant tag,
-    and the refinements read positions there. States that start from one
-    segmentation may share one map, as `run_experiment`'s variants do; an
-    epoch then is routed and placed once. Only `run_pipeline` adds checkpoints.
+    `placements` maps every complete epoch placed through this state to its
+    packages' positions, which carry no variant tag, and the refinements read
+    positions there. `fragments` memoizes `_split_epoch`: it maps an unsplit
+    epoch and a package range of it to the fragments cut there, one per pair
+    of bounds, bit for bit; `origins` maps each fragment to its unsplit epoch
+    and the index of its first package there. States that start from one
+    segmentation may share these three maps, as `run_experiment`'s variants
+    do; an epoch or fragment that several variants hold then is cut, routed
+    and placed once. Only `run_pipeline` adds checkpoints.
     """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
     placements: dict[Epoch, list[GraphPosition]] = field(default_factory=dict)
+    fragments: dict[tuple[Epoch, int, int], list[Epoch]] = field(default_factory=dict)
+    origins: dict[Epoch, tuple[Epoch, int]] = field(default_factory=dict)
 
 
 def build_state(
@@ -144,6 +150,20 @@ def baseline_localize(
     ]
 
 
+def _place(state: BackendState, node: str) -> list[tuple[Epoch, list[GraphPosition]]]:
+    # Each complete epoch of the node with its positions; an epoch missing
+    # from `state.placements` is placed and stored there.
+    placements = state.placements
+    placed = []
+    for epoch in state.epoch_sets[node].epochs:
+        if is_complete(epoch):
+            positions = placements.get(epoch)
+            if positions is None:
+                positions = placements[epoch] = interpolate_epoch(state.graph, epoch)
+            placed.append((epoch, positions))
+    return placed
+
+
 def localize_node(
     state: BackendState, node: str, method: str = "gral"
 ) -> list[LocalizedMeasurement]:
@@ -155,14 +175,8 @@ def localize_node(
     sharing the map.
     """
     out: list[LocalizedMeasurement] = []
-    placements = state.placements
     new = tuple.__new__
-    for epoch in state.epoch_sets[node].epochs:
-        if not is_complete(epoch):
-            continue
-        positions = placements.get(epoch)
-        if positions is None:
-            positions = placements[epoch] = interpolate_epoch(state.graph, epoch)
+    for epoch, positions in _place(state, node):
         out += [
             new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
             for pkg, pos in zip(epoch.packages, positions)
@@ -209,15 +223,33 @@ def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
     return issued
 
 
-def _split_epoch(epoch: Epoch, cuts: dict[int, GraphPosition]) -> list[Epoch]:
+def _split_epoch(
+    state: BackendState, epoch: Epoch, cuts: dict[int, GraphPosition]
+) -> list[Epoch]:
     # Cut before each package index in `cuts`, at that cut's boundary. The
-    # fragments keep the kind of the visit they were cut from.
+    # fragments keep the kind of the visit they were cut from. A fragment is
+    # known by its unsplit epoch, its package range there and its bounds, so
+    # equal fragments cut along different paths are one object.
+    unsplit, offset = state.origins.get(epoch, (epoch, 0))
     bounds = [(0, epoch.start_pos), *sorted(cuts.items()), (len(epoch.packages), epoch.final_pos)]
-    parts = [(epoch.packages[i:j], start, final) for (i, start), (j, final) in pairwise(bounds)]
-    return [
-        replace(epoch, packages=pkgs, anchor=anchor_of(pkgs), start_pos=start, final_pos=final)
-        for pkgs, start, final in parts
-    ]
+    fragments = []
+    for (i, start), (j, final) in pairwise(bounds):
+        cut_alike = state.fragments.setdefault((unsplit, offset + i, offset + j), [])
+        for fragment in cut_alike:
+            if _same_bits(fragment.start_pos, start) and _same_bits(fragment.final_pos, final):
+                break
+        else:
+            pkgs = epoch.packages[i:j]
+            fragment = Epoch(epoch.kind, pkgs, anchor_of(pkgs), start, final)
+            cut_alike.append(fragment)
+            state.origins[fragment] = (unsplit, offset + i)
+        fragments.append(fragment)
+    return fragments
+
+
+def _same_bits(p: Optional[GraphPosition], q: Optional[GraphPosition]) -> bool:
+    # Equal numbers may differ in bits (0.0 and -0.0, 1 and 1.0); their reprs do not.
+    return p is q or repr(p) == repr(q)
 
 
 def apply_checkpoints(state: BackendState, node: str) -> None:
@@ -250,7 +282,7 @@ def apply_checkpoints(state: BackendState, node: str) -> None:
         if split_at is None:
             log.info("checkpoint %s->%s at t=%s %s; discarded", ck.issuer, ck.target, ck.t, reason)
             continue
-        epochs[idx : idx + 1] = _split_epoch(epoch, {split_at: ck.position})
+        epochs[idx : idx + 1] = _split_epoch(state, epoch, {split_at: ck.position})
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
 
 
@@ -322,7 +354,7 @@ def rectify_paths(state: BackendState, node: str) -> bool:
     epochs: list[Epoch] = []
     for idx, epoch in enumerate(unsplit):
         cuts = _confluence_cuts(state, node, idx)
-        epochs.extend(_split_epoch(epoch, cuts) if cuts else (epoch,))
+        epochs.extend(_split_epoch(state, epoch, cuts) if cuts else (epoch,))
     if len(epochs) == len(unsplit):  # every cut adds a fragment
         return False
     state.epoch_sets[node] = EpochSet(node, tuple(epochs))
@@ -336,9 +368,10 @@ def run_pipeline(
 
     Graph-based variants process nodes in gateway-arrival order (first package
     timestamp, then node id) so that checkpoints issued by early arrivers are
-    available to later ones. Each node is placed after its checkpoint cuts,
-    and placed again after a rectification cut; `localize_node` then routes
-    only the new fragments. Issued checkpoints are stored in `state.checkpoints`.
+    available to later ones. Each node is placed after its checkpoint cuts;
+    with rectification, its epochs are placed untagged, rectification cuts
+    them, and `localize_node` places only the new fragments and tags the
+    node once. Issued checkpoints are stored in `state.checkpoints`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -357,10 +390,10 @@ def run_pipeline(
             continue
         if use_cp:
             apply_checkpoints(state, node)
-        localized = localize_node(state, node, variant)
-        if use_pr and rectify_paths(state, node):
-            localized = localize_node(state, node, variant)
+        if use_pr:
+            _place(state, node)
+            rectify_paths(state, node)
+        results[node] = localize_node(state, node, variant)
         if use_cp:
             state.checkpoints += issue_checkpoints(state, node)
-        results[node] = localized
     return results

@@ -9,7 +9,7 @@ scenario, and MAE gives the average error range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -152,15 +152,17 @@ def run_experiment(
     """Simulate and segment seeds seed0..seed0+n-1 once; localize each with every variant.
 
     The variants of one instance share its `build_state` epochs and that
-    state's placement memo: the first variant to localize a complete epoch
-    routes and places it, and the others read its positions from the memo.
-    Fragments split off by checkpoints or rectification are placed by the
-    variant that cut them. A graph-based variant is scored by `epoch_errors`
-    over the epochs `run_pipeline` leaves in its state, with one error memo
-    per instance, so an epoch several variants keep is scored once. The
-    baseline is scored by `package_errors` over its estimates. Both score
-    against the instance's emitted truth; the order of the errors does not
-    matter, since `rmse` and `mae` add them up with `math.fsum`.
+    state's placement and fragment memos: the first variant to localize a
+    complete epoch routes and places it, and the others read its positions
+    from the memo. A fragment that checkpoints or rectification cut is one
+    object in every variant that cuts it alike, whatever cuts led to it, so
+    it too is routed and placed once per instance. A graph-based variant is
+    scored by `epoch_errors` over the epochs `run_pipeline` leaves in its
+    state, with one error memo per instance, so an epoch or fragment several
+    variants keep is scored once. The baseline is scored by `package_errors`
+    over its estimates. Both score against the instance's emitted truth; the
+    order of the errors does not matter, since `rmse` and `mae` add them up
+    with `math.fsum`.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")
@@ -186,9 +188,9 @@ def run_experiment(
         segmented = build_state(spec.graph, streams)
         scored: dict[Epoch, list[float]] = {}
         for variant in variants:
-            state = BackendState(
-                spec.graph, dict(segmented.epoch_sets), placements=segmented.placements
-            )
+            # Each variant cuts its own epoch sets and issues its own
+            # checkpoints; the memos stay shared.
+            state = replace(segmented, epoch_sets=dict(segmented.epoch_sets), checkpoints=[])
             estimates = run_pipeline(state, streams, variant)
             if variant == "baseline":
                 errors = package_errors(spec.graph, result.emitted_truth, estimates)

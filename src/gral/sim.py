@@ -83,7 +83,10 @@ class ScenarioSpec:
             seen.add(ins.node)
             if ins.tick < 0:
                 raise ScenarioError("insertion tick must be >= 0")
-            self.graph.canonicalize(ins.position)
+            try:
+                self.graph.canonicalize(ins.position)
+            except GraphError as exc:
+                raise ScenarioError(str(exc)) from exc
 
     @property
     def effective_contact_radius(self) -> float:

@@ -157,6 +157,13 @@ def reference_point_at(route: Route, arclength: float) -> GraphPosition:
     return GraphPosition(route.end.u, route.end.v, min(max(off, 0.0), route.end.span), route.end.span)
 
 
+def same_point(
+    graph: EnvironmentGraph, p1: GraphPosition, p2: GraphPosition, tol: float = POSITION_TOL
+) -> bool:
+    """Whether two positions are within `tol` of each other along the network."""
+    return graph.geodesic_distance(p1, p2) <= tol
+
+
 def reference_geodesic(graph: EnvironmentGraph, p1: GraphPosition, p2: GraphPosition) -> float:
     """`EnvironmentGraph.geodesic_distance` as it was before the flat kernel:
     both points canonicalized, then the same-link offset difference or the

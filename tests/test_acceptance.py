@@ -38,7 +38,7 @@ from gral.metrics import mae, rmse, run_experiment
 from gral.packages import GatewayObservation, Package
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
 
-from conftest import chain_trajectory, craft_streams, oracle_confluence, random_tree
+from conftest import chain_trajectory, craft_streams, oracle_confluence, random_tree, same_point
 
 R = math.sqrt(10.0)
 N_INSTANCES = 200
@@ -217,7 +217,7 @@ def test_criterion_7_rectification_no_overshoot():
             if not flagged:
                 continue
             node_fired = any(
-                e.final_pos is not None and graph.same_point(e.final_pos, m_pos)
+                e.final_pos is not None and same_point(graph, e.final_pos, m_pos)
                 for e in state.epoch_sets[node].epochs
             )
             if not node_fired:
@@ -225,7 +225,7 @@ def test_criterion_7_rectification_no_overshoot():
             fired += 1
             # split boundary must be exactly the confluence junction
             for e in state.epoch_sets[node].epochs:
-                if e.final_pos is not None and graph.same_point(e.final_pos, m_pos):
+                if e.final_pos is not None and same_point(graph, e.final_pos, m_pos):
                     if graph.geodesic_distance(e.final_pos, m_pos) > 0.0:
                         boundary_bad += 1
             # the earliest flagged package sits exactly on the confluence and

@@ -24,6 +24,8 @@ from gral.localize import build_state
 from gral.packages import GatewayObservation, Package, strongest
 from gral.sim import make_scenario, run_instance
 
+from conftest import same_point
+
 R = math.sqrt(10.0)
 
 
@@ -405,7 +407,7 @@ def test_resolve_rising_not_last_pins_junction(chain_graph):
     rising = es.epochs[0]
     assert rising.kind == EpochKind.RISING
     assert rising.final_pos is not None
-    assert chain_graph.same_point(rising.final_pos, chain_graph.position_at("a"))
+    assert same_point(chain_graph, rising.final_pos, chain_graph.position_at("a"))
 
 
 def test_resolve_boundary_before_next_gateway(chain_graph):
@@ -426,10 +428,10 @@ def test_resolve_boundary_before_next_gateway(chain_graph):
     first = es.epochs[0]
     assert first.anchor == "gw-a"
     assert first.start_pos is not None
-    assert chain_graph.same_point(first.start_pos, chain_graph.position_at("a"))
+    assert same_point(chain_graph, first.start_pos, chain_graph.position_at("a"))
     expected = GraphPosition("a", "b", 50.0 - R, 50.0)
     assert first.final_pos is not None
-    assert chain_graph.same_point(first.final_pos, expected)
+    assert same_point(chain_graph, first.final_pos, expected)
     # chaining: next epoch starts where this one ended
     assert es.epochs[1].start_pos == first.final_pos
 
@@ -450,7 +452,7 @@ def test_resolve_last_rising_at_max_completes(chain_graph):
     es = resolve_positions(es, chain_graph)
     last = es.epochs[-1]
     assert last.final_pos is not None
-    assert chain_graph.same_point(last.final_pos, chain_graph.position_at("b"))
+    assert same_point(chain_graph, last.final_pos, chain_graph.position_at("b"))
     assert is_complete(last)
 
 

@@ -48,6 +48,8 @@ from conftest import (
     gated_tree_scenario,
     line_position,
     reference_point_at,
+    same_point,
+    swarm_like_scenario,
 )
 
 R = math.sqrt(10.0)
@@ -116,16 +118,16 @@ def test_baseline_midpoint_between_gateways(chain_graph):
     streams, _ = craft_streams(chain_graph, {"n": chain_trajectory(xs)}, R)
     out = baseline_localize(chain_graph, streams["n"])
     # single contact per gateway: anchors at a (t=0) and b (t=2)
-    assert chain_graph.same_point(out[0].position, chain_graph.position_at("a"))
+    assert same_point(chain_graph, out[0].position, chain_graph.position_at("a"))
     assert chain_graph.geodesic_distance(out[1].position, line_position(25.0)) <= 1e-9
-    assert chain_graph.same_point(out[2].position, chain_graph.position_at("b"))
+    assert same_point(chain_graph, out[2].position, chain_graph.position_at("b"))
 
 
 def test_baseline_single_gateway_pins_everything(chain_graph):
     xs = [0.0, 1.0, 2.0, 3.0]
     streams, _ = craft_streams(chain_graph, {"n": chain_trajectory(xs)}, R)
     out = baseline_localize(chain_graph, streams["n"])
-    assert all(chain_graph.same_point(m.position, chain_graph.position_at("a")) for m in out)
+    assert all(same_point(chain_graph, m.position, chain_graph.position_at("a")) for m in out)
 
 
 def test_baseline_three_gateways_piecewise(chain_graph):
@@ -136,7 +138,7 @@ def test_baseline_three_gateways_piecewise(chain_graph):
     assert chain_graph.geodesic_distance(out[1].position, line_position(50.0 / 3)) <= 1e-9
     # between b (t=3) and c (t=6): the same on the second link
     assert chain_graph.geodesic_distance(out[4].position, line_position(50.0 + 50.0 / 3)) <= 1e-9
-    assert chain_graph.same_point(out[6].position, chain_graph.position_at("c"))
+    assert same_point(chain_graph, out[6].position, chain_graph.position_at("c"))
 
 
 def test_baseline_no_contact_returns_nothing(chain_graph):
@@ -218,7 +220,7 @@ def test_baseline_matches_per_package_routes(chain_graph, monkeypatch, times_and
     assert len(calls) <= len(anchors) - 1
     # Every anchor package sits at its gateway's junction.
     for k, junction in anchors:
-        assert chain_graph.same_point(out[k].position, chain_graph.position_at(junction)), k
+        assert same_point(chain_graph, out[k].position, chain_graph.position_at(junction)), k
 
 
 def test_baseline_builds_one_route_per_anchor_pair(chain_graph, monkeypatch):
@@ -434,7 +436,7 @@ def test_apply_checkpoint_splits_epoch(chain_graph):
     epochs = state.epoch_sets["n"].epochs
     assert len(epochs) == epochs_before + 1
     split = [e for e in epochs if e.final_pos is not None and
-             chain_graph.same_point(e.final_pos, line_position(22.0))]
+             same_point(chain_graph, e.final_pos, line_position(22.0))]
     assert len(split) == 1
     head = split[0]
     assert head.packages[-1].t <= 10.0
@@ -498,7 +500,7 @@ def test_checkpoint_after_an_accepted_cut_keeps_its_discard_reason(
     assert [(e.t_first, e.t_last) for e in epochs] == [
         (0.0, 10.0), (11.0, 23.0), (24.0, 48.0), (49.0, 50.0)
     ]
-    assert chain_graph.same_point(epochs[0].final_pos, line_position(22.0))
+    assert same_point(chain_graph, epochs[0].final_pos, line_position(22.0))
     messages = [r.getMessage() for r in caplog.records if r.name == "gral.localize"]
     assert messages == [f"checkpoint p2->n at t={t} {reason}; discarded"]
 
@@ -613,7 +615,7 @@ def test_rectification_moves_contact_to_confluence():
     )
     # a fragment boundary sits exactly on the confluence junction
     boundaries = [e.final_pos for e in state.epoch_sets["u"].epochs if e.final_pos is not None]
-    assert any(graph.same_point(b, m_pos) for b in boundaries)
+    assert any(same_point(graph, b, m_pos) for b in boundaries)
     # flagged contacts are no longer upstream of the confluence
     fixed = {mm.seq: mm for mm in rectified["u"]}
     for s in u_contact_seqs:
@@ -836,6 +838,67 @@ def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
         assert len(fragments_made) - rectified == len(streams)
         assert unplaced == {}, seed
     assert sum(fragments_made) > 0
+
+
+@pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
+def test_rectifying_pipeline_tags_each_node_once(variant, monkeypatch):
+    calls = Counter()  # node -> localize_node calls
+    cut = 0  # rectifications that cut something
+    real_localize, real_rectify = localize.localize_node, localize.rectify_paths
+
+    def counting_localize(state, node, method="gral"):
+        calls[node] += 1
+        return real_localize(state, node, method)
+
+    def counting_rectify(state, node):
+        nonlocal cut
+        rectified = real_rectify(state, node)
+        cut += rectified
+        return rectified
+
+    monkeypatch.setattr(localize, "localize_node", counting_localize)
+    monkeypatch.setattr(localize, "rectify_paths", counting_rectify)
+    specs = [make_scenario(4)] + [swarm_like_scenario(random.Random(k), 3, 2) for k in range(2)]
+    for spec in specs:
+        for seed in range(3):
+            streams = run_instance(spec, seed).streams()
+            calls.clear()
+            run_pipeline(build_state(spec.graph, streams), streams, variant)
+            assert calls == Counter(node for node, packages in streams.items() if packages)
+    assert cut > 10
+
+
+def test_equal_fragments_are_one_object_and_signed_zeros_are_not(chain_graph):
+    state = BackendState(chain_graph)
+    packages = tuple(Package("n", i + 1, float(i)) for i in range(5))
+    epoch = Epoch(
+        EpochKind.SILENT,
+        packages,
+        start_pos=chain_graph.position_at("a"),
+        final_pos=chain_graph.position_at("c"),
+    )
+    at = GraphPosition("b", "c", 0.0, 50.0)
+
+    def same(xs, ys):
+        return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+    split = localize._split_epoch
+    fragments = split(state, epoch, {2: at})
+    assert [f.packages for f in fragments] == [packages[:2], packages[2:]]
+    assert same(split(state, epoch, {2: GraphPosition("b", "c", 0.0, 50.0)}), fragments)
+    # A fragment is the same object whatever cuts led to it: cutting at 1
+    # and then the rest at 2 ends in the second fragment of the cut at 2.
+    head, rest = split(state, epoch, {1: line_position(10.0)})
+    middle, tail = split(state, rest, {1: at})
+    assert tail is fragments[1]
+    assert same(split(state, epoch, {1: line_position(10.0), 2: at}), [head, middle, tail])
+    # -0.0 == 0.0 and 0 == 0.0, yet a fragment keeps the bits of its bounds.
+    for offset in (-0.0, 0):
+        other = split(state, epoch, {2: at._replace(offset=offset)})
+        assert not {id(f) for f in other} & {id(f) for f in fragments}
+        assert repr(other[0].final_pos.offset) == repr(offset)
+        assert repr(other[1].start_pos.offset) == repr(offset)
+    assert split(state, epoch, {2: at})[0] is fragments[0]
 
 
 def test_parsed_and_placed_records_have_their_exact_types():

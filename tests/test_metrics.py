@@ -196,10 +196,10 @@ def shared_and_fresh(monkeypatch, spec, n_instances):
         shared.append((variant, estimates))
         return estimates
 
-    def counting_split(epoch, cuts):
+    def counting_split(state, epoch, cuts):
         nonlocal splits
         splits += len(cuts)
-        return real_split(epoch, cuts)
+        return real_split(state, epoch, cuts)
 
     with monkeypatch.context() as patch:
         patch.setattr(metrics, "run_pipeline", recording_pipeline)
@@ -230,7 +230,7 @@ def test_shared_placements_equal_fresh_states_on_gated_trees(monkeypatch):
 
 def test_experiment_places_each_segmented_epoch_once(monkeypatch):
     segmented = []  # every epoch build_state returned
-    cut_by = {}  # id of a fragment -> (the fragment, the variant that cut it)
+    cut_by = {}  # id of a fragment -> (the fragment, the first variant that cut it)
     placed = []  # (epoch, running variant) of every interpolate_epoch call
     tagged = []  # (variant, estimates) of every run_pipeline call
     running = None
@@ -249,9 +249,10 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
         tagged.append((variant, estimates))
         return estimates
 
-    def recording_split(epoch, cuts):
-        fragments = real_split(epoch, cuts)
-        cut_by.update((id(f), (f, running)) for f in fragments)
+    def recording_split(state, epoch, cuts):
+        fragments = real_split(state, epoch, cuts)
+        for f in fragments:
+            cut_by.setdefault(id(f), (f, running))
         return fragments
 
     def recording_interpolate(graph, epoch):
@@ -270,13 +271,42 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
     segmented_ids = {id(e) for e in segmented}
     fragments = [(e, placer) for e, placer in placed if id(e) not in segmented_ids]
     assert fragments
+    # Each fragment is placed once per instance, by the first variant that cut it.
     for epoch, placer in fragments:
-        fragment, variant = cut_by[id(epoch)]
-        assert fragment is epoch and variant == placer
+        fragment, first_cutter = cut_by[id(epoch)]
+        assert fragment is epoch and first_cutter == placer
         assert times_placed[id(epoch)] == 1
     assert [variant for variant, _ in tagged] == list(VARIANTS) * 5
     for variant, estimates in tagged:
         assert {m.method for ms in estimates.values() for m in ms} == {variant}
+
+
+@pytest.mark.parametrize("tree_seed", [None, 0, 1, 2])
+def test_experiment_places_no_fragment_twice_in_an_instance(monkeypatch, tree_seed):
+    # None is scenario 4; the others are swarm-like trees with 16 nodes.
+    if tree_seed is None:
+        spec = make_scenario(4)
+    else:
+        spec = swarm_like_scenario(random.Random(tree_seed), 3, 2)
+    per_instance = []  # per instance: (node, first seq, last seq, start, final) of each placement
+    real_build, real_interpolate = metrics.build_state, localize.interpolate_epoch
+
+    def recording_build(*args):
+        per_instance.append([])
+        return real_build(*args)
+
+    def recording_interpolate(graph, epoch):
+        first, last = epoch.packages[0], epoch.packages[-1]
+        per_instance[-1].append((first.node, first.seq, last.seq, epoch.start_pos, epoch.final_pos))
+        return real_interpolate(graph, epoch)
+
+    monkeypatch.setattr(metrics, "build_state", recording_build)
+    monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
+    run_experiment(spec, VARIANTS, 4, seed0=0)
+    assert len(per_instance) == 4
+    for placed in per_instance:
+        assert len(set(placed)) == len(placed)
+    assert sum(map(len, per_instance)) > 50
 
 
 def test_pipeline_on_a_segmented_state_places_each_complete_epoch_once(monkeypatch):

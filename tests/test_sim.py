@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gral.sim
-from gral.graph import Gateway, GraphPosition, Junction, Link, _add_up, build_graph
+from gral.graph import Gateway, GraphError, GraphPosition, Junction, Link, _add_up, build_graph
 from gral.packages import GatewayObservation, NodeContact, Package, serialize_packages
 from gral.sim import (
     BRANCH_RADIUS,
@@ -814,6 +814,21 @@ def test_scenario_validation():
             gateway_radius_default=-5.0,
             contact_radius=2.0,
         )
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (GraphPosition("zz", "s", 0.0, 1.0), "unknown junction: 'zz'"),
+        (GraphPosition("s", "s", 1.0, 0.0), "degenerate position with nonzero extent"),
+        (GraphPosition("s", "s", math.nan, 0.0), "non-finite offset or span"),
+    ],
+)
+def test_insertion_off_the_network_raises_a_scenario_error(at, message):
+    g = long_pipe()
+    with pytest.raises(ScenarioError, match=message) as raised:
+        ScenarioSpec(g, [Insertion("n", at, 0)])
+    assert isinstance(raised.value.__cause__, GraphError)
 
 
 def test_insertion_against_the_flow_runs_as_its_flowing_form():

@@ -27,7 +27,14 @@ from .epochs import (
     resolve_positions,
 )
 from .graph import EnvironmentGraph, GraphPosition, POSITION_TOL
-from .packages import VARIANTS, Checkpoint, LocalizedMeasurement, Package, strongest_gateways
+from .packages import (
+    VARIANTS,
+    Checkpoint,
+    LocalizedMeasurement,
+    Package,
+    _gc_paused,
+    strongest_gateways,
+)
 
 log = logging.getLogger(__name__)
 
@@ -55,6 +62,7 @@ class BackendState:
     origins: dict[Epoch, tuple[Epoch, int]] = field(default_factory=dict)
 
 
+@_gc_paused
 def build_state(
     graph: EnvironmentGraph,
     streams: dict[str, list[Package]],
@@ -64,7 +72,10 @@ def build_state(
 
     Each node's unsplit epochs are resolved here, once, from the map, the
     gateway geometry and the node's entry in `initial_positions`, if any. The
-    encounter refinements split resolved epochs and never resolve again.
+    encounter refinements split resolved epochs and never resolve again. It
+    runs with the cyclic garbage collector paused; the pause is process-wide,
+    so another thread's `gc.disable()` made during the call is undone when it
+    returns.
     """
     initial_positions = initial_positions or {}
     state = BackendState(graph)
@@ -361,6 +372,7 @@ def rectify_paths(state: BackendState, node: str) -> bool:
     return True
 
 
+@_gc_paused
 def run_pipeline(
     state: BackendState, streams: dict[str, list[Package]], variant: str
 ) -> dict[str, list[LocalizedMeasurement]]:
@@ -371,7 +383,10 @@ def run_pipeline(
     available to later ones. Each node is placed after its checkpoint cuts;
     with rectification, its epochs are placed untagged, rectification cuts
     them, and `localize_node` places only the new fragments and tags the
-    node once. Issued checkpoints are stored in `state.checkpoints`.
+    node once. Issued checkpoints are stored in `state.checkpoints`. It runs
+    with the cyclic garbage collector paused; the pause is process-wide, so
+    another thread's `gc.disable()` made during the call is undone when it
+    returns.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 from .epochs import Epoch
 from .graph import EnvironmentGraph, GraphPosition
 from .localize import VARIANTS, BackendState, build_state, run_pipeline
-from .packages import LocalizedMeasurement
+from .packages import LocalizedMeasurement, _gc_paused
 from .sim import InstanceResult, ScenarioSpec, run_instance
 
 
@@ -142,6 +142,7 @@ def instance_errors(
     return samples, len(truth) - len({(m.node, m.seq) for m in scored})
 
 
+@_gc_paused
 def run_experiment(
     spec: ScenarioSpec,
     variants: Sequence[str],
@@ -162,7 +163,9 @@ def run_experiment(
     variants keep is scored once. The baseline is scored by `package_errors`
     over its estimates. Both score against the instance's emitted truth; the
     order of the errors does not matter, since `rmse` and `mae` add them up
-    with `math.fsum`.
+    with `math.fsum`. It runs, simulation included, with the cyclic garbage
+    collector paused; the pause is process-wide, so another thread's
+    `gc.disable()` made during the call is undone when it returns.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")

@@ -8,12 +8,38 @@ JSON, one package per line.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, TypeVar
 
 from .graph import GraphPosition, check_integer, check_number, check_string
+
+
+_F = TypeVar("_F", bound=Callable[..., Any])
+
+
+def _gc_paused(fn: _F) -> _F:
+    # Runs `fn` with CPython's cyclic garbage collector off. The packages,
+    # epochs, positions and records that parsing, segmentation, placement and
+    # scoring build hold no reference cycles, so reference counting frees
+    # them all, and each collection would only re-traverse live objects.
+    # A call made while the collector is already off, as a nested call is,
+    # leaves it off. The switch is process-wide: a thread that turns the
+    # collector off during the call has it turned back on at the call's exit.
+    @functools.wraps(fn)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused  # type: ignore[return-value]
 
 
 class StreamFormatError(ValueError):
@@ -153,6 +179,7 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
     return tuple(signals), non_finite
 
 
+@_gc_paused
 def parse_package_stream(data: str | bytes) -> list[Package]:
     """Parse newline-delimited JSON packages, enforcing per-node ordering.
 
@@ -160,7 +187,9 @@ def parse_package_stream(data: str | bytes) -> list[Package]:
     per node; violations and malformed records raise StreamFormatError with
     the line number. A well-formed line with empty `obs` and `contacts` costs
     one call of the JSON decoder's scanner and no Python function call; its
-    `Package` is built by `tuple.__new__`.
+    `Package` is built by `tuple.__new__`. It runs with the cyclic garbage
+    collector paused; the pause is process-wide, so another thread's
+    `gc.disable()` made during the call is undone when it returns.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")

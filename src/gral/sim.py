@@ -64,6 +64,13 @@ class ScenarioSpec:
     max_ticks: int = 5000
 
     def __post_init__(self) -> None:
+        try:  # what `scenario_from_json` reads through `check_integer`
+            check_integer(self.measurement_interval, "measurement_interval")
+            check_integer(self.max_ticks, "max_ticks")
+            for ins in self.insertions:
+                check_integer(ins.tick, "insertion tick")
+        except GraphError as exc:
+            raise ScenarioError(str(exc)) from exc
         if not 0 < self.base_step < math.inf:
             raise ScenarioError("base_step must be positive and finite")
         if not 0.0 <= self.noise_p <= 1.0:

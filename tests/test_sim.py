@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -814,6 +815,38 @@ def test_scenario_validation():
             gateway_radius_default=-5.0,
             contact_radius=2.0,
         )
+
+
+@pytest.mark.parametrize("bad", [1.5, math.nan, True, "3"])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("insertion tick", lambda g, bad: ScenarioSpec(g, [Insertion("n", g.position_at("s"), bad)])),
+        (
+            "measurement_interval",
+            lambda g, bad: ScenarioSpec(
+                g, [Insertion("n", g.position_at("s"), 0)], measurement_interval=bad
+            ),
+        ),
+        (
+            "max_ticks",
+            lambda g, bad: ScenarioSpec(g, [Insertion("n", g.position_at("s"), 0)], max_ticks=bad),
+        ),
+    ],
+    ids=["insertion_tick", "measurement_interval", "max_ticks"],
+)
+def test_scenario_validation_rejects_non_integral_ticks(field, build, bad):
+    # The message and the rule are `check_integer`'s, as in `scenario_from_json`:
+    # an insertion at tick 1.5 would never be inserted, and an interval of 1.5
+    # would record on ticks 0, 3, 6, ...
+    with pytest.raises(ScenarioError, match=re.escape(f"{field} must be an integer, got {bad!r}")):
+        build(long_pipe(), bad)
+
+
+def test_scenario_validation_takes_whole_floats_as_scenario_from_json_does():
+    g = long_pipe()
+    spec = ScenarioSpec(g, [Insertion("n", g.position_at("s"), 2.0)], measurement_interval=1.0)
+    assert spec.insertions[0].tick == 2 and spec.measurement_interval == 1
 
 
 @pytest.mark.parametrize(

@@ -454,12 +454,24 @@ def build_graph(
 ) -> EnvironmentGraph:
     """Validate and assemble an EnvironmentGraph.
 
-    Rejects duplicate ids, nonpositive or non-finite lengths and radii,
-    dangling link endpoints, cycles, disconnected components and a missing
-    root.
+    Checks types with `check_string` and `check_number` first, then rejects
+    duplicate ids, nonpositive or non-finite lengths and radii, dangling link
+    endpoints, cycles, disconnected components and a missing root.
     """
-    jmap: dict[str, Junction] = {}
+    checked, link_list = [], []
     for j in junctions:
+        jid, gateway = check_string(j.id, "junction id"), j.gateway
+        if gateway is not None:
+            radius = check_number(gateway.radius, "gateway radius")
+            gateway = Gateway(check_string(gateway.id, "gateway id"), gateway.junction, radius)
+        checked.append(Junction(jid, gateway))
+    for link in links:
+        length = check_number(link.length, "link length")
+        u, v = check_string(link.u, "link end"), check_string(link.v, "link end")
+        link_list.append(Link(u, v, length))
+    root = check_string(root, "graph root")
+    jmap: dict[str, Junction] = {}
+    for j in checked:
         if j.id in jmap:
             raise GraphError(f"duplicate junction id: {j.id!r}")
         if j.gateway is not None:
@@ -477,7 +489,6 @@ def build_graph(
     gw_ids = [j.gateway.id for j in jmap.values() if j.gateway is not None]
     if len(gw_ids) != len(set(gw_ids)):
         raise GraphError("duplicate gateway id")
-    link_list = list(links)
     seen_pairs: set[frozenset[str]] = set()
     for link in link_list:
         if link.u == link.v:
@@ -566,20 +577,16 @@ def graph_from_json(obj: dict) -> EnvironmentGraph:
     junctions = []
     for jobj in check_array(obj["junctions"], "graph junctions"):
         check_object(jobj, _JUNCTION_KEYS, {"id"}, "junction object")
-        junction = check_string(jobj["id"], "junction id")
         gateway = None
         if jobj.get("gateway") is not None:
             gobj = check_object(jobj["gateway"], _GATEWAY_KEYS, _GATEWAY_KEYS, "gateway object")
-            radius = check_number(gobj["radius"], "gateway radius")
-            gateway = Gateway(check_string(gobj["id"], "gateway id"), junction, radius)
-        junctions.append(Junction(junction, gateway))
+            gateway = Gateway(gobj["id"], jobj["id"], gobj["radius"])
+        junctions.append(Junction(jobj["id"], gateway))
     links = []
     for lobj in check_array(obj["links"], "graph links"):
         check_object(lobj, _LINK_KEYS, _LINK_KEYS, "link object")
-        length = check_number(lobj["length"], "link length")
-        u, v = check_string(lobj["u"], "link end"), check_string(lobj["v"], "link end")
-        links.append(Link(u, v, length))
-    return build_graph(junctions, links, check_string(obj["root"], "graph root"))
+        links.append(Link(lobj["u"], lobj["v"], lobj["length"]))
+    return build_graph(junctions, links, obj["root"])
 
 
 def graph_to_json(graph: EnvironmentGraph) -> dict:

@@ -64,11 +64,17 @@ class ScenarioSpec:
     max_ticks: int = 5000
 
     def __post_init__(self) -> None:
-        try:  # what `scenario_from_json` reads through `check_integer`
-            check_integer(self.measurement_interval, "measurement_interval")
-            check_integer(self.max_ticks, "max_ticks")
-            for ins in self.insertions:
-                check_integer(ins.tick, "insertion tick")
+        try:  # every field's type, as in a scenario file, before any range
+            insertions, self.insertions = self.insertions, []
+            for ins in insertions:
+                tick = check_integer(ins.tick, "insertion tick")
+                node = check_string(ins.node, "insertion node")
+                self.insertions.append(Insertion(node, ins.position, tick))
+            for key in _SCENARIO_SETTINGS:
+                if key in ("measurement_interval", "max_ticks"):
+                    setattr(self, key, check_integer(getattr(self, key), key))
+                elif key != "contact_radius" or self.contact_radius is not None:
+                    setattr(self, key, check_number(getattr(self, key), key))
         except GraphError as exc:
             raise ScenarioError(str(exc)) from exc
         if not 0 < self.base_step < math.inf:
@@ -439,23 +445,15 @@ def scenario_to_json(spec: ScenarioSpec) -> dict:
 
 
 def scenario_from_json(obj: dict) -> ScenarioSpec:
-    insertions = []
-    kwargs = {}
     try:
         check_object(obj, _SCENARIO_KEYS, {"graph", "insertions"}, "scenario object")
         graph = graph_from_json(obj["graph"])
+        insertions = []
         for iobj in check_array(obj["insertions"], "scenario insertions"):
             check_object(iobj, _INSERTION_KEYS, _INSERTION_KEYS, "insertion object")
             at = GraphPosition.from_json(iobj["at"])
-            tick = check_integer(iobj["tick"], "insertion tick")
-            node = check_string(iobj["node"], "insertion node")
-            insertions.append(Insertion(node, at, tick))
-        for key in _SCENARIO_SETTINGS:
-            if key in obj and obj[key] is not None:
-                if key in ("measurement_interval", "max_ticks"):
-                    kwargs[key] = check_integer(obj[key], key)
-                else:
-                    kwargs[key] = check_number(obj[key], key)
+            insertions.append(Insertion(iobj["node"], at, iobj["tick"]))
+        kwargs = {key: obj[key] for key in _SCENARIO_SETTINGS if obj.get(key) is not None}
         return ScenarioSpec(graph, insertions, **kwargs)
     except GraphError as exc:
         raise ScenarioError(str(exc)) from exc

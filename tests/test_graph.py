@@ -661,6 +661,61 @@ def test_graph_loader_rejects_non_finite(chain_graph, mutate, bad):
         load_graph(json.dumps(obj))
 
 
+def _unchecked_parts(obj):
+    # The arguments a Python caller of `build_graph` would pass for a graph object.
+    junctions = [
+        Junction(j["id"], Gateway(j["gateway"]["id"], j["id"], j["gateway"]["radius"]))
+        if "gateway" in j
+        else Junction(j["id"])
+        for j in obj["junctions"]
+    ]
+    return junctions, [Link(l["u"], l["v"], l["length"]) for l in obj["links"]], obj["root"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o["junctions"][0].update(id=5), "junction id must be a string, got 5"),
+        (lambda o: o["junctions"][2].update(id=None), "junction id must be a string, got None"),
+        (lambda o: o["junctions"][1]["gateway"].update(id=7), "gateway id must be a string, got 7"),
+        (
+            lambda o: o["junctions"][0]["gateway"].update(radius=True),
+            "gateway radius must be a number, got True",
+        ),
+        (
+            lambda o: o["junctions"][0]["gateway"].update(radius="3"),
+            "gateway radius must be a number, got '3'",
+        ),
+        (lambda o: o["links"][0].update(length=True), "link length must be a number, got True"),
+        (lambda o: o["links"][1].update(length="5"), "link length must be a number, got '5'"),
+        (lambda o: o["links"][0].update(u=["a"]), "link end must be a string, got ['a']"),
+        (lambda o: o["links"][1].update(v=3), "link end must be a string, got 3"),
+        (lambda o: o.update(root=3), "graph root must be a string, got 3"),
+        (
+            lambda o: (o["junctions"][1].update(id=1), o["links"][0].update(length=0.0)),
+            "junction id must be a string, got 1",
+        ),
+    ],
+)
+def test_build_graph_checks_fields_as_load_graph_does(chain_graph, mutate, message):
+    obj = graph_to_json(chain_graph)
+    mutate(obj)
+    for build in (lambda: build_graph(*_unchecked_parts(obj)), lambda: load_graph(json.dumps(obj))):
+        with pytest.raises(GraphError) as raised:
+            build()
+        assert type(raised.value) is GraphError
+        assert str(raised.value) == message
+
+
+def test_build_graph_coerces_fields_as_load_graph_does():
+    graph = build_graph(
+        [Junction("a", Gateway("g", "a", 3)), Junction("b")], [Link("a", "b", 5)], "b"
+    )
+    assert type(graph.links[0].length) is float and type(graph.gateways["g"].radius) is float
+    written = json.dumps(graph_to_json(graph))
+    assert json.dumps(graph_to_json(load_graph(written))) == written
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["offset", "span"])
 def test_position_from_json_rejects_non_finite(field, bad):

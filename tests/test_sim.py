@@ -850,6 +850,60 @@ def test_scenario_validation_takes_whole_floats_as_scenario_from_json_does():
 
 
 @pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("base_step", True, "base_step must be a number, got True"),
+        ("base_step", "1", "base_step must be a number, got '1'"),
+        ("noise_p", True, "noise_p must be a number, got True"),
+        ("gateway_radius_default", [3], "gateway_radius_default must be a number, got [3]"),
+        ("contact_radius", True, "contact_radius must be a number, got True"),
+        ("measurement_interval", True, "measurement_interval must be an integer, got True"),
+        ("max_ticks", "9", "max_ticks must be an integer, got '9'"),
+        ("node", 5, "insertion node must be a string, got 5"),
+        ("node", None, "insertion node must be a string, got None"),
+        ("tick", "0", "insertion tick must be an integer, got '0'"),
+    ],
+)
+def test_scenario_spec_checks_fields_as_load_scenario_does(field, bad, message):
+    spec = make_scenario(2)
+    obj = scenario_to_json(spec)
+    if field in ("node", "tick"):
+        obj["insertions"][1][field] = bad
+        first, second = spec.insertions
+        direct = lambda: replace(spec, insertions=[first, replace(second, **{field: bad})])
+    else:
+        obj[field] = bad
+        direct = lambda: replace(spec, **{field: bad})
+    for build in (direct, lambda: load_scenario(json.dumps(obj))):
+        with pytest.raises(ScenarioError) as raised:
+            build()
+        assert type(raised.value) is ScenarioError
+        assert str(raised.value) == message
+
+
+def test_scenario_spec_reports_types_before_ranges_as_load_scenario_does():
+    spec = make_scenario(1)
+    obj = scenario_to_json(spec)
+    obj.update(base_step=-1.0, max_ticks=True)
+    for build in (
+        lambda: replace(spec, base_step=-1.0, max_ticks=True),
+        lambda: load_scenario(json.dumps(obj)),
+    ):
+        with pytest.raises(ScenarioError, match=r"^max_ticks must be an integer, got True$"):
+            build()
+
+
+def test_python_built_scenario_reads_back_as_written():
+    g = long_pipe(10)
+    spec = ScenarioSpec(
+        g, [Insertion("n", g.position_at("s"), 2.0)], max_ticks=10.0, base_step=1
+    )
+    written = json.dumps(scenario_to_json(spec))
+    assert json.dumps(scenario_to_json(load_scenario(written))) == written
+    assert run_instance(load_scenario(written), 3).ground_truth == run_instance(spec, 3).ground_truth
+
+
+@pytest.mark.parametrize(
     "at, message",
     [
         (GraphPosition("zz", "s", 0.0, 1.0), "unknown junction: 'zz'"),

@@ -109,7 +109,7 @@ class EnvironmentGraph:
             j.gateway.id: j.gateway for j in junctions.values() if j.gateway is not None
         }
         self._dist_cache: dict[tuple[str, str], float] = {}
-        self._gateway_cache: dict[tuple[str, str], tuple[tuple[Gateway, float, float], ...]] = {}
+        self._gateway_cache: dict[tuple[str, str], tuple[float, float, tuple]] = {}
         # Parent pointers toward the root define the flow orientation.
         self.parent: dict[str, Optional[str]] = {root: None}
         self.depth: dict[str, int] = {root: 0}
@@ -123,6 +123,14 @@ class EnvironmentGraph:
                     self.depth[nxt] = self.depth[cur] + 1
                     self.dist_to_root[nxt] = self.dist_to_root[cur] + length
                     queue.append(nxt)
+        # `slack` bounds the rounding of sums of lengths, which grows with the
+        # network (near 1e10 it outgrows a fixed 1e-6). The largest root
+        # distance plus the longest link bounds every level, offset and
+        # junction distance; 16 ulps of it exceed the rounding of the few
+        # sums that `observe`'s range tests, the quiet bands of
+        # `link_gateways` and the bounded rectification scan compare.
+        extent = max(self.dist_to_root.values()) + max((l.length for l in links), default=0.0)
+        self.slack = 16 * sys.float_info.epsilon * extent
 
     # -- basic queries ------------------------------------------------------
 
@@ -158,25 +166,37 @@ class EnvironmentGraph:
         self._dist_cache[(v, u)] = d
         return d
 
-    def link_gateways(self, u: str, v: str) -> tuple[tuple[Gateway, float, float], ...]:
-        """Gateways a point on link (u, v) can be in range of, by gateway id.
+    def link_gateways(
+        self, u: str, v: str
+    ) -> tuple[float, float, tuple[tuple[Gateway, float, float], ...]]:
+        """`(quiet_from, quiet_to, near)`: the gateways a point on link (u, v)
+        can be in range of, by gateway id, and the offsets from u at which it
+        hears none of them.
 
-        Each entry is `(gateway, d(u, g), d(v, g))` for the gateway's junction
-        g. A point `x` from u on the link is `min(x + d(u, g), (L - x) + d(v, g))`
-        from g, which is never below `min(d(u, g), d(v, g))`, so a gateway
-        whose radius is below that bound is left out. A junction j is the
-        link (j, j). Filled lazily, once per link and orientation.
+        Each entry of `near` is `(gateway, d(u, g), d(v, g))` for the
+        gateway's junction g. A point `x` from u on the link is
+        `min(x + d(u, g), (L - x) + d(v, g))` from g, which is never below
+        `min(d(u, g), d(v, g))`, so a gateway whose radius is below that
+        bound is left out. The point hears no gateway of `near` when
+        `quiet_from < x < quiet_to`: each side's bound `r - d(u, g)` and
+        `L - (r - d(v, g))` moves inward by `slack`, which exceeds the
+        rounding of those sums. A junction j is the link (j, j). Filled
+        lazily, once per link and orientation.
         """
         entry = self._gateway_cache.get((u, v))
         if entry is None:
             near = []
+            span = self._link_length.get((u, v), 0.0)
+            quiet_from, quiet_to = -math.inf, math.inf
             for gw_id in sorted(self.gateways):
                 gateway = self.gateways[gw_id]
                 du = self.junction_distance(u, gateway.junction)
                 dv = self.junction_distance(v, gateway.junction)
                 if min(du, dv) <= gateway.radius:
                     near.append((gateway, du, dv))
-            entry = self._gateway_cache[(u, v)] = tuple(near)
+                    quiet_from = max(quiet_from, gateway.radius - du + self.slack)
+                    quiet_to = min(quiet_to, span - (gateway.radius - dv) - self.slack)
+            entry = self._gateway_cache[(u, v)] = (quiet_from, quiet_to, tuple(near))
         return entry
 
     def shortest_path(self, u: str, v: str) -> list[str]:
@@ -244,18 +264,24 @@ class EnvironmentGraph:
 
         A canonical position (a link with its exact length as span and an
         offset within it, or a junction `(j, j, 0, 0)`) is read as it is; any
-        other goes through `canonicalize` and its checks. The sums are those
-        of `Route`: `(da + d(ja, jb)) + db` for each pair of link ends,
-        u before v on each side, the first strict minimum winning.
+        other goes through `canonicalize` and its checks. Two canonical
+        points on one link in one orientation are `abs(o1 - o2)` apart, read
+        after the one length lookup that checks the first point. Otherwise
+        the sums are those of `Route`: `(da + d(ja, jb)) + db` for each pair
+        of link ends, u before v on each side, the first strict minimum
+        winning.
         """
         lengths = self._link_length
         u1, v1, o1, s1 = p1
+        u2, v2, o2, s2 = p2
         if u1 != v1:
-            if lengths.get((u1, v1)) != s1 or not 0.0 <= o1 <= s1:
+            length = lengths.get((u1, v1))
+            if length != s1 or not 0.0 <= o1 <= s1:
                 u1, v1, o1, s1 = self.canonicalize(p1)
+            elif u1 == u2 and v1 == v2 and length == s2 and 0.0 <= o2 <= s2:
+                return abs(o1 - o2)
         elif o1 != 0.0 or s1 != 0.0 or u1 not in self.junctions:
             u1, v1, o1, s1 = self.canonicalize(p1)
-        u2, v2, o2, s2 = p2
         if u2 != v2:
             if lengths.get((u2, v2)) != s2 or not 0.0 <= o2 <= s2:
                 u2, v2, o2, s2 = self.canonicalize(p2)

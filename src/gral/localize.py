@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import groupby, pairwise, takewhile
+from operator import itemgetter
 from typing import Optional
 
 from .epochs import (
@@ -45,19 +46,22 @@ class BackendState:
 
     `placements` maps every complete epoch placed through this state to its
     packages' positions, which carry no variant tag, and the refinements read
-    positions there. `fragments` memoizes `_split_epoch`: it maps an unsplit
-    epoch and a package range of it to the fragments cut there, one per pair
-    of bounds, bit for bit; `origins` maps each fragment to its unsplit epoch
-    and the index of its first package there. States that start from one
-    segmentation may share these three maps, as `run_experiment`'s variants
-    do; an epoch or fragment that several variants hold then is cut, routed
-    and placed once. Only `run_pipeline` adds checkpoints.
+    positions there. `meetings` maps each epoch a refinement read to its
+    contact index (see `_meetings`). `fragments` memoizes `_split_epoch`: it
+    maps an unsplit epoch and a package range of it to the fragments cut
+    there, one per pair of bounds, bit for bit; `origins` maps each fragment
+    to its unsplit epoch and the index of its first package there. States
+    that start from one segmentation may share these four maps, as
+    `run_experiment`'s variants do; an epoch or fragment that several
+    variants hold then is cut, routed, placed and indexed once. Only
+    `run_pipeline` adds checkpoints.
     """
 
     graph: EnvironmentGraph
     epoch_sets: dict[str, EpochSet] = field(default_factory=dict)
     checkpoints: list[Checkpoint] = field(default_factory=list)
     placements: dict[Epoch, list[GraphPosition]] = field(default_factory=dict)
+    meetings: dict[Epoch, dict[str, list[tuple[int, float]]]] = field(default_factory=dict)
     fragments: dict[tuple[Epoch, int, int], list[Epoch]] = field(default_factory=dict)
     origins: dict[Epoch, tuple[Epoch, int]] = field(default_factory=dict)
 
@@ -195,14 +199,17 @@ def localize_node(
     return out
 
 
-def _meetings(epoch: Epoch) -> dict[str, list[tuple[int, float]]]:
+def _meetings(state: BackendState, epoch: Epoch) -> dict[str, list[tuple[int, float]]]:
     """Per contacted peer, the `(package index, strength)` of each contact with
-    it, in package order; only packages that heard a peer are read."""
-    meetings: dict[str, list[tuple[int, float]]] = {}
-    for i, pkg in enumerate(epoch.packages):
-        if pkg.contacts:
-            for peer, strength in pkg.contacts:
-                meetings.setdefault(peer, []).append((i, strength))
+    it, in package order; only packages that heard a peer are read. Built
+    once per epoch and kept in `state.meetings`."""
+    meetings = state.meetings.get(epoch)
+    if meetings is None:
+        meetings = state.meetings[epoch] = {}
+        for i, pkg in enumerate(epoch.packages):
+            if pkg.contacts:
+                for peer, strength in pkg.contacts:
+                    meetings.setdefault(peer, []).append((i, strength))
     return meetings
 
 
@@ -210,26 +217,20 @@ def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
     """One checkpoint per (placed epoch, contacted peer), at the strongest contact.
 
     The checkpoint carries the issuer's position for that package from
-    `state.placements`; epochs not placed there issue nothing. One pass over
-    the contact packages keeps each peer's strongest contact; of equally
-    strong contacts with one peer, the first in package order wins. The
-    checkpoints are returned and nothing is written.
+    `state.placements`; epochs not placed there issue nothing. Each peer's
+    strongest contact is read from the epoch's contact index (`_meetings`);
+    of equally strong contacts with one peer, the first in package order
+    wins. Peers come in sorted order. The checkpoints are returned and
+    nothing is written.
     """
     issued = []
     for epoch in state.epoch_sets[node].epochs:
         positions = state.placements.get(epoch)
         if positions is None:
             continue
-        strongest: dict[str, float] = {}  # peer -> its strongest contact so far
-        at: dict[str, int] = {}  # peer -> index of the package that heard it
-        for i, pkg in enumerate(epoch.packages):
-            if pkg.contacts:
-                for peer, strength in pkg.contacts:
-                    if peer not in strongest or strength > strongest[peer]:
-                        strongest[peer] = strength
-                        at[peer] = i
-        for peer in sorted(at):
-            i = at[peer]
+        meetings = _meetings(state, epoch)
+        for peer in sorted(meetings):
+            i = max(meetings[peer], key=itemgetter(1))[0]
             issued.append(Checkpoint(node, peer, epoch.packages[i].t, positions[i]))
     return issued
 
@@ -315,13 +316,20 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
     flag the same package, the first peer's confluence wins. Positions come
     from `state.placements`; an epoch not placed there, or one that heard no
     peer, returns before any anchor or provenance lookup.
+
+    A peer's contacts are scanned only when the farther of the epoch's first
+    and last estimates from `v_f` lies beyond `limit + POSITION_TOL - slack`
+    (`EnvironmentGraph.slack`). Every estimate lies on the epoch's route,
+    and the distance to a junction is convex along a tree path, so no
+    estimate is farther than the farther end, up to a rounding that the
+    slack exceeds; a skipped scan would have flagged nothing.
     """
     graph = state.graph
     epochs = state.epoch_sets[node].epochs
     epoch = epochs[idx]
     cuts: dict[int, GraphPosition] = {}
     positions = state.placements.get(epoch)
-    if positions is None or not (meetings := _meetings(epoch)):
+    if positions is None or not (meetings := _meetings(state, epoch)):
         return cuts
     v_f = anchor_junction(graph, epochs[idx + 1 :])
     if v_f is None:
@@ -331,6 +339,10 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
     if v_a is None:
         log.info("rectification skipped for %s: own provenance unknown", node)
         return cuts
+    far = max(
+        graph.geodesic_distance(positions[0], v_f_pos),
+        graph.geodesic_distance(positions[-1], v_f_pos),
+    )
     for peer in sorted(meetings):
         met = meetings[peer]
         # The peer's origin before the encounter; a gateway it reaches
@@ -341,6 +353,8 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
             continue
         v_c_pos = graph.position_at(graph.confluence_vertex(v_a, v_b, v_f))
         limit = graph.geodesic_distance(v_c_pos, v_f_pos)
+        if far <= limit + POSITION_TOL - graph.slack:
+            continue
         for i, _ in met:
             if graph.geodesic_distance(positions[i], v_f_pos) > limit + POSITION_TOL:
                 if i > 0:  # nothing before an epoch's first package to cut off

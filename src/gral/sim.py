@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -148,8 +147,8 @@ class WorldState:
     the order of every per-tick pass and of the RNG draws; `run_instance`
     restores that order whenever it inserts nodes. `emitted_truth` gains the
     true position of each package when its buffer is flushed.
-    `reach` is the contact radius plus the rounding slack of `observe`'s
-    range tests, fixed by the graph for the whole run.
+    `reach` is the contact radius plus 1e-6 and the graph's rounding slack,
+    which covers the rounding of `observe`'s range tests.
     """
 
     spec: ScenarioSpec
@@ -161,16 +160,7 @@ class WorldState:
     reach: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # Levels and junction distances are sums of lengths, so their rounding
-        # grows with the network (near 1e10 it outgrows a fixed 1e-6). The
-        # largest root distance plus the longest link bounds every level,
-        # offset and sum that `observe` compares.
-        graph = self.spec.graph
-        longest = max((link.length for link in graph.links), default=0.0)
-        extent = max(graph.dist_to_root.values()) + longest
-        self.reach = (
-            self.spec.effective_contact_radius + 1e-6 + 16 * sys.float_info.epsilon * extent
-        )
+        self.reach = self.spec.effective_contact_radius + 1e-6 + self.spec.graph.slack
 
 
 @dataclass
@@ -256,12 +246,22 @@ def step(world: WorldState) -> None:
 def _gateway_observations(
     graph: EnvironmentGraph, position: GraphPosition
 ) -> tuple[GatewayObservation, ...]:
-    # `position` is canonical. Its distance to each gateway comes out of the
-    # same sums as `geodesic_distance`, with the tie going to u.
-    head, tail = position.offset, position.span - position.offset
+    """The gateways a canonical position is in range of, by gateway id, with
+    their strengths.
+
+    An offset inside the link's quiet band (`link_gateways`) hears nothing,
+    and no sum is computed. Otherwise its distance to each nearby gateway
+    comes out of the same sums as `geodesic_distance`, with the tie going
+    to u.
+    """
+    quiet_from, quiet_to, near = graph.link_gateways(position.u, position.v)
+    head = position.offset
+    if quiet_from < head < quiet_to:
+        return ()
+    tail = position.span - head
     new = tuple.__new__
     observations = []
-    for gateway, du, dv in graph.link_gateways(position.u, position.v):
+    for gateway, du, dv in near:
         d = min(head + du + 0.0, tail + dv + 0.0)
         if d <= gateway.radius:
             observations.append(new(GatewayObservation, (gateway.id, gateway.radius - d)))
@@ -291,7 +291,9 @@ def observe(
     passes gets `geodesic_distance(here, there)` for the one node and
     `(there, here)` for the other: the two add up in different orders, so a
     contact is not mirrored. Each node's contacts come out in `world.nodes`
-    order.
+    order. Gateway readings come from `_gateway_observations`, which skips
+    every sum for a node inside its link's quiet band; `reach` and the
+    bands share the graph's rounding slack.
     """
     spec = world.spec
     graph = spec.graph

@@ -108,6 +108,16 @@ def swarm_like_scenario(rng: random.Random, depth: int, per_leaf: int) -> Scenar
     return ScenarioSpec(graph, insertions, gateway_radius_default=CHAIN_RADIUS)
 
 
+def scaled_graph(graph: EnvironmentGraph, factor: float) -> EnvironmentGraph:
+    """The same tree with every link length and gateway radius times `factor`."""
+    junctions = [
+        Junction(j.id, j.gateway and Gateway(j.gateway.id, j.id, j.gateway.radius * factor))
+        for j in graph.junctions.values()
+    ]
+    links = [Link(link.u, link.v, link.length * factor) for link in graph.links]
+    return build_graph(junctions, links, graph.root)
+
+
 def random_position(rng: random.Random, graph: EnvironmentGraph) -> GraphPosition:
     link = rng.choice(graph.links)
     return GraphPosition(link.u, link.v, rng.uniform(0.0, link.length), link.length)

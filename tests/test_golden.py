@@ -1,8 +1,9 @@
 """Golden outputs: `gral evaluate` CSVs and estimates must stay byte-identical.
 
 The hashes pin the summary and per-instance CSVs of scenarios 1-4 (3
-instances from seed 0), and every variant's estimates on 150 seeded random
-gated trees. A change that alters any estimate, score or number format fails
+instances from seed 0), every variant's estimates on 150 seeded random
+gated trees, and every variant's estimates on swarm-like trees, where nodes
+travel in groups and hear each other on most packages. A change that alters any estimate, score or number format fails
 here; one that does so on purpose updates the hashes and says why.
 """
 
@@ -15,7 +16,7 @@ from gral.cli import main
 from gral.localize import VARIANTS, build_state, run_pipeline
 from gral.sim import run_instance
 
-from conftest import gated_tree_scenario
+from conftest import gated_tree_scenario, swarm_like_scenario
 
 GOLDEN = {
     1: (
@@ -75,3 +76,24 @@ def test_random_tree_estimates_match_golden_digest():
                 for m in estimates[node]:
                     digest.update(repr((m.node, m.seq, m.t, m.position, m.method)).encode())
     assert digest.hexdigest() == TREE_DIGEST
+
+
+# -- estimates where encounters are dense ----------------------------------------
+
+# Depth-3 binary trees with 2 and 4 nodes per leaf: 16 and 32 nodes, most of
+# whose packages hear a peer, so checkpoints and rectification cut often.
+SWARM_TREES = [(seed, per_leaf) for seed in range(4) for per_leaf in (2, 4)]
+SWARM_DIGEST = "abce49b0fa4609b15ac02683955a11428a3343cf4767c98c94dff7c9f2184c33"
+
+
+def test_dense_swarm_estimates_match_golden_digest():
+    digest = hashlib.sha256()
+    for seed, per_leaf in SWARM_TREES:
+        spec = swarm_like_scenario(random.Random(seed), 3, per_leaf)
+        streams = run_instance(spec, seed).streams()
+        for variant in VARIANTS:
+            estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
+            for node in sorted(estimates):
+                for m in estimates[node]:
+                    digest.update(repr((m.node, m.seq, m.t, m.position, m.method)).encode())
+    assert digest.hexdigest() == SWARM_DIGEST

@@ -29,6 +29,7 @@ from conftest import (
     random_tree,
     reference_geodesic,
     reference_point_at,
+    scaled_graph,
 )
 
 
@@ -563,6 +564,114 @@ def test_geodesic_distance_is_bit_identical_to_reference():
                 assert struct.pack("d", got) == struct.pack("d", want), (p, q, got, want)
                 pairs += 1
     assert pairs > 100_000
+
+
+def flat_geodesic(graph, p1, p2):
+    """`geodesic_distance` as it was before its same-link test came first:
+    both points checked for canonical form, then the same-link branch, then
+    the anchor sums (oracle for the reordered kernel)."""
+    lengths = graph._link_length
+    u1, v1, o1, s1 = p1
+    if u1 != v1:
+        if lengths.get((u1, v1)) != s1 or not 0.0 <= o1 <= s1:
+            u1, v1, o1, s1 = graph.canonicalize(p1)
+    elif o1 != 0.0 or s1 != 0.0 or u1 not in graph.junctions:
+        u1, v1, o1, s1 = graph.canonicalize(p1)
+    u2, v2, o2, s2 = p2
+    if u2 != v2:
+        if lengths.get((u2, v2)) != s2 or not 0.0 <= o2 <= s2:
+            u2, v2, o2, s2 = graph.canonicalize(p2)
+    elif o2 != 0.0 or s2 != 0.0 or u2 not in graph.junctions:
+        u2, v2, o2, s2 = graph.canonicalize(p2)
+    if u1 == v1:
+        o1 = 0.0
+    if u2 == v2:
+        o2 = 0.0
+    elif u1 != v1:
+        if u1 == u2 and v1 == v2:
+            return abs(o1 - o2)
+        if u1 == v2 and v1 == u2:
+            return abs(o1 - (s2 - o2))
+    best = (o1 + graph.junction_distance(u1, u2)) + o2
+    if u2 != v2:
+        d = (o1 + graph.junction_distance(u1, v2)) + (s2 - o2)
+        if d < best:
+            best = d
+    if u1 != v1:
+        tail = s1 - o1
+        d = (tail + graph.junction_distance(v1, u2)) + o2
+        if d < best:
+            best = d
+        if u2 != v2:
+            d = (tail + graph.junction_distance(v1, v2)) + (s2 - o2)
+            if d < best:
+                best = d
+    return best
+
+
+def same_link_probes(rng, graph):
+    """Pairs of points on one link: canonical, reversed, junction form, with a
+    span or offset that is not canonical, NaN or out of range."""
+    link = rng.choice(graph.links)
+    u, v, length = link.u, link.v, link.length
+    offsets = [rng.uniform(0.0, length), 0.0, length, 0, rng.uniform(0.0, length)]
+    offsets += [-1e-12, length + 1e-12, -1e-3, length + 1e-3, math.nan, -0.0]
+    spans = [length, length, length, length + 1e-9, math.nextafter(length, 0.0)]
+    if length.is_integer():
+        spans.append(int(length))
+    points = []
+    for _ in range(6):
+        a, b = (u, v) if rng.random() < 0.7 else (v, u)
+        points.append(GraphPosition(a, b, rng.choice(offsets), rng.choice(spans)))
+    points += [graph.position_at(u), GraphPosition(v, v, 0, 0), GraphPosition(u, u, 1e-12, 0.0)]
+    parent = graph.parent[v]
+    if parent is not None:  # a span over two links, with a point on the first
+        total = length + graph.link_length(v, parent)
+        points.append(GraphPosition(u, parent, rng.uniform(0.0, length), total))
+    return points
+
+
+def test_same_link_geodesic_is_bit_identical_to_the_flat_kernel():
+    graphs = [gated_tree_scenario(random.Random(seed)).graph for seed in range(60)]
+    graphs += [scaled_graph(random_tree(random.Random(seed), 12), 1e10) for seed in range(20)]
+    rng = random.Random(29)
+    same_link = errors = 0
+    for g in graphs:
+        for _ in range(10):
+            probes = same_link_probes(rng, g)
+            for p in probes:
+                for q in probes:
+                    try:
+                        want = repr(flat_geodesic(g, p, q))
+                    except GraphError as exc:
+                        with pytest.raises(GraphError) as got:
+                            g.geodesic_distance(p, q)
+                        assert str(got.value) == str(exc), (p, q)
+                        errors += 1
+                        continue
+                    assert repr(g.geodesic_distance(p, q)) == want, (p, q)
+                    same_link += p.u == q.u != p.v == q.v
+    assert same_link > 10_000 and errors > 2_000
+
+
+def test_route_points_are_no_farther_from_a_junction_than_the_farther_end():
+    # The bounded rectification scan trusts this: points that `points_at`
+    # places along a route lie on its path, where the distance to a junction
+    # is convex, so none exceeds the farther end by more than `slack`.
+    rng = random.Random(31)
+    checked = 0
+    for trial in range(200):
+        g = scaled_graph(random_tree(rng, rng.randint(2, 30)), rng.choice([1.0, 1e5, 1e10]))
+        route = g.route(random_position(rng, g), random_position(rng, g))
+        points = route.points_at(sorted(rng.uniform(0.0, route.total) for _ in range(30)))
+        ends = route.points_at([0.0, route.total])
+        for j in g.junctions:
+            here = g.position_at(j)
+            far = max(g.geodesic_distance(end, here) for end in ends)
+            for p in points:
+                assert g.geodesic_distance(p, here) <= far + g.slack, (trial, p, j)
+                checked += 1
+    assert checked > 50_000
 
 
 @pytest.mark.parametrize(

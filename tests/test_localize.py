@@ -12,13 +12,14 @@ from gral.epochs import (
     Epoch,
     EpochKind,
     EpochSet,
+    anchor_junction,
     classify,
     epoch_set_to_json,
     integrate_stream,
     merge_same_gateway,
     resolve_positions,
 )
-from gral.graph import Gateway, GraphPosition, Junction, Link, build_graph
+from gral.graph import POSITION_TOL, Gateway, GraphPosition, Junction, Link, build_graph
 from gral.localize import (
     VARIANTS,
     BackendState,
@@ -40,6 +41,7 @@ from gral.packages import (
     serialize_packages,
     strongest,
 )
+from gral.metrics import run_experiment
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
 
 from conftest import (
@@ -49,6 +51,7 @@ from conftest import (
     line_position,
     reference_point_at,
     same_point,
+    scaled_graph,
     swarm_like_scenario,
 )
 
@@ -704,6 +707,162 @@ def test_contact_index_takes_the_first_strongest_contact():
     shape = rectified_shape(crafted_streams)
     assert len(shape) == 3
     assert shape == rectified_shape(streams)
+
+
+# -- bounded rectification scans and the shared contact index --------------------
+
+
+def reference_meetings(epoch):
+    """Per peer, the `(package index, strength)` of each contact, by one scan."""
+    meetings = {}
+    for i, pkg in enumerate(epoch.packages):
+        for peer, strength in pkg.contacts:
+            meetings.setdefault(peer, []).append((i, strength))
+    return meetings
+
+
+def reference_confluence_cuts(state, node, idx):
+    """`localize._confluence_cuts` with each peer's contacts scanned until one
+    is flagged, whatever the epoch's ends say (oracle for the bounded scan)."""
+    graph = state.graph
+    epochs = state.epoch_sets[node].epochs
+    epoch = epochs[idx]
+    cuts = {}
+    positions = state.placements.get(epoch)
+    meetings = reference_meetings(epoch)
+    if positions is None or not meetings:
+        return cuts
+    v_f = anchor_junction(graph, epochs[idx + 1 :])
+    v_a = localize._provenance_before(state, node, epoch.t_first)
+    if v_f is None or v_a is None:
+        return cuts
+    v_f_pos = graph.position_at(v_f)
+    for peer in sorted(meetings):
+        met = meetings[peer]
+        v_b = localize._provenance_before(state, peer, epoch.packages[met[0][0]].t)
+        if v_b is None:
+            continue
+        v_c_pos = graph.position_at(graph.confluence_vertex(v_a, v_b, v_f))
+        limit = graph.geodesic_distance(v_c_pos, v_f_pos)
+        for i, _ in met:
+            if graph.geodesic_distance(positions[i], v_f_pos) > limit + POSITION_TOL:
+                if i > 0:
+                    cuts.setdefault(i, v_c_pos)
+                break
+    return cuts
+
+
+def reference_checkpoints(state, node):
+    """`issue_checkpoints` with its own scan per epoch: a peer's strongest
+    contact, the first in package order on a tie (oracle for the index)."""
+    issued = []
+    for epoch in state.epoch_sets[node].epochs:
+        positions = state.placements.get(epoch)
+        if positions is None:
+            continue
+        strongest, at = {}, {}
+        for i, pkg in enumerate(epoch.packages):
+            for peer, strength in pkg.contacts:
+                if peer not in strongest or strength > strongest[peer]:
+                    strongest[peer], at[peer] = strength, i
+        for peer in sorted(at):
+            issued.append(Checkpoint(node, peer, epoch.packages[at[peer]].t, positions[at[peer]]))
+    return issued
+
+
+def scaled_swarm(spec, factor):
+    """The scenario with every length, radius and step multiplied by `factor`."""
+    return ScenarioSpec(
+        scaled_graph(spec.graph, factor),
+        spec.insertions,
+        base_step=spec.base_step * factor,
+        gateway_radius_default=spec.gateway_radius_default * factor,
+    )
+
+
+@pytest.mark.parametrize("variant", ["gral+cp", "gral+pr", "gral+cp+pr"])
+def test_refinements_equal_their_full_scans(variant, monkeypatch):
+    # Swarm-like trees of 16 and 64 nodes, unscaled and scaled so that the
+    # rounding slack outgrows POSITION_TOL, and the 150 gated trees.
+    cases = [
+        (scaled_swarm(swarm_like_scenario(random.Random(seed), depth, per_leaf), factor), seed)
+        for seed, (depth, per_leaf) in enumerate([(3, 2), (4, 4)])
+        for factor in (1.0, 1e5, 1e10)
+    ]
+    cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    real_cuts, real_issue = localize._confluence_cuts, localize.issue_checkpoints
+    seen = Counter()
+
+    def checked_cuts(state, node, idx):
+        expected = reference_confluence_cuts(state, node, idx)
+        cuts = real_cuts(state, node, idx)
+        # repr compares the bits of every boundary, and the order of the cuts.
+        assert repr(list(cuts.items())) == repr(list(expected.items()))
+        seen["cut epochs"] += bool(cuts)
+        return cuts
+
+    def checked_issue(state, node):
+        issued = real_issue(state, node)
+        assert repr(issued) == repr(reference_checkpoints(state, node))
+        seen["checkpoints"] += len(issued)
+        return issued
+
+    monkeypatch.setattr(localize, "_confluence_cuts", checked_cuts)
+    monkeypatch.setattr(localize, "issue_checkpoints", checked_issue)
+    for spec, seed in cases:
+        streams = run_instance(spec, seed).streams()
+        run_pipeline(build_state(spec.graph, streams), streams, variant)
+    if "cp" in variant:
+        assert seen["checkpoints"] > 1000
+    if "pr" in variant:
+        assert seen["cut epochs"] > 100
+
+
+# Per `run_experiment` instance of all five variants: the geodesics that
+# rectification computes, the contact indexes built and the contacts heard.
+# Before the bounded scan rectification computed 1229 and 26170 geodesics
+# on these two trees, and issue_checkpoints scanned each epoch once per
+# variant that issues checkpoints.
+RECTIFY_WORK = {(3, 2): (782, 192, 684), (4, 4): (16550, 1644, 11940)}
+
+
+@pytest.mark.parametrize("shape", sorted(RECTIFY_WORK))
+def test_rectification_work_is_bounded_by_contacts(shape, monkeypatch):
+    spec = swarm_like_scenario(random.Random(0), *shape)
+    graph = spec.graph
+    geodesic, real_rectify, real_meetings = (
+        graph.geodesic_distance, localize.rectify_paths, localize._meetings
+    )
+    work = Counter()
+    memos = {}  # id -> the index memo of each state that built an index
+
+    def counted_geodesic(p1, p2):
+        work["geodesics"] += work["rectifying"]
+        return geodesic(p1, p2)
+
+    def counted_rectify(state, node):
+        work["rectifying"] = 1
+        try:
+            return real_rectify(state, node)
+        finally:
+            work["rectifying"] = 0
+
+    def counted_meetings(state, epoch):
+        if epoch not in state.meetings:
+            work["builds"] += 1
+            memos[id(state.meetings)] = state.meetings
+        return real_meetings(state, epoch)
+
+    monkeypatch.setattr(graph, "geodesic_distance", counted_geodesic)
+    monkeypatch.setattr(localize, "rectify_paths", counted_rectify)
+    monkeypatch.setattr(localize, "_meetings", counted_meetings)
+    run_experiment(spec, VARIANTS, 1, 0)
+    contacts = sum(len(p.contacts) for b in run_instance(spec, 0).batches for p in b.packages)
+    assert (work["geodesics"], work["builds"], contacts) == RECTIFY_WORK[shape]
+    # The variants share one memo, and no epoch is indexed twice.
+    (memo,) = memos.values()
+    assert work["builds"] == len(memo)
+    assert work["geodesics"] < 1.5 * contacts
 
 
 # -- pipeline ---------------------------------------------------------------------

@@ -32,7 +32,13 @@ from gral.sim import (
     _oriented,
 )
 
-from conftest import gated_tree_scenario, random_position, random_tree, swarm_like_scenario
+from conftest import (
+    gated_tree_scenario,
+    random_position,
+    random_tree,
+    scaled_graph,
+    swarm_like_scenario,
+)
 
 
 def long_pipe(length=400000.0):
@@ -454,6 +460,38 @@ def test_gateway_observations_match_geodesic_loop():
             checked += 1
             heard += bool(observations)
     assert heard > checked / 4
+
+
+def test_quiet_bands_skip_only_offsets_that_hear_nothing():
+    # At each end of each link's quiet band, one ulp and one slack to either
+    # side, on graphs scaled with and without their radii: the early return
+    # gives the bits of one geodesic per gateway.
+    rng = random.Random(41)
+    graphs = []
+    for seed in range(150):
+        graph = gated_tree_scenario(random.Random(seed)).graph
+        factor = rng.choice([1.0, 1e5, 1e10])
+        graphs.append(rng.choice([scaled, scaled_graph])(graph, factor))
+    checked = quiet = middles = 0
+    for graph in graphs:
+        positions = sample_positions(graph)
+        for link in graph.links:
+            length = link.length
+            for u, v in ((link.u, link.v), (link.v, link.u)):
+                quiet_from, quiet_to, _ = graph.link_gateways(u, v)
+                middles += 1
+                quiet += quiet_from < length / 2 < quiet_to
+                for edge in (quiet_from, quiet_to):
+                    probes = (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf),
+                              edge - graph.slack, edge + graph.slack)
+                    positions += [GraphPosition(u, v, x, length) for x in probes if 0.0 <= x <= length]
+        for pos in positions:
+            got = _gateway_observations(graph, pos)
+            assert repr(got) == repr(observations_by_geodesic(graph, pos)), pos
+            checked += 1
+    assert checked > 10_000
+    # Most link middles hear no gateway, and the band says so.
+    assert quiet > middles / 2
 
 
 def test_gateway_observations_belong_to_their_graph():

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 
 # Two on-network points closer than this are considered the same point.
@@ -110,6 +110,7 @@ class EnvironmentGraph:
         }
         self._dist_cache: dict[tuple[str, str], float] = {}
         self._gateway_cache: dict[tuple[str, str], tuple[float, float, tuple]] = {}
+        self._path_cache: dict[tuple[str, str], tuple[tuple, tuple, float, tuple]] = {}
         # Parent pointers toward the root define the flow orientation.
         self.parent: dict[str, Optional[str]] = {root: None}
         self.depth: dict[str, int] = {root: 0}
@@ -216,8 +217,27 @@ class EnvironmentGraph:
             cur = self.parent[cur]  # type: ignore[assignment]
         return up + [w] + list(reversed(down))
 
-    def link_lengths(self, path: list[str]) -> list[float]:
+    def link_lengths(self, path: Sequence[str]) -> list[float]:
         return [self.link_length(a, b) for a, b in zip(path, path[1:])]
+
+    def junction_path(
+        self, u: str, v: str
+    ) -> tuple[tuple[str, ...], tuple[float, ...], float, tuple[float, ...]]:
+        """`(path, lengths, total, stops)` between two junctions, memoized.
+
+        `path` is `shortest_path(u, v)`, `lengths` its `link_lengths`, `total`
+        their left-fold sum and `stops` each length less `POSITION_TOL`, the
+        bounds of `_walk`'s steps. Filled lazily, once per ordered pair of
+        junction ids, so one `shortest_path` serves every route between the
+        two; the tuples are shared and never change.
+        """
+        entry = self._path_cache.get((u, v))
+        if entry is None:
+            path = tuple(self.shortest_path(u, v))
+            lengths = tuple(self.link_lengths(path))
+            stops = tuple(length - POSITION_TOL for length in lengths)
+            entry = self._path_cache[(u, v)] = (path, lengths, _add_up(lengths), stops)
+        return entry
 
     # -- positions ----------------------------------------------------------
 
@@ -250,9 +270,7 @@ class EnvironmentGraph:
             return GraphPosition(pos.u, pos.v, min(max(pos.offset, 0.0), length), length)
         # Several links: walk the path. A point landing exactly on an interior
         # junction is reported with offset 0 on the outgoing link.
-        path = self.shortest_path(pos.u, pos.v)
-        lengths = self.link_lengths(path)
-        total = _add_up(lengths)
+        path, lengths, total, _ = self.junction_path(pos.u, pos.v)
         if abs(total - pos.span) > 1e-6:
             raise GraphError(f"position span {pos.span} != path length {total} for {pos}")
         if pos.offset < -POSITION_TOL or pos.offset > total + POSITION_TOL:
@@ -356,7 +374,8 @@ class Route:
         self.end = b = graph.canonicalize(end)
         # Decompose into: leg on the start link, junction-to-junction path,
         # leg on the end link. Degenerate legs collapse to zero length. The
-        # total comes out of the same arithmetic as `geodesic_distance`.
+        # total comes out of the same arithmetic as `geodesic_distance`, and
+        # the middle path out of the graph's memo (`junction_path`).
         if a.u != a.v and (b.u, b.v) in ((a.u, a.v), (a.v, a.u)):
             # Both inside one link; `_off_end` is the end's offset from a.u.
             self._off_end = b.offset if b.u == a.u else b.span - b.offset
@@ -376,9 +395,9 @@ class Route:
                 if best is None or d < best[0]:
                     best = (d, ja, jb, da, db)
         self.total, self._exit, self._enter, self._head, self._tail = best
-        self._mid_path = graph.shortest_path(self._exit, self._enter)
-        self._mid_lengths = graph.link_lengths(self._mid_path)
-        self._mid_len = _add_up(self._mid_lengths)
+        self._mid_path, self._mid_lengths, self._mid_len, self._mid_stops = graph.junction_path(
+            self._exit, self._enter
+        )
 
     def point_at(self, arclength: float) -> GraphPosition:
         """Position `arclength` units from the route start (clamped to ends)."""
@@ -419,7 +438,7 @@ class Route:
         mid_path, mid_lengths, mid_len = self._mid_path, self._mid_lengths, self._mid_len
         mid_limit = mid_len + POSITION_TOL if mid_lengths else -math.inf
         mid_last = len(mid_lengths) - 1
-        mid_stops = [length - POSITION_TOL for length in mid_lengths]
+        mid_stops = self._mid_stops
         # End link: away from the enter junction toward the end point.
         end_u, end_v, _, end_span = self.end
         tail = self._tail
@@ -458,7 +477,7 @@ def _add_up(lengths: Iterable[float]) -> float:
     return reduce(add, lengths, 0)
 
 
-def _walk(path: list[str], lengths: list[float], remaining: float) -> GraphPosition:
+def _walk(path: Sequence[str], lengths: Sequence[float], remaining: float) -> GraphPosition:
     # The point `remaining` units along `path`, whose links have `lengths`;
     # `remaining` is already clamped to [0, sum(lengths)]. A point within
     # tolerance of an interior junction lands at offset 0 on the outgoing link.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .epochs import Epoch
 from .graph import EnvironmentGraph, GraphPosition
@@ -35,7 +35,13 @@ def mae(errors: Sequence[float]) -> float:
 def rmse(errors: Sequence[float]) -> float:
     if len(errors) == 0:
         raise ValueError("rmse of empty input")
-    return math.sqrt(math.fsum(map(mul, errors, errors)) / len(errors))
+    return _root_mean(list(map(mul, errors, errors)))
+
+
+def _root_mean(squares: Sequence[float]) -> float:
+    # The root of the mean of squared errors, summed exactly by `math.fsum`,
+    # so the order of the squares does not matter.
+    return math.sqrt(math.fsum(squares) / len(squares))
 
 
 def normalized_mae(mae_value: float, route_length: float) -> float:
@@ -74,9 +80,10 @@ def package_errors(
     """Geodesic error of each estimate whose `(node, seq)` is in `truth`.
 
     Errors come in estimate order; an estimate of a package that `truth` does
-    not hold is skipped. This kernel scores `run_experiment`'s baseline and
-    `instance_errors`: one dict lookup and one geodesic per estimate, and no
-    record per package.
+    not hold is skipped. This kernel scores `instance_errors`: one dict
+    lookup and one geodesic per estimate, and no record per package. It
+    shares no code with the slices `run_experiment` scores by, so it checks
+    them.
     """
     true_position = truth.get
     distance = graph.geodesic_distance
@@ -88,23 +95,47 @@ def package_errors(
     ]
 
 
+def _track_errors(
+    distance: Callable[[GraphPosition, GraphPosition], float],
+    tracks: dict[str, list[GraphPosition]],
+    node: str,
+    first_seq: int,
+    last_seq: int,
+    positions: Sequence[GraphPosition],
+) -> list[float]:
+    # The geodesic errors of a run of one node's packages, seqs first_seq to
+    # last_seq placed at `positions`, against the slice of the node's track
+    # that holds their true positions.
+    start = first_seq - 1
+    truth = tracks.get(node, ())[start : start + len(positions)]
+    if start < 0 or last_seq - start != len(positions) or len(truth) != len(positions):
+        raise ValueError(
+            f"packages {first_seq}..{last_seq} of node {node!r} are not "
+            f"{len(positions)} emitted packages in seq order"
+        )
+    return list(map(distance, truth, positions))
+
+
 def epoch_errors(
     state: BackendState,
-    truth: dict[tuple[str, int], GraphPosition],
+    tracks: dict[str, list[GraphPosition]],
     scored: dict[Epoch, list[float]],
 ) -> list[float]:
     """Geodesic error of each placed package of the state's complete epochs.
 
-    After `run_pipeline`, these are `package_errors` of the estimates it
-    returned, in epoch order; a package that `truth` does not hold is skipped.
-    `scored` memoizes each epoch's errors against `truth`. The states of one
-    instance, whose variants share its epochs, share one `scored`: an epoch
-    is scored by the first state that holds it, and the others extend their
-    list by its errors.
+    `tracks` holds each node's emitted true positions in seq order
+    (`InstanceResult.tracks`). An epoch is a run of its node's stream, so
+    its truth is the slice of the node's track from its first package's seq,
+    cut to its length; a run that is not one of emitted packages in seq
+    order raises ValueError. After `run_pipeline`, these are
+    `package_errors` of the estimates it returned, in epoch order.
+    `scored` memoizes each epoch's errors. The states of one instance, whose
+    variants share its epochs, share one `scored`: an epoch is scored by the
+    first state that holds it, and the others extend their list by its
+    errors.
     """
     errors: list[float] = []
     placements = state.placements
-    true_position = truth.get
     distance = state.graph.geodesic_distance
     for epoch_set in state.epoch_sets.values():
         for epoch in epoch_set.epochs:
@@ -113,12 +144,28 @@ def epoch_errors(
                 positions = placements.get(epoch)
                 if positions is None:  # incomplete, so never placed
                     continue
-                epoch_scored = scored[epoch] = [
-                    distance(position, estimate)
-                    for pkg, estimate in zip(epoch.packages, positions)
-                    if (position := true_position((pkg.node, pkg.seq))) is not None
-                ]
+                first, last = epoch.packages[0], epoch.packages[-1]
+                epoch_scored = scored[epoch] = _track_errors(
+                    distance, tracks, first.node, first.seq, last.seq, positions
+                )
             errors += epoch_scored
+    return errors
+
+
+def _baseline_errors(
+    graph: EnvironmentGraph,
+    tracks: dict[str, list[GraphPosition]],
+    estimates: dict[str, list[LocalizedMeasurement]],
+) -> list[float]:
+    # The baseline places each node's whole stream, so each node's estimates
+    # are scored as one run, in estimate order.
+    errors: list[float] = []
+    distance = graph.geodesic_distance
+    for node, measurements in estimates.items():
+        if measurements:
+            positions = [m.position for m in measurements]
+            first, last = measurements[0].seq, measurements[-1].seq
+            errors += _track_errors(distance, tracks, node, first, last, positions)
     return errors
 
 
@@ -160,10 +207,12 @@ def run_experiment(
     it too is routed and placed once per instance. A graph-based variant is
     scored by `epoch_errors` over the epochs `run_pipeline` leaves in its
     state, with one error memo per instance, so an epoch or fragment several
-    variants keep is scored once. The baseline is scored by `package_errors`
-    over its estimates. Both score against the instance's emitted truth; the
-    order of the errors does not matter, since `rmse` and `mae` add them up
-    with `math.fsum`. It runs, simulation included, with the cyclic garbage
+    variants keep is scored once. The baseline is scored the same way, per
+    node over its estimates. Both read the true positions as slices of the
+    instance's per-node `tracks`. Each variant squares an instance's errors
+    once; its iRMSE and the pooled dRMSE are `math.fsum`s of those squares,
+    and the MAE one of their absolute values, so the order of the errors
+    does not matter. It runs, simulation included, with the cyclic garbage
     collector paused; the pause is process-wide, so another thread's
     `gc.disable()` made during the call is undone when it returns.
     """
@@ -178,6 +227,9 @@ def run_experiment(
             raise ValueError(f"variant {variant!r} given more than once")
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
+    # Every square is kept to the end, so the pooled dRMSE sums the squares
+    # the iRMSEs summed; that is one more float per localized package.
+    per_variant_squares: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}
     per_variant_seeds: dict[str, list[int]] = {v: [] for v in variants}
     truncated_seeds: list[int] = []
@@ -196,17 +248,19 @@ def run_experiment(
             state = replace(segmented, epoch_sets=dict(segmented.epoch_sets), checkpoints=[])
             estimates = run_pipeline(state, streams, variant)
             if variant == "baseline":
-                errors = package_errors(spec.graph, result.emitted_truth, estimates)
+                errors = _baseline_errors(spec.graph, result.tracks, estimates)
             else:
-                errors = epoch_errors(state, result.emitted_truth, scored)
-            per_variant_errors[variant].extend(errors)
+                errors = epoch_errors(state, result.tracks, scored)
+            per_variant_errors[variant] += errors
             if errors:
-                per_variant_irmse[variant].append(rmse(errors))
+                squares = list(map(mul, errors, errors))
+                per_variant_squares[variant] += squares
+                per_variant_irmse[variant].append(_root_mean(squares))
                 per_variant_seeds[variant].append(seed)
     out = []
     for variant in variants:
         errors = per_variant_errors[variant]
-        pooled = rmse(errors) if errors else float("nan")
+        pooled = _root_mean(per_variant_squares[variant]) if errors else float("nan")
         mae_value = mae(errors) if errors else float("nan")
         out.append(
             VariantResult(

@@ -135,8 +135,8 @@ class _NodeState:
     at_root: bool = False
     seq: int = 0
     buffer: list[Package] = field(default_factory=list)
-    # `((node, seq), true position)` of each buffered package, in buffer order.
-    held: list[tuple[tuple[str, int], GraphPosition]] = field(default_factory=list)
+    # The true position of each buffered package, in buffer order.
+    held: list[GraphPosition] = field(default_factory=list)
 
 
 @dataclass
@@ -145,8 +145,11 @@ class WorldState:
 
     `nodes` holds the in-flight nodes in the spec's insertion order, which is
     the order of every per-tick pass and of the RNG draws; `run_instance`
-    restores that order whenever it inserts nodes. `emitted_truth` gains the
-    true position of each package when its buffer is flushed.
+    restores that order whenever it inserts nodes. `tracks` maps each node
+    to the true positions of its emitted packages, where index `seq - 1`
+    holds seq's; a flush extends the node's list by its buffer's, and a
+    node's first flush adds its list, so a node put into `nodes` by hand
+    needs no entry here.
     `reach` is the contact radius plus 1e-6 and the graph's rounding slack,
     which covers the rounding of `observe`'s range tests.
     """
@@ -156,7 +159,7 @@ class WorldState:
     tick: int = 0
     nodes: dict[str, _NodeState] = field(default_factory=dict)
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
-    emitted_truth: dict[tuple[str, int], GraphPosition] = field(default_factory=dict)
+    tracks: dict[str, list[GraphPosition]] = field(default_factory=dict)
     reach: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -167,15 +170,28 @@ class WorldState:
 class InstanceResult:
     """One run: its batches in upload order and every recorded ground truth.
 
-    `emitted_truth` maps the `(node, seq)` of every emitted package to its
-    true position, in batch order; the simulator fills it as it flushes each
-    buffer, and every variant scored against the instance reads it.
+    `tracks` maps each node that emitted to the true positions of its
+    emitted packages in seq order: a node's packages are emitted as a prefix
+    of its seqs 1..m, so index `seq - 1` holds seq's position. The simulator
+    fills it as it flushes each buffer, and every variant scored against the
+    instance slices it (`metrics.epoch_errors`).
     """
 
     batches: list[Batch]
     ground_truth: list[GroundTruthRecord]
     truncated: bool
-    emitted_truth: dict[tuple[str, int], GraphPosition]
+    tracks: dict[str, list[GraphPosition]]
+
+    @property
+    def emitted_truth(self) -> dict[tuple[str, int], GraphPosition]:
+        """The true position of every emitted package by `(node, seq)`, in
+        batch order, read from `tracks` on each access."""
+        tracks = self.tracks
+        return {
+            (batch.node, pkg.seq): tracks[batch.node][pkg.seq - 1]
+            for batch in self.batches
+            for pkg in batch.packages
+        }
 
     def streams(self) -> dict[str, list[Package]]:
         streams: dict[str, list[Package]] = {}
@@ -338,7 +354,8 @@ def record_and_emit(world: WorldState) -> list[Batch]:
     or of the NamedTuples. `observe` returns tuples; more than one
     observation is sorted strongest-first here, with the parser's key, as
     `Package` keeps them. Each package gets its own payload dict. A flush
-    adds its packages' true positions to `world.emitted_truth`.
+    extends the node's list in `world.tracks` by its packages' true
+    positions.
     """
     batches = []
     tick = world.tick
@@ -348,7 +365,7 @@ def record_and_emit(world: WorldState) -> list[Batch]:
     recording = nodes and (due or any(st.at_root for st in nodes.values()))
     radio = observe(world) if recording else None
     truth = world.ground_truth
-    emitted = world.emitted_truth
+    tracks = world.tracks
     new = tuple.__new__
     leaving = []
     for k, (node, st) in enumerate(nodes.items()):
@@ -360,7 +377,7 @@ def record_and_emit(world: WorldState) -> list[Batch]:
             seq = st.seq = st.seq + 1
             st.buffer.append(new(Package, (node, seq, float(tick), obs, contacts, {"tick": tick})))
             truth.append(new(GroundTruthRecord, (node, seq, tick, st.position)))
-            st.held.append(((node, seq), st.position))
+            st.held.append(st.position)
             if st.at_root:
                 leaving.append(node)
         if not st.buffer:
@@ -369,7 +386,10 @@ def record_and_emit(world: WorldState) -> list[Batch]:
             obs = _gateway_observations(graph, st.position)
         if obs:
             batches.append(Batch(node, tick, tuple(st.buffer)))
-            emitted.update(st.held)
+            track = tracks.get(node)
+            if track is None:
+                track = tracks[node] = []
+            track += st.held
             st.buffer.clear()
             st.held.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
@@ -403,7 +423,7 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
             truncated = True
             break
         step(world)
-    return InstanceResult(batches, world.ground_truth, truncated, world.emitted_truth)
+    return InstanceResult(batches, world.ground_truth, truncated, world.tracks)
 
 
 # -- built-in scenarios -------------------------------------------------------

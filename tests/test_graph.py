@@ -431,6 +431,56 @@ def test_points_at_walks_the_middle_path_with_the_bits_of_walk():
     assert walked > 1000
 
 
+def test_junction_path_memo_gives_cold_and_warm_routes_the_same_bits():
+    # Routes and multi-link positions read their junction-to-junction path
+    # from the graph's memo. A route built on a cold memo and one built after
+    # the memo holds every pair place each probe arclength with the same
+    # bits, and `canonicalize` walks a multi-link position to the same bits.
+    # The memo's entries are the path, its link lengths, their left fold and
+    # `_walk`'s stops, keyed by the ordered pair of junction ids.
+    rng = random.Random(41)
+    routes = spans = 0
+    for _ in range(100):
+        g = random_tree(rng, rng.randint(4, 12))
+        names = sorted(g.junctions)
+        ends = [(random_position(rng, g), random_position(rng, g)) for _ in range(6)]
+        ends += [(g.position_at(u), g.position_at(v)) for u, v in (rng.sample(names, 2) for _ in range(3))]
+        multi_link = []
+        for _ in range(6):
+            u, w = rng.sample(names, 2)
+            path = g.shortest_path(u, w)
+            if len(path) < 3:
+                continue
+            total = _add_up(g.link_lengths(path))
+            multi_link.append(GraphPosition(u, w, rng.uniform(0.0, total), total))
+            multi_link.append(GraphPosition(u, w, _add_up(g.link_lengths(path[:2])), total))
+        cold = []
+        for start, end in ends:
+            g._path_cache.clear()
+            route = g.route(start, end)
+            xs = probe_arclengths(rng, route)
+            cold.append((xs, repr(route.points_at(xs))))
+        cold_spans = []
+        for pos in multi_link:
+            g._path_cache.clear()
+            cold_spans.append(repr(g.canonicalize(pos)))
+        for u in names:
+            for v in names:
+                path, lengths, total, stops = g.junction_path(u, v)
+                assert path == tuple(g.shortest_path(u, v))
+                assert lengths == tuple(g.link_lengths(path))
+                assert repr(total) == repr(_add_up(lengths))
+                assert stops == tuple(length - POSITION_TOL for length in lengths)
+        assert len(g._path_cache) == len(names) ** 2
+        for (start, end), (xs, want) in zip(ends, cold):
+            assert repr(g.route(start, end).points_at(xs)) == want, (start, end)
+            routes += 1
+        for pos, want in zip(multi_link, cold_spans):
+            assert repr(g.canonicalize(pos)) == want, pos
+            spans += 1
+    assert routes == 900 and spans > 300
+
+
 def sample_routes(rng, g):
     """Junction-to-junction routes, one of zero length, and routes between
     link-interior points in both orientations, also within one link, with

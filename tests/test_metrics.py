@@ -465,10 +465,63 @@ def test_experiment_scores_each_estimate_once_on_gated_trees(monkeypatch):
     assert localized_nothing > 0 and localized_in_some > 0
 
 
+def test_experiment_scores_fragment_slices_on_dense_swarm_trees(monkeypatch):
+    # Dense encounters cut fragments that start mid-epoch, so their truth is
+    # a slice of the node's track from a seq inside the unsplit epoch; the
+    # results must equal, bit for bit, the key-based rescoring of the
+    # estimates.
+    mid_epoch = set()  # the fragments scored that start inside their unsplit epoch
+    real_epoch_errors = metrics.epoch_errors
+
+    def noting_epoch_errors(state, tracks, scored):
+        errors = real_epoch_errors(state, tracks, scored)
+        mid_epoch.update(e for e in scored if state.origins.get(e, (e, 0))[1] > 0)
+        return errors
+
+    monkeypatch.setattr(metrics, "epoch_errors", noting_epoch_errors)
+    for tree_seed in range(3):
+        spec = swarm_like_scenario(random.Random(tree_seed), 3, 2)
+        got, expected = rescored_experiment(monkeypatch, spec, 3)
+        assert repr(got) == repr(expected), tree_seed
+        assert all(r.packages_localized > 0 for r in got), tree_seed
+    assert len(mid_epoch) > 100
+
+
+def test_experiment_finds_each_junction_path_once(monkeypatch):
+    # Routes read their junction-to-junction path from the graph's memo, so
+    # over a whole experiment `shortest_path` runs at most once per ordered
+    # pair of junctions, however many routes share the pair.
+    specs = [(make_scenario(4), 5)]
+    specs += [(swarm_like_scenario(random.Random(tree_seed), 3, 2), 3) for tree_seed in (0, 1)]
+    for spec, n_instances in specs:
+        graph = spec.graph
+        paths, routes = Counter(), []
+        real_path, real_route = graph.shortest_path, graph.route
+
+        def counting_path(u, v):
+            paths[(u, v)] += 1
+            return real_path(u, v)
+
+        def counting_route(start, end):
+            routes.append(real_route(start, end))
+            return routes[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "shortest_path", counting_path)
+            patch.setattr(graph, "route", counting_route)
+            run_experiment(spec, VARIANTS, n_instances, seed0=0)
+        assert paths and max(paths.values()) == 1
+        # Every route between two junctions read its pair from the memo.
+        pairs = {(r._exit, r._enter) for r in routes if r._off_end is None}
+        assert pairs <= paths.keys()
+        assert len(routes) > 5 * len(paths)
+
+
 def epoch_scored_experiment(monkeypatch, spec, n_instances):
     """Per graph-based variant run, the errors `run_experiment` scored through
     its epoch memo and `package_errors` over the estimates `run_pipeline`
-    returned for that run, against the same instance's emitted truth."""
+    returned for that run, against the same instance's emitted truth: its
+    per-node tracks for the one, its `(node, seq)` map for the other."""
     runs, instances, estimates = [], [], []
     real_instance, real_pipeline = metrics.run_instance, metrics.run_pipeline
     real_epoch_errors = metrics.epoch_errors
@@ -483,8 +536,8 @@ def epoch_scored_experiment(monkeypatch, spec, n_instances):
 
     def capture_epoch_errors(state, truth, scored):
         errors = real_epoch_errors(state, truth, scored)
-        assert truth is instances[-1].emitted_truth
-        expected = metrics.package_errors(spec.graph, truth, estimates[-1])
+        assert truth is instances[-1].tracks
+        expected = metrics.package_errors(spec.graph, instances[-1].emitted_truth, estimates[-1])
         runs.append((errors, expected))
         return errors
 
@@ -518,7 +571,7 @@ def test_experiment_scores_each_complete_epoch_once_per_instance(monkeypatch):
     spec = make_scenario(4)
     scoring = False
     geodesics = 0
-    kept = []  # (memo, complete epochs of the state, truth) of each epoch_errors call
+    kept = []  # (memo, complete epochs of the state, tracks) of each epoch_errors call
     real_epoch_errors, real_geodesic = metrics.epoch_errors, spec.graph.geodesic_distance
 
     def counting_geodesic(p1, p2):
@@ -526,15 +579,15 @@ def test_experiment_scores_each_complete_epoch_once_per_instance(monkeypatch):
         geodesics += scoring
         return real_geodesic(p1, p2)
 
-    def counting_epoch_errors(state, truth, scored):
+    def counting_epoch_errors(state, tracks, scored):
         nonlocal scoring
         if not kept or scored is not kept[-1][0]:
             assert scored == {}  # a new instance starts a new memo
         complete = [e for es in state.epoch_sets.values() for e in es.epochs if is_complete(e)]
-        kept.append((scored, complete, truth))
+        kept.append((scored, complete, tracks))
         scoring = True
         try:
-            return real_epoch_errors(state, truth, scored)
+            return real_epoch_errors(state, tracks, scored)
         finally:
             scoring = False
 
@@ -544,11 +597,11 @@ def test_experiment_scores_each_complete_epoch_once_per_instance(monkeypatch):
 
     assert len({id(scored) for scored, _, _ in kept}) == 5
     unique, reads = {}, 0
-    for scored, complete, truth in kept:
+    for scored, complete, tracks in kept:
         reads += len(complete)
         for epoch in complete:
             assert epoch in scored
-            unique[id(epoch)] = sum((p.node, p.seq) in truth for p in epoch.packages)
+            unique[id(epoch)] = sum(0 < p.seq <= len(tracks.get(p.node, ())) for p in epoch.packages)
     assert reads > len(unique)  # some epochs are read by several variants
     assert geodesics == sum(unique.values())
 

@@ -374,11 +374,28 @@ def test_emitted_truth_is_the_ground_truth_of_the_emitted_packages():
                                Insertion("n2", g.position_at("s"), 3)])
     for spec, seed in cases + [(truncated, 0), (ungated, 0)]:
         result = run_instance(spec, seed)
+        # Derived from the tracks, the map keeps batch order.
         assert list(result.emitted_truth.items()) == reconstructed_truth(result), seed
+        # Each node's track holds the ground truth of its seqs 1..m in seq
+        # order, and its batches emit exactly those seqs, in that order.
+        recorded = {}
+        for r in result.ground_truth:
+            recorded.setdefault(r.node, []).append(r)
+        emitted = {}
+        for b in result.batches:
+            emitted.setdefault(b.node, []).extend(p.seq for p in b.packages)
+        assert result.tracks.keys() == emitted.keys(), seed
+        for node, track in result.tracks.items():
+            assert emitted[node] == list(range(1, len(track) + 1)), (seed, node)
+            records = recorded[node][: len(track)]
+            assert [r.seq for r in records] == emitted[node], (seed, node)
+            assert track == [r.position for r in records], (seed, node)
     for spec, stops_early in ((truncated, True), (ungated, False)):
         result = run_instance(spec, 0)
         assert result.truncated is stops_early
         assert result.batches and len(result.emitted_truth) < len(result.ground_truth)
+        # The packages still buffered at the end are in no track.
+        assert sum(map(len, result.tracks.values())) < len(result.ground_truth)
 
 
 # Pinned with the simulator that called `observe` once per recording node,

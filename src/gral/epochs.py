@@ -37,6 +37,9 @@ class EpochKind(enum.Enum):
 # A fragment split off by a checkpoint or a rectification keeps the kind of the
 # visit it was cut from: kinds are read only before any split, and when dumped.
 # Epochs compare and hash by identity, so they key `BackendState.placements`.
+# The bounds' times `t_start` and `t_final` default to the first and last
+# package's; only the baseline's epochs (`localize.baseline_epochs`), which
+# are bounded by contacts outside their own packages, set them.
 @dataclass(frozen=True, eq=False)
 class Epoch:
     kind: EpochKind
@@ -44,6 +47,8 @@ class Epoch:
     anchor: Optional[str] = None  # gateway id shared by the observing packages
     start_pos: Optional[GraphPosition] = None
     final_pos: Optional[GraphPosition] = None
+    t_start: Optional[float] = None
+    t_final: Optional[float] = None
 
     @property
     def t_first(self) -> float:

@@ -1,12 +1,12 @@
 """Position assignment for package streams: baseline and graph-based variants.
 
-The baseline linearly interpolates between gateway junctions using first- and
-last-contact timestamps. The graph-based localizer interpolates each complete
-epoch between its resolved boundary positions along the shortest route, and
-optionally refines estimates with peer encounters: checkpoints split a peer's
-epoch at the meeting with the first arriver's estimate, and path rectification
-pushes encounter estimates downstream to at least the confluence junction of
-the two nodes' paths.
+Every variant interpolates each complete epoch between its boundary positions
+along the shortest route. The graph-based localizer's epochs are gateway
+visits with resolved bounds, optionally refined with peer encounters:
+checkpoints split a peer's epoch at the meeting with the first arriver's
+estimate, and path rectification pushes encounter estimates downstream to at
+least the confluence junction of the two nodes' paths. The baseline's epochs
+run between gateway junctions at first- and last-contact timestamps.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional
 
 from .epochs import (
     Epoch,
+    EpochKind,
     EpochSet,
     anchor_junction,
     anchor_of,
@@ -44,17 +45,17 @@ log = logging.getLogger(__name__)
 class BackendState:
     """Backend-side view: the map plus everything learned from received data.
 
-    `placements` maps every complete epoch placed through this state to its
-    packages' positions, which carry no variant tag, and the refinements read
-    positions there. `meetings` maps each epoch a refinement read to its
-    contact index (see `_meetings`). `fragments` memoizes `_split_epoch`: it
-    maps an unsplit epoch and a package range of it to the fragments cut
-    there, one per pair of bounds, bit for bit; `origins` maps each fragment
-    to its unsplit epoch and the index of its first package there. States
-    that start from one segmentation may share these four maps, as
-    `run_experiment`'s variants do; an epoch or fragment that several
-    variants hold then is cut, routed, placed and indexed once. Only
-    `run_pipeline` adds checkpoints.
+    `placements` maps every complete epoch placed through this state, the
+    baseline's epochs included, to its packages' positions, which carry no
+    variant tag, and the refinements read positions there. `meetings` maps
+    each epoch a refinement read to its contact index (see `_meetings`).
+    `fragments` memoizes `_split_epoch`: it maps an unsplit epoch and a
+    package range of it to the fragments cut there, one per pair of bounds,
+    bit for bit; `origins` maps each fragment to its unsplit epoch and the
+    index of its first package there. States that start from one
+    segmentation may share these four maps, as `run_experiment`'s variants
+    do; an epoch or fragment that several variants hold then is cut, routed,
+    placed and indexed once. Only `run_pipeline` adds checkpoints.
     """
 
     graph: EnvironmentGraph
@@ -92,17 +93,20 @@ def build_state(
 def interpolate_epoch(graph: EnvironmentGraph, epoch: Epoch) -> list[GraphPosition]:
     """Position of every package of a complete epoch, on the route between its bounds.
 
-    The first package maps to the start position, the last to the final
-    position, and everything between moves linearly in time along the route.
+    The node is at the start position at `t_start` and at the final position
+    at `t_final`, by default the first and last package's times, and moves
+    linearly in time along the route in between. Bounds that span no time
+    pin every package at the final position, and no route is built.
     """
     if not is_complete(epoch):
         raise ValueError("cannot interpolate an incomplete epoch")
     assert epoch.start_pos is not None and epoch.final_pos is not None
-    route = graph.route(epoch.start_pos, epoch.final_pos)
-    t0, t1 = epoch.t_first, epoch.t_last
     packages = epoch.packages
+    t0 = packages[0].t if epoch.t_start is None else epoch.t_start
+    t1 = packages[-1].t if epoch.t_final is None else epoch.t_final
     if t1 <= t0:
-        if route.total > POSITION_TOL:
+        # The geodesic has the bits of the route's total.
+        if graph.geodesic_distance(epoch.start_pos, epoch.final_pos) > POSITION_TOL:
             # Routine for one-package epochs (e.g. a single reading right
             # under a gateway); stated positions win over the unobservable
             # approach.
@@ -113,21 +117,24 @@ def interpolate_epoch(graph: EnvironmentGraph, epoch: Epoch) -> list[GraphPositi
                 packages[0].node,
             )
         return [epoch.final_pos] * len(packages)
+    route = graph.route(epoch.start_pos, epoch.final_pos)
     total, dt = route.total, t1 - t0
     return route.points_at([(pkg.t - t0) / dt * total for pkg in packages])
 
 
-def baseline_localize(
-    graph: EnvironmentGraph, packages: list[Package]
-) -> list[LocalizedMeasurement]:
-    """Linear interpolation between gateway junctions at contact times.
+def baseline_epochs(graph: EnvironmentGraph, packages: list[Package]) -> tuple[Epoch, ...]:
+    """The baseline's epochs: linear interpolation between gateway junctions at contact times.
 
-    First and last contact with each gateway pin the node to that gateway's
-    junction; packages between consecutive anchors interpolate along the
-    shortest path between the junctions, and packages outside the anchored
-    window pin to the nearest anchor. An anchor pair spanning no time pins
-    its packages at the later anchor, as `interpolate_epoch` does.
+    First and last contact with each gateway anchor the node at that
+    gateway's junction at that package's time. Each pair of consecutive
+    anchors bounds an epoch of the packages on the indices (i0, i1] strictly
+    inside the anchored window, if it owns any; the packages up to the first
+    anchor and from the last one on are pinned there by epochs whose bounds
+    span no time. The epochs tile the stream in seq order and are complete;
+    a stream with no gateway contact has none. They are mixed: the baseline
+    reads no trend.
     """
+    packages = tuple(packages)
     anchors: list[tuple[int, GraphPosition]] = []
     i = 0  # index of the run's first package
     # Runs of consecutive packages with the same strongest gateway (None: silent).
@@ -141,28 +148,30 @@ def baseline_localize(
         i += n
     if not anchors:
         log.info("baseline: no gateway contact in stream; nothing localizable")
-        return []
-    # A pair of consecutive anchors owns the packages on the indices (i0, i1]
-    # strictly inside the anchored window and places them along one route.
-    first, last = anchors[0][0], anchors[-1][0]
-    positions = [anchors[0][1]] * (first + 1)
+        return ()
+    (first, p_first), (last, p_last) = anchors[0], anchors[-1]
+    t = packages[first].t
+    epochs = [Epoch(EpochKind.MIXED, packages[: first + 1], None, p_first, p_first, t, t)]
     for (i0, p0), (i1, p1) in pairwise(anchors):
         owned = packages[i0 + 1 : min(i1 + 1, last)]
-        if not owned:
-            continue
-        t0, t1 = packages[i0].t, packages[i1].t
-        if t1 <= t0:
-            positions += [p1] * len(owned)
-        else:
-            route = graph.route(p0, p1)
-            total, dt = route.total, t1 - t0
-            positions += route.points_at([(pkg.t - t0) / dt * total for pkg in owned])
-    positions += [anchors[-1][1]] * (len(packages) - len(positions))
-    new = tuple.__new__
-    return [
-        new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, "baseline"))
-        for pkg, pos in zip(packages, positions)
-    ]
+        if owned:
+            t0, t1 = packages[i0].t, packages[i1].t
+            epochs.append(Epoch(EpochKind.MIXED, owned, None, p0, p1, t0, t1))
+    # With one anchor, the leading epoch already holds its package.
+    rest = packages[max(first + 1, last) :]
+    if rest:
+        t = packages[last].t
+        epochs.append(Epoch(EpochKind.MIXED, rest, None, p_last, p_last, t, t))
+    return tuple(epochs)
+
+
+def baseline_localize(
+    graph: EnvironmentGraph, packages: list[Package]
+) -> list[LocalizedMeasurement]:
+    """The baseline's estimates for one node's stream: `baseline_epochs`, placed."""
+    node = packages[0].node if packages else ""
+    state = BackendState(graph, {node: EpochSet(node, baseline_epochs(graph, packages))})
+    return localize_node(state, node, "baseline")
 
 
 def _place(state: BackendState, node: str) -> list[tuple[Epoch, list[GraphPosition]]]:
@@ -392,23 +401,22 @@ def run_pipeline(
 ) -> dict[str, list[LocalizedMeasurement]]:
     """Localize every node with the requested variant.
 
-    Graph-based variants process nodes in gateway-arrival order (first package
-    timestamp, then node id) so that checkpoints issued by early arrivers are
-    available to later ones. Each node is placed after its checkpoint cuts;
-    with rectification, its epochs are placed untagged, rectification cuts
-    them, and `localize_node` places only the new fragments and tags the
-    node once. Issued checkpoints are stored in `state.checkpoints`. It runs
-    with the cyclic garbage collector paused; the pause is process-wide, so
-    another thread's `gc.disable()` made during the call is undone when it
-    returns.
+    The baseline first writes each node's `baseline_epochs` into
+    `state.epoch_sets`, and nothing refines them. Nodes are processed in
+    gateway-arrival order (first package timestamp, then node id) so that
+    checkpoints issued by early arrivers are available to later ones. Each
+    node is placed after its checkpoint cuts; with rectification, its epochs
+    are placed untagged, rectification cuts them, and `localize_node` places
+    only the new fragments and tags the node once. Issued checkpoints are
+    stored in `state.checkpoints`. It runs with the cyclic garbage collector
+    paused; the pause is process-wide, so another thread's `gc.disable()`
+    made during the call is undone when it returns.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if variant == "baseline":
-        return {
-            node: baseline_localize(state.graph, packages)
-            for node, packages in streams.items()
-        }
+        for node, packages in streams.items():
+            state.epoch_sets[node] = EpochSet(node, baseline_epochs(state.graph, packages))
     use_cp = "cp" in variant.split("+")
     use_pr = "pr" in variant.split("+")
     order = sorted(streams, key=lambda n: (streams[n][0].t if streams[n] else float("inf"), n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .epochs import Epoch
 from .graph import EnvironmentGraph, GraphPosition
@@ -95,27 +95,6 @@ def package_errors(
     ]
 
 
-def _track_errors(
-    distance: Callable[[GraphPosition, GraphPosition], float],
-    tracks: dict[str, list[GraphPosition]],
-    node: str,
-    first_seq: int,
-    last_seq: int,
-    positions: Sequence[GraphPosition],
-) -> list[float]:
-    # The geodesic errors of a run of one node's packages, seqs first_seq to
-    # last_seq placed at `positions`, against the slice of the node's track
-    # that holds their true positions.
-    start = first_seq - 1
-    truth = tracks.get(node, ())[start : start + len(positions)]
-    if start < 0 or last_seq - start != len(positions) or len(truth) != len(positions):
-        raise ValueError(
-            f"packages {first_seq}..{last_seq} of node {node!r} are not "
-            f"{len(positions)} emitted packages in seq order"
-        )
-    return list(map(distance, truth, positions))
-
-
 def epoch_errors(
     state: BackendState,
     tracks: dict[str, list[GraphPosition]],
@@ -145,27 +124,15 @@ def epoch_errors(
                 if positions is None:  # incomplete, so never placed
                     continue
                 first, last = epoch.packages[0], epoch.packages[-1]
-                epoch_scored = scored[epoch] = _track_errors(
-                    distance, tracks, first.node, first.seq, last.seq, positions
-                )
+                start, n = first.seq - 1, len(positions)
+                truth = tracks.get(first.node, ())[start : start + n]
+                if start < 0 or last.seq - start != n or len(truth) != n:
+                    raise ValueError(
+                        f"packages {first.seq}..{last.seq} of node {first.node!r} are not "
+                        f"{n} emitted packages in seq order"
+                    )
+                epoch_scored = scored[epoch] = list(map(distance, truth, positions))
             errors += epoch_scored
-    return errors
-
-
-def _baseline_errors(
-    graph: EnvironmentGraph,
-    tracks: dict[str, list[GraphPosition]],
-    estimates: dict[str, list[LocalizedMeasurement]],
-) -> list[float]:
-    # The baseline places each node's whole stream, so each node's estimates
-    # are scored as one run, in estimate order.
-    errors: list[float] = []
-    distance = graph.geodesic_distance
-    for node, measurements in estimates.items():
-        if measurements:
-            positions = [m.position for m in measurements]
-            first, last = measurements[0].seq, measurements[-1].seq
-            errors += _track_errors(distance, tracks, node, first, last, positions)
     return errors
 
 
@@ -204,17 +171,17 @@ def run_experiment(
     complete epoch routes and places it, and the others read its positions
     from the memo. A fragment that checkpoints or rectification cut is one
     object in every variant that cuts it alike, whatever cuts led to it, so
-    it too is routed and placed once per instance. A graph-based variant is
-    scored by `epoch_errors` over the epochs `run_pipeline` leaves in its
-    state, with one error memo per instance, so an epoch or fragment several
-    variants keep is scored once. The baseline is scored the same way, per
-    node over its estimates. Both read the true positions as slices of the
-    instance's per-node `tracks`. Each variant squares an instance's errors
-    once; its iRMSE and the pooled dRMSE are `math.fsum`s of those squares,
-    and the MAE one of their absolute values, so the order of the errors
-    does not matter. It runs, simulation included, with the cyclic garbage
-    collector paused; the pause is process-wide, so another thread's
-    `gc.disable()` made during the call is undone when it returns.
+    it too is routed and placed once per instance. Every variant, the
+    baseline's epoch sets included, is scored by `epoch_errors` over the
+    epochs `run_pipeline` leaves in its state, with one error memo per
+    instance, so an epoch or fragment several variants keep is scored once;
+    the true positions are slices of the instance's per-node `tracks`.
+    Each variant squares an instance's errors once; its iRMSE and the pooled
+    dRMSE are `math.fsum`s of those squares, and the MAE one of their
+    absolute values, so the order of the errors does not matter. It runs,
+    simulation included, with the cyclic garbage collector paused; the pause
+    is process-wide, so another thread's `gc.disable()` made during the call
+    is undone when it returns.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")
@@ -246,11 +213,8 @@ def run_experiment(
             # Each variant cuts its own epoch sets and issues its own
             # checkpoints; the memos stay shared.
             state = replace(segmented, epoch_sets=dict(segmented.epoch_sets), checkpoints=[])
-            estimates = run_pipeline(state, streams, variant)
-            if variant == "baseline":
-                errors = _baseline_errors(spec.graph, result.tracks, estimates)
-            else:
-                errors = epoch_errors(state, result.tracks, scored)
+            run_pipeline(state, streams, variant)
+            errors = epoch_errors(state, result.tracks, scored)
             per_variant_errors[variant] += errors
             if errors:
                 squares = list(map(mul, errors, errors))

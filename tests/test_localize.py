@@ -1,9 +1,10 @@
 import dataclasses
+import logging
 import math
 import random
 import sys
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, pairwise
 
 import pytest
 
@@ -16,6 +17,7 @@ from gral.epochs import (
     classify,
     epoch_set_to_json,
     integrate_stream,
+    is_complete,
     merge_same_gateway,
     resolve_positions,
 )
@@ -24,6 +26,7 @@ from gral.localize import (
     VARIANTS,
     BackendState,
     apply_checkpoints,
+    baseline_epochs,
     baseline_localize,
     build_state,
     interpolate_epoch,
@@ -40,6 +43,7 @@ from gral.packages import (
     parse_package_stream,
     serialize_packages,
     strongest,
+    strongest_gateways,
 )
 from gral.metrics import run_experiment
 from gral.sim import Insertion, ScenarioSpec, make_scenario, run_instance
@@ -107,6 +111,34 @@ def test_interpolation_zero_timespan_pins_at_final(chain_graph, caplog):
     assert any("zero time" in r.message for r in caplog.records)
 
 
+def test_interpolation_honours_bound_times_off_the_packages(chain_graph):
+    # From 0 at t=0 to 100 at t=10: package k sits at 10 * t_k.
+    epoch = span_epoch(chain_graph, [2, 4, 6], 0.0, 100.0)
+    out = interpolate_epoch(chain_graph, dataclasses.replace(epoch, t_start=0.0, t_final=10.0))
+    start = line_position(0.0)
+    assert [chain_graph.geodesic_distance(start, pos) for pos in out] == pytest.approx(
+        [20.0, 40.0, 60.0], abs=1e-9
+    )
+    # Unset, a bound time is its package's: from t=1 to the last package at t=6.
+    out = interpolate_epoch(chain_graph, dataclasses.replace(epoch, t_start=1.0))
+    assert [chain_graph.geodesic_distance(start, pos) for pos in out] == pytest.approx(
+        [20.0, 60.0, 100.0], abs=1e-9
+    )
+
+
+@pytest.mark.parametrize(
+    "times, bound_times",
+    [([7, 7], (None, None)), ([0, 5, 10], (4.0, 4.0)), ([0, 5, 10], (None, -1.0))],
+)
+def test_zero_time_epoch_builds_no_route(chain_graph, monkeypatch, times, bound_times):
+    t_start, t_final = bound_times
+    epoch = span_epoch(chain_graph, times, 10.0, 20.0)
+    epoch = dataclasses.replace(epoch, t_start=t_start, t_final=t_final)
+    calls = counted_routes(chain_graph, monkeypatch)
+    assert interpolate_epoch(chain_graph, epoch) == [line_position(20.0)] * len(times)
+    assert calls == []
+
+
 def test_interpolation_requires_complete_epoch(chain_graph):
     epoch = dataclasses.replace(span_epoch(chain_graph, [0, 1], 0.0, 10.0), final_pos=None)
     with pytest.raises(ValueError, match="incomplete"):
@@ -147,6 +179,41 @@ def test_baseline_three_gateways_piecewise(chain_graph):
 def test_baseline_no_contact_returns_nothing(chain_graph):
     pkgs = [Package("n", i + 1, float(i)) for i in range(5)]
     assert baseline_localize(chain_graph, pkgs) == []
+
+
+def test_zero_time_baseline_pair_warns_like_a_zero_time_epoch(chain_graph, caplog):
+    # Anchors at gw-a (t=2) and gw-b (t=2) own two packages between them.
+    pkgs = heard([(0, None), (2, "gw-a"), (2, None), (2, None), (2, "gw-b"), (3, None)])
+    with caplog.at_level("DEBUG", logger="gral.localize"):
+        out = baseline_localize(chain_graph, pkgs)
+        baseline_records = [(r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        interpolate_epoch(chain_graph, span_epoch(chain_graph, [7, 7], 10.0, 20.0))
+        epoch_records = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert [m.position for m in out[2:4]] == [chain_graph.position_at("b")] * 2
+    assert baseline_records == epoch_records
+    assert [level for level, _ in epoch_records] == [logging.WARNING]
+
+
+def test_baseline_epochs_tile_each_stream(chain_graph):
+    # Scenarios 1-4 and the random trees of tests/test_golden.py.
+    specs = [(make_scenario(k), 0) for k in (1, 2, 3, 4)]
+    specs += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
+    tiled = 0
+    for spec, seed in specs:
+        for packages in run_instance(spec, seed).streams().values():
+            epochs = baseline_epochs(spec.graph, packages)
+            if not epochs:
+                assert set(strongest_gateways(packages)).isdisjoint(spec.graph.gateways)
+                continue
+            assert all(e.packages and is_complete(e) for e in epochs)
+            tiling = [p for e in epochs for p in e.packages]
+            assert tiling == packages
+            assert all(a.seq < b.seq for a, b in pairwise(tiling))
+            tiled += 1
+    assert tiled > 150
+    silent = heard([(0, None), (1, "gw-x"), (2, None)])
+    assert baseline_epochs(chain_graph, silent) == ()
 
 
 def heard(times_and_gateways):
@@ -943,6 +1010,8 @@ def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monk
         # Splitting cuts a visit without classifying its fragments again:
         # each fragment keeps the kind of the visit it came from.
         assert classified == [], variant
+        if variant == "baseline":
+            continue  # its own epochs replace the segmented ones
         for node, epoch_set in state.epoch_sets.items():
             visit_kind = {p.seq: e.kind for e in segmented[node].epochs for p in e.packages}
             assert [e.kind for e in epoch_set.epochs] == [

@@ -269,7 +269,13 @@ def test_experiment_places_each_segmented_epoch_once(monkeypatch):
     times_placed = Counter(id(epoch) for epoch, _ in placed)
     assert [times_placed[id(e)] for e in segmented] == [int(is_complete(e)) for e in segmented]
     segmented_ids = {id(e) for e in segmented}
-    fragments = [(e, placer) for e, placer in placed if id(e) not in segmented_ids]
+    # The baseline places its own epochs, each once, and cuts none.
+    baseline = [e for e, placer in placed if placer == "baseline"]
+    assert baseline and all(id(e) not in segmented_ids for e in baseline)
+    assert all(times_placed[id(e)] == 1 and id(e) not in cut_by for e in baseline)
+    fragments = [
+        (e, placer) for e, placer in placed if id(e) not in segmented_ids and placer != "baseline"
+    ]
     assert fragments
     # Each fragment is placed once per instance, by the first variant that cut it.
     for epoch, placer in fragments:
@@ -288,19 +294,33 @@ def test_experiment_places_no_fragment_twice_in_an_instance(monkeypatch, tree_se
         spec = make_scenario(4)
     else:
         spec = swarm_like_scenario(random.Random(tree_seed), 3, 2)
-    per_instance = []  # per instance: (node, first seq, last seq, start, final) of each placement
-    real_build, real_interpolate = metrics.build_state, localize.interpolate_epoch
+    # Per instance: (by the baseline, node, first seq, last seq, start, final) of
+    # each placement. The baseline's epochs may share all but the first with
+    # segmented epochs, and are placed apart from them.
+    per_instance = []
+    running = None
+    real_build, real_pipeline = metrics.build_state, metrics.run_pipeline
+    real_interpolate = localize.interpolate_epoch
 
     def recording_build(*args):
         per_instance.append([])
         return real_build(*args)
 
+    def recording_pipeline(state, streams, variant):
+        nonlocal running
+        running = variant
+        return real_pipeline(state, streams, variant)
+
     def recording_interpolate(graph, epoch):
         first, last = epoch.packages[0], epoch.packages[-1]
-        per_instance[-1].append((first.node, first.seq, last.seq, epoch.start_pos, epoch.final_pos))
+        by_baseline = running == "baseline"
+        per_instance[-1].append(
+            (by_baseline, first.node, first.seq, last.seq, epoch.start_pos, epoch.final_pos)
+        )
         return real_interpolate(graph, epoch)
 
     monkeypatch.setattr(metrics, "build_state", recording_build)
+    monkeypatch.setattr(metrics, "run_pipeline", recording_pipeline)
     monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
     run_experiment(spec, VARIANTS, 4, seed0=0)
     assert len(per_instance) == 4
@@ -518,7 +538,7 @@ def test_experiment_finds_each_junction_path_once(monkeypatch):
 
 
 def epoch_scored_experiment(monkeypatch, spec, n_instances):
-    """Per graph-based variant run, the errors `run_experiment` scored through
+    """Per variant run, the errors `run_experiment` scored through
     its epoch memo and `package_errors` over the estimates `run_pipeline`
     returned for that run, against the same instance's emitted truth: its
     per-node tracks for the one, its `(node, seq)` map for the other."""
@@ -546,7 +566,7 @@ def epoch_scored_experiment(monkeypatch, spec, n_instances):
         patch.setattr(metrics, "run_pipeline", capture_pipeline)
         patch.setattr(metrics, "epoch_errors", capture_epoch_errors)
         run_experiment(spec, VARIANTS, n_instances, seed0=0)
-    assert len(runs) == n_instances * (len(VARIANTS) - 1)
+    assert len(runs) == n_instances * len(VARIANTS)
     return runs
 
 

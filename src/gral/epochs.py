@@ -177,11 +177,7 @@ def _boundary_before(
     return route.point_at(max(0.0, route.total - gateway.radius))
 
 
-def resolve_positions(
-    epoch_set: EpochSet,
-    graph: EnvironmentGraph,
-    initial_position: Optional[GraphPosition] = None,
-) -> EpochSet:
+def resolve_positions(epoch_set: EpochSet, graph: EnvironmentGraph) -> EpochSet:
     """Fill in the boundary positions of unsplit epochs from gateway geometry.
 
     Returns a new set of new epochs; `epoch_set` and its epochs are left as
@@ -192,18 +188,13 @@ def resolve_positions(
     epoch that either is not the last epoch or peaked at full strength, or
     else the range boundary of the next epoch's gateway on the path from the
     node's last known position. Start positions chain from the predecessor's
-    final position; the first epoch takes `initial_position` when given, or
-    else a full-strength first package as its fix.
+    final position; the first epoch's start is known only when its first
+    package was heard at full strength, right under a gateway.
     """
     epochs = epoch_set.epochs
     resolved: list[Epoch] = []
     for idx, epoch in enumerate(epochs):
-        if idx == 0:
-            # Without an explicit insertion registry the only certain
-            # initial fix is a first package heard at full strength.
-            start = initial_position or _under_gateway(graph, epoch.packages[0])
-        else:
-            start = resolved[-1].final_pos
+        start = resolved[-1].final_pos if resolved else _under_gateway(graph, epoch.packages[0])
 
         final = None
         if epoch.kind == EpochKind.RISING and epoch.anchor in graph.gateways:

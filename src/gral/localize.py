@@ -68,25 +68,19 @@ class BackendState:
 
 
 @_gc_paused
-def build_state(
-    graph: EnvironmentGraph,
-    streams: dict[str, list[Package]],
-    initial_positions: Optional[dict[str, GraphPosition]] = None,
-) -> BackendState:
+def build_state(graph: EnvironmentGraph, streams: dict[str, list[Package]]) -> BackendState:
     """Segment every node's stream into merged epochs and resolve their bounds.
 
-    Each node's unsplit epochs are resolved here, once, from the map, the
-    gateway geometry and the node's entry in `initial_positions`, if any. The
-    encounter refinements split resolved epochs and never resolve again. It
-    runs with the cyclic garbage collector paused; the pause is process-wide,
-    so another thread's `gc.disable()` made during the call is undone when it
-    returns.
+    Each node's unsplit epochs are resolved here, once, from the map and the
+    gateway geometry alone. The encounter refinements split resolved epochs
+    and never resolve again. It runs with the cyclic garbage collector
+    paused; the pause is process-wide, so another thread's `gc.disable()`
+    made during the call is undone when it returns.
     """
-    initial_positions = initial_positions or {}
     state = BackendState(graph)
     for node, packages in streams.items():
         segmented = merge_same_gateway(integrate_stream(node, packages))
-        state.epoch_sets[node] = resolve_positions(segmented, graph, initial_positions.get(node))
+        state.epoch_sets[node] = resolve_positions(segmented, graph)
     return state
 
 
@@ -321,10 +315,12 @@ def _provenance_before(
 def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, GraphPosition]:
     """Package index -> confluence boundary for each contact placed upstream of it.
 
-    Per peer, only the epoch's earliest flagged contact cuts; when two peers
-    flag the same package, the first peer's confluence wins. Positions come
-    from `state.placements`; an epoch not placed there, or one that heard no
-    peer, returns before any anchor or provenance lookup.
+    Per peer, only the epoch's earliest flagged contact can cut, and only
+    when the confluence lies on the epoch's route (`EnvironmentGraph.on_path`,
+    as for checkpoints); when two peers cut at the same package, the first
+    peer's confluence wins. Positions come from `state.placements`; an epoch
+    not placed there, or one that heard no peer, returns before any anchor
+    or provenance lookup.
 
     A peer's contacts are scanned only when the farther of the epoch's first
     and last estimates from `v_f` lies beyond `limit + POSITION_TOL - slack`
@@ -366,8 +362,15 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
             continue
         for i, _ in met:
             if graph.geodesic_distance(positions[i], v_f_pos) > limit + POSITION_TOL:
-                if i > 0:  # nothing before an epoch's first package to cut off
-                    cuts.setdefault(i, v_c_pos)
+                # Nothing before an epoch's first package to cut off, an
+                # earlier peer's cut at i stays, and a confluence off the
+                # epoch's route bounds none of it.
+                if (
+                    i > 0
+                    and i not in cuts
+                    and graph.on_path(epoch.start_pos, v_c_pos, epoch.final_pos, tol=1e-6)
+                ):
+                    cuts[i] = v_c_pos
                 break
     return cuts
 
@@ -378,11 +381,13 @@ def rectify_paths(state: BackendState, node: str) -> bool:
     Two nodes heading for a common destination can only have met at or after
     the junction where their paths merge. For every contact whose estimate
     falls upstream of that confluence, the containing epoch splits at the
-    earliest such package with the confluence junction as the boundary, and
-    the split set replaces the node's entry in `state.epoch_sets`. Detection
-    reads `state.placements`; splits never move a package past the
-    confluence, so they cannot overshoot. Nothing is placed here. Returns
-    whether anything was cut; when nothing was, the epoch set stays.
+    earliest such package with the confluence junction as the boundary, if
+    that junction lies on the epoch's own route, and the split set replaces
+    the node's entry in `state.epoch_sets`. Detection reads
+    `state.placements`. Every cut lies between the epoch's bounds, so no
+    package is moved past the confluence or the epoch's final bound: splits
+    cannot overshoot. Nothing is placed here. Returns whether anything was
+    cut; when nothing was, the epoch set stays.
     """
     unsplit = state.epoch_sets[node].epochs
     epochs: list[Epoch] = []

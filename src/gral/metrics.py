@@ -176,8 +176,10 @@ def run_experiment(
     epochs `run_pipeline` leaves in its state, with one error memo per
     instance, so an epoch or fragment several variants keep is scored once;
     the true positions are slices of the instance's per-node `tracks`.
-    Each variant squares an instance's errors once; its iRMSE and the pooled
-    dRMSE are `math.fsum`s of those squares, and the MAE one of their
+    Each variant keeps one flat list of errors and the end of each
+    instance's slice of it, and squares every error once, at the end; an
+    iRMSE is a `math.fsum` over its instance's slice of the squares, the
+    pooled dRMSE one over all of them and the MAE one of the errors'
     absolute values, so the order of the errors does not matter. It runs,
     simulation included, with the cyclic garbage collector paused; the pause
     is process-wide, so another thread's `gc.disable()` made during the call
@@ -194,11 +196,8 @@ def run_experiment(
             raise ValueError(f"variant {variant!r} given more than once")
     route_length = spec.route_length()
     per_variant_errors: dict[str, list[float]] = {v: [] for v in variants}
-    # Every square is kept to the end, so the pooled dRMSE sums the squares
-    # the iRMSEs summed; that is one more float per localized package.
-    per_variant_squares: dict[str, list[float]] = {v: [] for v in variants}
-    per_variant_irmse: dict[str, list[float]] = {v: [] for v in variants}
-    per_variant_seeds: dict[str, list[int]] = {v: [] for v in variants}
+    # (seed, end of its errors) of each instance that localized anything
+    per_variant_ends: dict[str, list[tuple[int, int]]] = {v: [] for v in variants}
     truncated_seeds: list[int] = []
     total_packages = 0
     for seed in range(seed0, seed0 + n_instances):
@@ -214,17 +213,18 @@ def run_experiment(
             # checkpoints; the memos stay shared.
             state = replace(segmented, epoch_sets=dict(segmented.epoch_sets), checkpoints=[])
             run_pipeline(state, streams, variant)
-            errors = epoch_errors(state, result.tracks, scored)
-            per_variant_errors[variant] += errors
-            if errors:
-                squares = list(map(mul, errors, errors))
-                per_variant_squares[variant] += squares
-                per_variant_irmse[variant].append(_root_mean(squares))
-                per_variant_seeds[variant].append(seed)
+            errors = per_variant_errors[variant]
+            n = len(errors)
+            errors += epoch_errors(state, result.tracks, scored)
+            if len(errors) > n:
+                per_variant_ends[variant].append((seed, len(errors)))
     out = []
     for variant in variants:
         errors = per_variant_errors[variant]
-        pooled = _root_mean(per_variant_squares[variant]) if errors else float("nan")
+        ends = per_variant_ends[variant]
+        squares = list(map(mul, errors, errors))
+        starts = [0, *(end for _seed, end in ends)]
+        pooled = _root_mean(squares) if errors else float("nan")
         mae_value = mae(errors) if errors else float("nan")
         out.append(
             VariantResult(
@@ -233,8 +233,8 @@ def run_experiment(
                 instances=n_instances,
                 packages_total=total_packages,
                 packages_localized=len(errors),
-                instance_rmse=per_variant_irmse[variant],
-                instance_seeds=per_variant_seeds[variant],
+                instance_rmse=[_root_mean(squares[a:b]) for a, (_seed, b) in zip(starts, ends)],
+                instance_seeds=[seed for seed, _end in ends],
                 pooled_rmse=pooled,
                 mae=mae_value,
                 normalized_mae_pct=normalized_mae(mae_value, route_length)

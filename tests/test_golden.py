@@ -9,6 +9,8 @@ here; one that does so on purpose updates the hashes and says why.
 
 import hashlib
 import random
+from itertools import pairwise
+from operator import attrgetter
 
 import pytest
 
@@ -62,7 +64,7 @@ def test_evaluate_csvs_match_golden_hashes(scenario, tmp_path, capsys):
 # -- estimates on random gated trees ---------------------------------------------
 
 TREE_COUNT = 150
-TREE_DIGEST = "ab3150c054e9be721041d27bad93182c131808dd3997637b082bd8a2f59dd4a9"
+TREE_DIGEST = "d687647ad2abb406bf67e5c5bc44b920a1a769eae5bf4d508d0642eb05722b42"
 
 
 def test_random_tree_estimates_match_golden_digest():
@@ -78,12 +80,34 @@ def test_random_tree_estimates_match_golden_digest():
     assert digest.hexdigest() == TREE_DIGEST
 
 
+def test_golden_trees_see_no_estimate_move_upstream():
+    # Along each node's seq order, no graph-variant estimate gets farther
+    # from the root, the drain, by more than 1e-6. Rectification must not
+    # cut at a confluence past the epoch's own final bound (tree 7 did).
+    moves = {variant: 0 for variant in VARIANTS if variant != "baseline"}
+    steps = 0
+    for seed in range(TREE_COUNT):
+        spec = gated_tree_scenario(random.Random(seed))
+        graph = spec.graph
+        root = graph.position_at(graph.root)
+        streams = run_instance(spec, seed).streams()
+        for variant in moves:
+            estimates = run_pipeline(build_state(graph, streams), streams, variant)
+            for measurements in estimates.values():
+                ordered = sorted(measurements, key=attrgetter("seq"))
+                dists = [graph.geodesic_distance(m.position, root) for m in ordered]
+                moves[variant] += sum(b > a + 1e-6 for a, b in pairwise(dists))
+                steps += max(len(dists) - 1, 0)
+    assert steps > 5000
+    assert moves == {variant: 0 for variant in moves}
+
+
 # -- estimates where encounters are dense ----------------------------------------
 
 # Depth-3 binary trees with 2 and 4 nodes per leaf: 16 and 32 nodes, most of
 # whose packages hear a peer, so checkpoints and rectification cut often.
 SWARM_TREES = [(seed, per_leaf) for seed in range(4) for per_leaf in (2, 4)]
-SWARM_DIGEST = "abce49b0fa4609b15ac02683955a11428a3343cf4767c98c94dff7c9f2184c33"
+SWARM_DIGEST = "d8eb8ceef3adab35178d265c9a2fec8cb712041198739837902b88d594b2f893"
 
 
 def test_dense_swarm_estimates_match_golden_digest():

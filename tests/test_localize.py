@@ -703,6 +703,30 @@ def test_rectification_leaves_downstream_estimates_alone():
     assert before == after
 
 
+@pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
+def test_rectification_never_cuts_at_a_confluence_off_the_epoch_route(variant):
+    # Tree 7 of the gated trees: n0 hears n1 at seq 3, in its first epoch,
+    # which ends at gw-v0's range border. n1 is still approaching v0, so the
+    # confluence is the root, downstream of that border: no bound of the epoch.
+    spec = gated_tree_scenario(random.Random(7))
+    graph = spec.graph
+    result = run_instance(spec, 7)
+    streams = result.streams()
+    root = graph.position_at(graph.root)
+    state = build_state(graph, streams)
+    first = state.epoch_sets["n0"].epochs[0]
+    assert [p.seq for p in first.packages][:3] == [1, 2, 3] and first.packages[2].contacts
+    assert not graph.on_path(first.start_pos, root, first.final_pos, tol=1e-6)
+    vanilla = {m.seq: m for m in run_pipeline(build_state(graph, streams), streams, "gral")["n0"]}
+    refined = {m.seq: m for m in run_pipeline(state, streams, variant)["n0"]}
+    assert state.epoch_sets["n0"].epochs[0] is first
+    # Seq 2 truly lies 7.54 from the root; a cut at the root would place it there.
+    truth = result.emitted_truth[("n0", 2)]
+    assert graph.geodesic_distance(truth, root) == pytest.approx(7.537, abs=1e-3)
+    assert refined[2].position == vanilla[2].position
+    assert graph.geodesic_distance(refined[2].position, root) == pytest.approx(8.638, abs=1e-3)
+
+
 def test_rectification_same_origin_never_triggers(chain_graph):
     # both nodes come from the same gateway: confluence is the origin itself
     lead = chain_trajectory([float(x) for x in range(0, 101, 2)])
@@ -813,7 +837,7 @@ def reference_confluence_cuts(state, node, idx):
         limit = graph.geodesic_distance(v_c_pos, v_f_pos)
         for i, _ in met:
             if graph.geodesic_distance(positions[i], v_f_pos) > limit + POSITION_TOL:
-                if i > 0:
+                if i > 0 and graph.on_path(epoch.start_pos, v_c_pos, epoch.final_pos, tol=1e-6):
                     cuts.setdefault(i, v_c_pos)
                 break
     return cuts
@@ -845,6 +869,11 @@ def scaled_swarm(spec, factor):
         base_step=spec.base_step * factor,
         gateway_radius_default=spec.gateway_radius_default * factor,
     )
+
+
+# Epochs that rectification cuts over these cases, so that the full-scan
+# oracle is compared on many cuts.
+CUT_EPOCHS = {"gral+pr": 203, "gral+cp+pr": 93}
 
 
 @pytest.mark.parametrize("variant", ["gral+cp", "gral+pr", "gral+cp+pr"])
@@ -882,15 +911,16 @@ def test_refinements_equal_their_full_scans(variant, monkeypatch):
     if "cp" in variant:
         assert seen["checkpoints"] > 1000
     if "pr" in variant:
-        assert seen["cut epochs"] > 100
+        assert seen["cut epochs"] == CUT_EPOCHS[variant]
 
 
 # Per `run_experiment` instance of all five variants: the geodesics that
 # rectification computes, the contact indexes built and the contacts heard.
 # Before the bounded scan rectification computed 1229 and 26170 geodesics
 # on these two trees, and issue_checkpoints scanned each epoch once per
-# variant that issues checkpoints.
-RECTIFY_WORK = {(3, 2): (782, 192, 684), (4, 4): (16550, 1644, 11940)}
+# variant that issues checkpoints. The route test of a flagged confluence
+# costs three geodesics.
+RECTIFY_WORK = {(3, 2): (915, 189, 684), (4, 4): (17477, 1613, 11940)}
 
 
 @pytest.mark.parametrize("shape", sorted(RECTIFY_WORK))

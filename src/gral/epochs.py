@@ -36,7 +36,7 @@ class EpochKind(enum.Enum):
 
 # A fragment split off by a checkpoint or a rectification keeps the kind of the
 # visit it was cut from: kinds are read only before any split, and when dumped.
-# Epochs compare and hash by identity, so they key `BackendState.placements`.
+# Epochs compare and hash by identity, so they key the backend's placement memo.
 # The bounds' times `t_start` and `t_final` default to the first and last
 # package's; only the baseline's epochs (`localize.baseline_epochs`), which
 # are bounded by contacts outside their own packages, set them.

@@ -47,8 +47,9 @@ class BackendState:
 
     `placements` maps every complete epoch placed through this state, the
     baseline's epochs included, to its packages' positions, which carry no
-    variant tag, and the refinements read positions there. `meetings` maps
-    each epoch a refinement read to its contact index (see `_meetings`).
+    variant tag; every reader goes through `_positions`, which places a
+    complete epoch on its first read. `meetings` maps each epoch a
+    refinement read to its contact index (see `_meetings`).
     `fragments` memoizes `_split_epoch`: it maps an unsplit epoch and a
     package range of it to the fragments cut there, one per pair of bounds,
     bit for bit; `origins` maps each fragment to its unsplit epoch and the
@@ -168,18 +169,12 @@ def baseline_localize(
     return localize_node(state, node, "baseline")
 
 
-def _place(state: BackendState, node: str) -> list[tuple[Epoch, list[GraphPosition]]]:
-    # Each complete epoch of the node with its positions; an epoch missing
-    # from `state.placements` is placed and stored there.
-    placements = state.placements
-    placed = []
-    for epoch in state.epoch_sets[node].epochs:
-        if is_complete(epoch):
-            positions = placements.get(epoch)
-            if positions is None:
-                positions = placements[epoch] = interpolate_epoch(state.graph, epoch)
-            placed.append((epoch, positions))
-    return placed
+def _positions(state: BackendState, epoch: Epoch) -> Optional[list[GraphPosition]]:
+    # The epoch's package positions, placed on first read; None if incomplete.
+    positions = state.placements.get(epoch)
+    if positions is None and is_complete(epoch):
+        positions = state.placements[epoch] = interpolate_epoch(state.graph, epoch)
+    return positions
 
 
 def localize_node(
@@ -188,13 +183,14 @@ def localize_node(
     """Estimates, tagged `method`, for every complete epoch of the node's epoch set.
 
     Incomplete epochs (typically a trailing stretch still waiting for an
-    anchor) yield no output yet. A complete epoch is placed once; its
-    positions are kept in `state.placements` for later calls and for states
-    sharing the map.
+    anchor) yield no output yet. Positions come from `_positions`, so a
+    complete epoch is placed once per placement memo, by its first reader.
     """
     out: list[LocalizedMeasurement] = []
     new = tuple.__new__
-    for epoch, positions in _place(state, node):
+    for epoch in state.epoch_sets[node].epochs:
+        if (positions := _positions(state, epoch)) is None:
+            continue
         out += [
             new(LocalizedMeasurement, (pkg.node, pkg.seq, pkg.t, pos, method))
             for pkg, pos in zip(epoch.packages, positions)
@@ -217,21 +213,19 @@ def _meetings(state: BackendState, epoch: Epoch) -> dict[str, list[tuple[int, fl
 
 
 def issue_checkpoints(state: BackendState, node: str) -> list[Checkpoint]:
-    """One checkpoint per (placed epoch, contacted peer), at the strongest contact.
+    """One checkpoint per (complete epoch, contacted peer), at the strongest contact.
 
-    The checkpoint carries the issuer's position for that package from
-    `state.placements`; epochs not placed there issue nothing. Each peer's
-    strongest contact is read from the epoch's contact index (`_meetings`);
-    of equally strong contacts with one peer, the first in package order
-    wins. Peers come in sorted order. The checkpoints are returned and
-    nothing is written.
+    The checkpoint carries the issuer's position for that package, from
+    `_positions`; incomplete epochs issue nothing. Each peer's strongest
+    contact is read from the epoch's contact index (`_meetings`); of equally
+    strong contacts with one peer, the first in package order wins. Peers
+    come in sorted order. The checkpoints are returned and none is stored.
     """
     issued = []
     for epoch in state.epoch_sets[node].epochs:
-        positions = state.placements.get(epoch)
-        if positions is None:
+        if not is_complete(epoch) or not (meetings := _meetings(state, epoch)):
             continue
-        meetings = _meetings(state, epoch)
+        positions = _positions(state, epoch)
         for peer in sorted(meetings):
             i = max(meetings[peer], key=itemgetter(1))[0]
             issued.append(Checkpoint(node, peer, epoch.packages[i].t, positions[i]))
@@ -318,9 +312,8 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
     Per peer, only the epoch's earliest flagged contact can cut, and only
     when the confluence lies on the epoch's route (`EnvironmentGraph.on_path`,
     as for checkpoints); when two peers cut at the same package, the first
-    peer's confluence wins. Positions come from `state.placements`; an epoch
-    not placed there, or one that heard no peer, returns before any anchor
-    or provenance lookup.
+    peer's confluence wins. An incomplete epoch, or one that heard no peer,
+    returns before any anchor, provenance or position lookup.
 
     A peer's contacts are scanned only when the farther of the epoch's first
     and last estimates from `v_f` lies beyond `limit + POSITION_TOL - slack`
@@ -333,8 +326,7 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
     epochs = state.epoch_sets[node].epochs
     epoch = epochs[idx]
     cuts: dict[int, GraphPosition] = {}
-    positions = state.placements.get(epoch)
-    if positions is None or not (meetings := _meetings(state, epoch)):
+    if not is_complete(epoch) or not (meetings := _meetings(state, epoch)):
         return cuts
     v_f = anchor_junction(graph, epochs[idx + 1 :])
     if v_f is None:
@@ -344,6 +336,7 @@ def _confluence_cuts(state: BackendState, node: str, idx: int) -> dict[int, Grap
     if v_a is None:
         log.info("rectification skipped for %s: own provenance unknown", node)
         return cuts
+    positions = _positions(state, epoch)
     far = max(
         graph.geodesic_distance(positions[0], v_f_pos),
         graph.geodesic_distance(positions[-1], v_f_pos),
@@ -383,11 +376,11 @@ def rectify_paths(state: BackendState, node: str) -> bool:
     falls upstream of that confluence, the containing epoch splits at the
     earliest such package with the confluence junction as the boundary, if
     that junction lies on the epoch's own route, and the split set replaces
-    the node's entry in `state.epoch_sets`. Detection reads
-    `state.placements`. Every cut lies between the epoch's bounds, so no
-    package is moved past the confluence or the epoch's final bound: splits
-    cannot overshoot. Nothing is placed here. Returns whether anything was
-    cut; when nothing was, the epoch set stays.
+    the node's entry in `state.epoch_sets`. Detection places each complete
+    epoch it tests against a peer, if not yet placed, and no fragment. Every
+    cut lies between the epoch's bounds, so no package is moved past the
+    confluence or the epoch's final bound: splits cannot overshoot. Returns
+    whether anything was cut; when nothing was, the epoch set stays.
     """
     unsplit = state.epoch_sets[node].epochs
     epochs: list[Epoch] = []
@@ -409,13 +402,13 @@ def run_pipeline(
     The baseline first writes each node's `baseline_epochs` into
     `state.epoch_sets`, and nothing refines them. Nodes are processed in
     gateway-arrival order (first package timestamp, then node id) so that
-    checkpoints issued by early arrivers are available to later ones. Each
-    node is placed after its checkpoint cuts; with rectification, its epochs
-    are placed untagged, rectification cuts them, and `localize_node` places
-    only the new fragments and tags the node once. Issued checkpoints are
-    stored in `state.checkpoints`. It runs with the cyclic garbage collector
-    paused; the pause is process-wide, so another thread's `gc.disable()`
-    made during the call is undone when it returns.
+    checkpoints issued by early arrivers are available to later ones. Every
+    node runs the variant's steps in one order: apply checkpoints, rectify,
+    localize, issue checkpoints. Each places what it reads on first read, so
+    none relies on another. Issued checkpoints are stored in
+    `state.checkpoints`. It runs with the cyclic garbage collector paused;
+    the pause is process-wide, so another thread's `gc.disable()` made
+    during the call is undone when it returns.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -427,13 +420,9 @@ def run_pipeline(
     order = sorted(streams, key=lambda n: (streams[n][0].t if streams[n] else float("inf"), n))
     results: dict[str, list[LocalizedMeasurement]] = {}
     for node in order:
-        if not streams[node]:
-            results[node] = []
-            continue
         if use_cp:
             apply_checkpoints(state, node)
         if use_pr:
-            _place(state, node)
             rectify_paths(state, node)
         results[node] = localize_node(state, node, variant)
         if use_cp:

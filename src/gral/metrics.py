@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .epochs import Epoch
 from .graph import EnvironmentGraph, GraphPosition
-from .localize import VARIANTS, BackendState, build_state, run_pipeline
+from .localize import VARIANTS, BackendState, _positions, build_state, run_pipeline
 from .packages import LocalizedMeasurement, _gc_paused
 from .sim import InstanceResult, ScenarioSpec, run_instance
 
@@ -100,13 +100,14 @@ def epoch_errors(
     tracks: dict[str, list[GraphPosition]],
     scored: dict[Epoch, list[float]],
 ) -> list[float]:
-    """Geodesic error of each placed package of the state's complete epochs.
+    """Geodesic error of each package of the state's complete epochs.
 
     `tracks` holds each node's emitted true positions in seq order
     (`InstanceResult.tracks`). An epoch is a run of its node's stream, so
     its truth is the slice of the node's track from its first package's seq,
     cut to its length; a run that is not one of emitted packages in seq
-    order raises ValueError. After `run_pipeline`, these are
+    order raises ValueError. Positions come from `localize._positions`, so an
+    epoch not placed yet is placed here. After `run_pipeline`, these are
     `package_errors` of the estimates it returned, in epoch order.
     `scored` memoizes each epoch's errors. The states of one instance, whose
     variants share its epochs, share one `scored`: an epoch is scored by the
@@ -114,14 +115,13 @@ def epoch_errors(
     errors.
     """
     errors: list[float] = []
-    placements = state.placements
     distance = state.graph.geodesic_distance
     for epoch_set in state.epoch_sets.values():
         for epoch in epoch_set.epochs:
             epoch_scored = scored.get(epoch)
             if epoch_scored is None:
-                positions = placements.get(epoch)
-                if positions is None:  # incomplete, so never placed
+                positions = _positions(state, epoch)
+                if positions is None:  # incomplete
                     continue
                 first, last = epoch.packages[0], epoch.packages[-1]
                 start, n = first.seq - 1, len(positions)

@@ -452,10 +452,10 @@ def checkpointable_state(chain_graph):
 
 def test_issue_checkpoint_at_strongest_contact(chain_graph):
     state, streams = checkpointable_state(chain_graph)
-    # Epochs not yet placed issue nothing.
-    assert issue_checkpoints(state, "i") == []
-    localize_node(state, "i")
+    # Issuing places what it reads: placing the epochs first changes nothing.
     issued = issue_checkpoints(state, "i")
+    localize_node(state, "i")
+    assert issue_checkpoints(state, "i") == issued
     assert len(issued) == 1
     ck = issued[0]
     assert (ck.issuer, ck.target) == ("i", "p")
@@ -890,8 +890,9 @@ def test_refinements_equal_their_full_scans(variant, monkeypatch):
     seen = Counter()
 
     def checked_cuts(state, node, idx):
-        expected = reference_confluence_cuts(state, node, idx)
+        # The real scan runs first: it places the epochs that the oracle reads.
         cuts = real_cuts(state, node, idx)
+        expected = reference_confluence_cuts(state, node, idx)
         # repr compares the bits of every boundary, and the order of the cuts.
         assert repr(list(cuts.items())) == repr(list(expected.items()))
         seen["cut epochs"] += bool(cuts)
@@ -930,6 +931,7 @@ def test_rectification_work_is_bounded_by_contacts(shape, monkeypatch):
     geodesic, real_rectify, real_meetings = (
         graph.geodesic_distance, localize.rectify_paths, localize._meetings
     )
+    real_interpolate = localize.interpolate_epoch
     work = Counter()
     memos = {}  # id -> the index memo of each state that built an index
 
@@ -950,9 +952,18 @@ def test_rectification_work_is_bounded_by_contacts(shape, monkeypatch):
             memos[id(state.meetings)] = state.meetings
         return real_meetings(state, epoch)
 
+    def uncounted_interpolate(graph, epoch):
+        # Rectification places the epochs it reads; placing is not its work.
+        rectifying, work["rectifying"] = work["rectifying"], 0
+        try:
+            return real_interpolate(graph, epoch)
+        finally:
+            work["rectifying"] = rectifying
+
     monkeypatch.setattr(graph, "geodesic_distance", counted_geodesic)
     monkeypatch.setattr(localize, "rectify_paths", counted_rectify)
     monkeypatch.setattr(localize, "_meetings", counted_meetings)
+    monkeypatch.setattr(localize, "interpolate_epoch", uncounted_interpolate)
     run_experiment(spec, VARIANTS, 1, 0)
     contacts = sum(len(p.contacts) for b in run_instance(spec, 0).batches for p in b.packages)
     assert (work["geodesics"], work["builds"], contacts) == RECTIFY_WORK[shape]
@@ -1051,51 +1062,91 @@ def test_build_state_resolves_once_and_pipeline_never_again(scenario, seed, monk
 
 @pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])
 def test_rectification_places_only_the_fragments_it_cut(variant, monkeypatch):
+    # Beyond the epochs it is handed, rectification adds to the placements
+    # only the fragments it cut. While it runs it places only complete epochs
+    # of the node's set that heard a peer, never a fragment; the fragments are
+    # placed by the node's first later reader, and each epoch once per state.
     spec = make_scenario(4)
-    placed = []
-    real_interpolate = localize.interpolate_epoch
-    real_rectify, real_localize = localize.rectify_paths, localize.localize_node
+    placed = []  # the epoch of every interpolate_epoch call
+    rectifying = []  # the epochs of the node being rectified, while it is
+    expected = set()  # complete epochs handed to rectification, and its fragments
+    work = Counter()
+    real_interpolate, real_rectify = localize.interpolate_epoch, localize.rectify_paths
 
     def recording_interpolate(graph, epoch):
         placed.append(epoch)
+        if rectifying:
+            # Not a fragment it cut, and an epoch that heard a peer.
+            assert epoch in rectifying[0]
+            assert any(p.contacts for p in epoch.packages)
+            work["placed by rectification"] += 1
         return real_interpolate(graph, epoch)
 
-    fragments_made = []
-    unplaced = {}  # node -> the fragments its rectification cut, until placed
-
-    def checked_rectify(state, node):
+    def recording_rectify(state, node):
         before = state.epoch_sets[node].epochs
-        placed.clear()
-        cut = real_rectify(state, node)
-        assert placed == [], node
+        rectifying.append(before)
+        try:
+            cut = real_rectify(state, node)
+        finally:
+            rectifying.clear()
         fragments = [e for e in state.epoch_sets[node].epochs if e not in before]
+        # It reports a cut exactly when it added a fragment.
         assert cut == bool(fragments), node
-        if cut:
-            unplaced[node] = fragments
-        fragments_made.append(len(fragments))
+        expected.update(e for e in [*before, *fragments] if is_complete(e))
+        work["cut"] += cut
+        work["fragments"] += len(fragments)
         return cut
 
-    def checked_localize(state, node, method="gral"):
-        fragments = unplaced.pop(node, None)
-        placed.clear()
-        out = real_localize(state, node, method)
-        if fragments is not None:
-            assert placed == fragments, node
-            # Oracle: a fresh state places every complete epoch of the rectified set.
-            fresh = BackendState(state.graph, dict(state.epoch_sets))
-            assert out == real_localize(fresh, node, method), node
-        return out
-
     monkeypatch.setattr(localize, "interpolate_epoch", recording_interpolate)
-    monkeypatch.setattr(localize, "rectify_paths", checked_rectify)
-    monkeypatch.setattr(localize, "localize_node", checked_localize)
+    monkeypatch.setattr(localize, "rectify_paths", recording_rectify)
     for seed in range(5):
         streams = run_instance(spec, seed).streams()
-        rectified = len(fragments_made)
-        run_pipeline(build_state(spec.graph, streams), streams, variant)
-        assert len(fragments_made) - rectified == len(streams)
-        assert unplaced == {}, seed
-    assert sum(fragments_made) > 0
+        state = build_state(spec.graph, streams)
+        placed.clear()
+        expected.clear()
+        out = run_pipeline(state, streams, variant)
+        # Each epoch is placed at most once per state; those placed are the
+        # complete epochs handed to rectification and the fragments it cut.
+        assert len(set(placed)) == len(placed), seed
+        assert set(placed) == set(state.placements) == expected, seed
+        assert all(map(is_complete, placed)), seed
+        # Oracle: a fresh state places every complete epoch of the rectified set.
+        fresh = BackendState(state.graph, dict(state.epoch_sets))
+        assert out == {node: localize_node(fresh, node, variant) for node in out}, seed
+    assert work["placed by rectification"] > 0 and work["cut"] > 0 and work["fragments"] > 0
+
+
+def test_stages_give_the_same_results_whether_or_not_the_node_was_placed_first():
+    cases = [(make_scenario(4), seed) for seed in range(5)]
+    cases.append((swarm_like_scenario(random.Random(0), 3, 2), 0))
+    nonempty = 0
+    for spec, seed in cases:
+        streams = run_instance(spec, seed).streams()
+
+        def issued(node, placed_first):
+            state = build_state(spec.graph, streams)
+            if placed_first:
+                localize_node(state, node)
+            return issue_checkpoints(state, node)
+
+        def rectified(node, placed_first):
+            state = build_state(spec.graph, streams)
+            for other in streams:
+                if other != node or placed_first:
+                    localize_node(state, other)
+            localize.rectify_paths(state, node)
+            return [
+                (e.packages[0].seq, e.packages[-1].seq, e.start_pos, e.final_pos)
+                for e in state.epoch_sets[node].epochs
+            ]
+
+        for node in streams:
+            fresh = issued(node, False)
+            # repr compares the bits of every position.
+            assert repr(fresh) == repr(issued(node, True)), (seed, node)
+            assert repr(rectified(node, False)) == repr(rectified(node, True)), (seed, node)
+            nonempty += bool(fresh)
+    assert nonempty > 10
 
 
 @pytest.mark.parametrize("variant", ["gral+pr", "gral+cp+pr"])

@@ -92,7 +92,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_localize(args: argparse.Namespace) -> int:
     graph = load_graph(Path(args.graph).read_text(encoding="utf-8"))
-    packages = parse_package_stream(Path(args.packages).read_text(encoding="utf-8"))
+    packages = parse_package_stream(Path(args.packages).read_bytes())
     streams: dict[str, list] = {}
     for pkg in packages:
         streams.setdefault(pkg.node, []).append(pkg)

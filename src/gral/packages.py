@@ -13,7 +13,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from .graph import GraphPosition, check_integer, check_number, check_string
 
@@ -179,40 +179,99 @@ def _signals(value: Any, what: str, signal: type) -> tuple[tuple, Optional[float
     return tuple(signals), non_finite
 
 
+# Lines that one scanner call decodes together (see `_decode_chunk`).
+_CHUNK = 64
+
+
+def _decode_chunk(chunk: list[str]) -> Optional[list]:
+    # One scanner call decodes the lines joined as one array, with a `null`
+    # between each two, or returns None. Where no line holds "null", every
+    # None in the array is a separator; n - 1 of them at the odd places of
+    # 2n - 1 items, with the array ending at the text's end, put every
+    # separator at the top level, so each line held exactly one JSON value
+    # and the array accepts just what a scan of each line alone accepts.
+    # Any failure, even one a line alone would not meet (the array nests one
+    # level deeper than its lines), leaves the chunk to `_decode_lines`.
+    n = len(chunk)
+    joined = ",null,".join(chunk)
+    if joined.count("null") != n - 1:
+        return None
+    text = "[" + joined + "]"
+    try:
+        values, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if end != len(text) or len(values) != 2 * n - 1 or values[1::2].count(None) != n - 1:
+        return None
+    return values[::2]
+
+
+def _decode_lines(chunk: list[str], first: int) -> Iterator[tuple[int, Any]]:
+    # Line by line, with each line's number: blank and whitespace-only lines
+    # are skipped, and the first malformed one raises.
+    for lineno, line in enumerate(chunk, start=first):
+        # A record that fills its line, or all of a CRLF line but its "\r",
+        # decodes in one scanner call; padded, blank and malformed lines take
+        # `json.loads` and its error message.
+        try:
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line) and (end < 0 or line[end:] != "\r"):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        except RecursionError:
+            raise StreamFormatError("invalid JSON: nested too deeply", lineno) from None
+        yield lineno, obj
+
+
+def _records(text: str) -> Iterator[tuple[int, Any]]:
+    # Every record of the stream with its line number, decoded a chunk of
+    # lines at a time; a chunk that does not decode as a whole goes line by
+    # line. Records are separated by "\n" only: JSON strings may hold other
+    # line breaks raw, and the "\r" of a CRLF line is JSON whitespace.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start : start + _CHUNK]
+        values = _decode_chunk(chunk)
+        if values is None:
+            yield from _decode_lines(chunk, start + 1)
+        else:
+            yield from enumerate(values, start + 1)
+
+
 @_gc_paused
 def parse_package_stream(data: str | bytes) -> list[Package]:
     """Parse newline-delimited JSON packages, enforcing per-node ordering.
 
     Sequence numbers must be strictly increasing and timestamps non-decreasing
     per node; violations and malformed records raise StreamFormatError with
-    the line number. A well-formed line with empty `obs` and `contacts` costs
-    one call of the JSON decoder's scanner and no Python function call; its
-    `Package` is built by `tuple.__new__`. It runs with the cyclic garbage
-    collector paused; the pause is process-wide, so another thread's
-    `gc.disable()` made during the call is undone when it returns.
+    the line number, as do bytes that are not UTF-8. The lines are decoded
+    64 at a time, with one call of the JSON decoder's scanner on the chunk
+    joined as one array; a chunk that holds `null` anywhere, or does not
+    decode to one value per line, is decoded line by line, with the same
+    result and the same error. A well-formed record with empty `obs` and
+    `contacts` is checked with no Python function call, and its `Package`
+    is built by `tuple.__new__`. It runs with the cyclic garbage collector
+    paused; the pause is process-wide, so another thread's `gc.disable()`
+    made during the call is undone when it returns.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise StreamFormatError(f"invalid UTF-8: {exc.reason}", line) from exc
     new = tuple.__new__
     packages: list[Package] = []
     last: dict[str, Package] = {}
-    # Records are separated by "\n" only: JSON strings may hold other line
-    # breaks raw, and the "\r" of a CRLF line is JSON whitespace.
-    for lineno, line in enumerate(data.split("\n"), start=1):
-        # A record that fills its line, or all of a CRLF line but its "\r",
-        # decodes in one scanner call; padded, blank and malformed lines take
-        # `json.loads` and its error message.
-        try:
-            obj, end = _scan_once(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line) and (end < 0 or line[end:] != "\r"):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+    for lineno, obj in _records(data):
         if type(obj) is not dict:
             raise StreamFormatError("record is not a JSON object", lineno)
         try:  # six fields that all subscript are exactly the six names

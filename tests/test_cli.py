@@ -537,6 +537,49 @@ SIMULATE_GOLDEN = {
 }
 
 # sha256 of the `gral localize` CSV of each variant on scenario 4, seed 0.
+def localize_bytes(tmp_path, data: bytes) -> int:
+    """Localize `data` as a stream on scenario 1's graph, simulated once."""
+    inst = tmp_path / "inst"
+    if not inst.exists():
+        assert run_cli("simulate", "--scenario", "1", "--seed", "0", "--out", str(inst)) == 0
+    stream = tmp_path / "stream.ndjson"
+    stream.write_bytes(data)
+    argv = ["--graph", str(inst / "graph.json"), "--packages", str(stream)]
+    return run_cli("localize", "--variant", "gral", *argv, "--out", str(tmp_path / "r.csv"))
+
+
+def test_localize_reads_the_stream_as_the_parser_does(tmp_path, capsys):
+    assert localize_bytes(tmp_path, b"") == 0
+    lf = (tmp_path / "inst" / "packages.ndjson").read_bytes()
+    assert localize_bytes(tmp_path, lf) == 0
+    expected = (tmp_path / "r.csv").read_bytes()
+    assert localize_bytes(tmp_path, lf.replace(b"\n", b"\r\n")) == 0
+    assert (tmp_path / "r.csv").read_bytes() == expected
+    # Only "\n" ends a record: with lone "\r" endings, the stream is one line.
+    (tmp_path / "r.csv").unlink()
+    capsys.readouterr()
+    assert localize_bytes(tmp_path, lf.replace(b"\n", b"\r")) == 1
+    assert capsys.readouterr().err == "error: line 1: invalid JSON: Extra data\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: nested too deeply"),
+        (b'"\xff"', "invalid UTF-8: invalid start byte"),
+    ],
+    ids=["deep-nesting", "undecodable-byte"],
+)
+def test_localize_names_the_line_of_an_undecodable_record(tmp_path, capsys, payload, message):
+    assert localize_bytes(tmp_path, b"") == 0
+    lines = (tmp_path / "inst" / "packages.ndjson").read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"payload":{"tick":2}', b'"payload":' + payload)
+    capsys.readouterr()
+    assert localize_bytes(tmp_path, b"\n".join(lines)) == 1
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
 LOCALIZE_GOLDEN = {
     "baseline": "81980b3d5efe1cb0dd278f15dd5ec38f771a3603a7860c92228376344787f6e2",
     "gral": "d42f2243a586c706fed4ad562c9628fd781235b7d5ed90f3af3d1f06e419115d",

@@ -19,6 +19,8 @@ from gral.packages import (
 )
 from gral.sim import make_scenario, run_instance
 
+from conftest import swarm_like_scenario
+
 
 def make_packages():
     return [
@@ -556,6 +558,101 @@ def test_well_formed_stream_parses_without_check_helpers(monkeypatch):
     obj = {"node": "n", "seq": 2.0, "t": 1, "obs": [["g", 2]], "contacts": [], "payload": None}
     parse_package_stream(json.dumps(obj))
     assert calls == {"check_number": 2, "check_integer": 1}
+
+
+# -- chunked decoding ------------------------------------------------------------
+
+CHUNK = gral.packages._CHUNK
+
+
+def simulated_lines(spec, seed):
+    result = run_instance(spec, seed)
+    return serialize_packages([p for b in result.batches for p in b.packages]).splitlines()
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [(make_scenario(k), 0) for k in (1, 2, 3, 4)] + [(swarm_like_scenario(random.Random(3), 3, 2), 3)],
+    ids=["s1", "s2", "s3", "s4", "swarm"],
+)
+def test_chunks_parse_like_the_line_by_line_reference(monkeypatch, spec, seed):
+    lines = simulated_lines(spec, seed)
+    reference = reference_parse("\n".join(lines))
+    assert len(reference) == len(lines)
+
+    def refuse(chunk, first):
+        raise AssertionError(f"lines {first}..{first + len(chunk) - 1} decoded one by one")
+
+    monkeypatch.setattr(gral.packages, "_decode_lines", refuse)
+    # Windows of each length start at every offset within a chunk, so a
+    # chunk boundary falls at every position of the window.
+    for length in (1, CHUNK - 1, CHUNK, CHUNK + 1, len(lines)):
+        for start in range(min(CHUNK, len(lines) - length) + 1):
+            window = lines[start : start + length]
+            expected = reference[start : start + length]
+            assert parse_package_stream("\n".join(window)) == expected
+            assert parse_package_stream("\n".join(window) + "\n") == expected
+
+
+def count_with_commas(a, b, c, d):
+    # Joined by plain commas, `[A`, `B]` and `C,D` decode to three items.
+    return ["[" + a, b + "]", c + "," + d]
+
+
+@pytest.mark.parametrize(
+    "at, edit, line, message",
+    [
+        (3, count_with_commas, 4, "Expecting ',' delimiter"),
+        (CHUNK - 1, count_with_commas, CHUNK, "Expecting ',' delimiter"),
+        # Joined by `null`s, `A,null,B`, `[C` and `D]` decode to A, null, B,
+        # null, [C, null, D]: the right count, with a null at each odd place.
+        (3, lambda a, b, c, d: [a + ",null," + b, "[" + c, d + "]"], 4, "Extra data"),
+        # The last line of a chunk closes the joined array, and the scanner
+        # stops there with the right count.
+        (CHUNK - 3, lambda a, b, c, d: [a, b, c + "]"], CHUNK, "Extra data"),
+    ],
+    ids=["comma-join-in-a-chunk", "comma-join-across-chunks", "null-in-a-line", "early-bracket"],
+)
+def test_lines_that_decode_only_when_joined_fail_as_line_by_line(at, edit, line, message):
+    lines = simulated_lines(make_scenario(4), 0)[: 2 * CHUNK]
+    lines[at : at + 3] = edit(*lines[at : at + 4])
+    expected = ("error", f"line {line}: invalid JSON: {message}", line)
+    assert outcome(reference_parse, "\n".join(lines)) == expected
+    assert outcome(parse_package_stream, "\n".join(lines)) == expected
+    # The same lines end the stream.
+    del lines[at + 3 :]
+    assert outcome(parse_package_stream, "\n".join(lines)) == expected
+
+
+def test_a_null_payload_or_blank_line_in_a_chunk_leaves_the_others_unchanged():
+    lines = simulated_lines(make_scenario(4), 0)[: 3 * CHUNK]
+    packages = parse_package_stream("\n".join(lines))
+    at = CHUNK + CHUNK // 2
+    record = json.loads(lines[at])
+    record["payload"] = None
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    edited = lines[: at - 5] + [" \t "] + lines[at - 5 : at + 5] + ["\r"] + lines[at + 5 :]
+    assert edited[CHUNK : 2 * CHUNK].count(" \t ") == edited[CHUNK : 2 * CHUNK].count("\r") == 1
+    packages[at] = packages[at]._replace(payload=None)
+    assert parse_package_stream("\n".join(edited)) == packages
+
+
+def test_deep_nesting_is_a_stream_format_error_on_its_line():
+    good = '{"node":"n","seq":1,"t":0.0,"obs":[],"contacts":[],"payload":1}'
+    nested = "[" * 100_000 + "]" * 100_000
+    deep = good.replace('"seq":1', '"seq":2').replace('"payload":1', '"payload":' + nested)
+    with pytest.raises(StreamFormatError) as exc:
+        parse_package_stream(f"{good}\n{deep}\n")
+    assert (str(exc.value), exc.value.line) == ("line 2: invalid JSON: nested too deeply", 2)
+
+
+def test_undecodable_bytes_name_their_line():
+    first, second, third = serialize_packages(make_packages()).encode("utf-8").splitlines()
+    bad = third.replace(b"[1,2]", b'"\xff"')
+    with pytest.raises(StreamFormatError) as exc:
+        parse_package_stream(b"\n".join([first, second, bad]) + b"\n")
+    assert (str(exc.value), exc.value.line) == ("line 3: invalid UTF-8: invalid start byte", 3)
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
 
 
 # -- serializer ------------------------------------------------------------------

@@ -651,6 +651,6 @@ def graph_to_json(graph: EnvironmentGraph) -> dict:
 def load_graph(text: str) -> EnvironmentGraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an int too long
         raise GraphError(f"invalid JSON in graph file: {exc}") from exc
     return graph_from_json(obj)

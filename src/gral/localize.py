@@ -56,7 +56,8 @@ class BackendState:
     index of its first package there. States that start from one
     segmentation may share these four maps, as `run_experiment`'s variants
     do; an epoch or fragment that several variants hold then is cut, routed,
-    placed and indexed once. Only `run_pipeline` adds checkpoints.
+    placed and indexed once. Only `run_pipeline` adds checkpoints, and only
+    those addressed to a node it has yet to localize.
     """
 
     graph: EnvironmentGraph
@@ -405,10 +406,11 @@ def run_pipeline(
     checkpoints issued by early arrivers are available to later ones. Every
     node runs the variant's steps in one order: apply checkpoints, rectify,
     localize, issue checkpoints. Each places what it reads on first read, so
-    none relies on another. Issued checkpoints are stored in
-    `state.checkpoints`. It runs with the cyclic garbage collector paused;
-    the pause is process-wide, so another thread's `gc.disable()` made
-    during the call is undone when it returns.
+    none relies on another. An issued checkpoint is stored in
+    `state.checkpoints` only if its target is still to come: a node already
+    localized never reads one. It runs with the cyclic garbage collector
+    paused; the pause is process-wide, so another thread's `gc.disable()`
+    made during the call is undone when it returns.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -419,12 +421,14 @@ def run_pipeline(
     use_pr = "pr" in variant.split("+")
     order = sorted(streams, key=lambda n: (streams[n][0].t if streams[n] else float("inf"), n))
     results: dict[str, list[LocalizedMeasurement]] = {}
+    to_come = set(order)
     for node in order:
+        to_come.discard(node)
         if use_cp:
             apply_checkpoints(state, node)
         if use_pr:
             rectify_paths(state, node)
         results[node] = localize_node(state, node, variant)
         if use_cp:
-            state.checkpoints += issue_checkpoints(state, node)
+            state.checkpoints += [c for c in issue_checkpoints(state, node) if c.target in to_come]
     return results

@@ -74,24 +74,26 @@ class VariantResult:
 
 def package_errors(
     graph: EnvironmentGraph,
-    truth: dict[tuple[str, int], GraphPosition],
+    tracks: dict[str, list[GraphPosition]],
+    emitted: dict[str, int],
     estimates: dict[str, list[LocalizedMeasurement]],
 ) -> list[float]:
-    """Geodesic error of each estimate whose `(node, seq)` is in `truth`.
+    """Geodesic error of each estimate of an emitted package.
 
-    Errors come in estimate order; an estimate of a package that `truth` does
-    not hold is skipped. This kernel scores `instance_errors`: one dict
-    lookup and one geodesic per estimate, and no record per package. It
-    shares no code with the slices `run_experiment` scores by, so it checks
-    them.
+    `tracks` holds each node's true positions in seq order
+    (`InstanceResult.tracks`), and `emitted` the last of the seqs 1..m each
+    node emitted. Errors come in estimate order; an estimate whose seq is
+    not one of its node's emitted seqs is skipped.
+    This kernel scores `instance_errors`: one lookup by seq and one geodesic
+    per estimate, and no record per package. It reads each estimate on its
+    own, not the epoch slices `run_experiment` scores by, so it checks them.
     """
-    true_position = truth.get
     distance = graph.geodesic_distance
     return [
-        distance(position, estimate)
+        distance(tracks[node][seq - 1], estimate)
         for measurements in estimates.values()
         for node, seq, _t, estimate, _method in measurements
-        if (position := true_position((node, seq))) is not None
+        if 0 < seq <= emitted.get(node, 0)
     ]
 
 
@@ -102,10 +104,10 @@ def epoch_errors(
 ) -> list[float]:
     """Geodesic error of each package of the state's complete epochs.
 
-    `tracks` holds each node's emitted true positions in seq order
+    `tracks` holds each node's recorded true positions in seq order
     (`InstanceResult.tracks`). An epoch is a run of its node's stream, so
     its truth is the slice of the node's track from its first package's seq,
-    cut to its length; a run that is not one of emitted packages in seq
+    cut to its length; a run that is not one of recorded packages in seq
     order raises ValueError. Positions come from `localize._positions`, so an
     epoch not placed yet is placed here. After `run_pipeline`, these are
     `package_errors` of the estimates it returned, in epoch order.
@@ -129,7 +131,7 @@ def epoch_errors(
                 if start < 0 or last.seq - start != n or len(truth) != n:
                     raise ValueError(
                         f"packages {first.seq}..{last.seq} of node {first.node!r} are not "
-                        f"{n} emitted packages in seq order"
+                        f"{n} recorded packages in seq order"
                     )
                 epoch_scored = scored[epoch] = list(map(distance, truth, positions))
             errors += epoch_scored
@@ -145,15 +147,20 @@ def instance_errors(
 
     Returns the samples for localized packages and the count of packages that
     were emitted but not localized. The errors are `package_errors`' against
-    the instance's emitted truth, each labelled with its package.
+    the instance's tracks, each labelled with its package; an estimate of a
+    package that was recorded but never emitted is skipped.
     """
-    truth = result.emitted_truth
+    # A node's batches emit its seqs 1..m in order: its last ends at m.
+    emitted = {batch.node: batch.packages[-1].seq for batch in result.batches}
     scored = [
-        m for measurements in estimates.values() for m in measurements if (m.node, m.seq) in truth
+        m
+        for measurements in estimates.values()
+        for m in measurements
+        if 0 < m.seq <= emitted.get(m.node, 0)
     ]
-    errors = package_errors(graph, truth, estimates)
+    errors = package_errors(graph, result.tracks, emitted, estimates)
     samples = [ErrorSample(m.node, m.seq, e) for m, e in zip(scored, errors, strict=True)]
-    return samples, len(truth) - len({(m.node, m.seq) for m in scored})
+    return samples, sum(emitted.values()) - len({(m.node, m.seq) for m in scored})
 
 
 @_gc_paused

@@ -142,7 +142,8 @@ class LocalizedMeasurement(NamedTuple):
 _PACKAGE_KEYS = {"node", "seq", "t", "obs", "contacts", "payload"}
 _INF = math.inf
 # What `JSONDecoder.raw_decode` calls, without its frame: it raises
-# StopIteration where no value starts, and JSONDecodeError on a malformed one.
+# StopIteration where no value starts, JSONDecodeError on a malformed one and
+# ValueError on an integer longer than the interpreter's int-digit limit.
 _scan_once = json.JSONDecoder().scan_once
 
 # Each field is first tested for the exact type a well-formed record holds.
@@ -224,6 +225,8 @@ def _decode_lines(chunk: list[str], first: int) -> Iterator[tuple[int, Any]]:
                 obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise StreamFormatError(f"invalid JSON: {exc.msg}", lineno) from exc
+        except ValueError as exc:  # a number over the interpreter's int-digit limit
+            raise StreamFormatError(f"invalid JSON: {exc}", lineno) from exc
         except RecursionError:
             raise StreamFormatError("invalid JSON: nested too deeply", lineno) from None
         yield lineno, obj

@@ -135,8 +135,8 @@ class _NodeState:
     at_root: bool = False
     seq: int = 0
     buffer: list[Package] = field(default_factory=list)
-    # The true position of each buffered package, in buffer order.
-    held: list[GraphPosition] = field(default_factory=list)
+    # The true position of each recorded package: index `seq - 1` holds seq's.
+    track: list[GraphPosition] = field(default_factory=list)
 
 
 @dataclass
@@ -145,11 +145,7 @@ class WorldState:
 
     `nodes` holds the in-flight nodes in the spec's insertion order, which is
     the order of every per-tick pass and of the RNG draws; `run_instance`
-    restores that order whenever it inserts nodes. `tracks` maps each node
-    to the true positions of its emitted packages, where index `seq - 1`
-    holds seq's; a flush extends the node's list by its buffer's, and a
-    node's first flush adds its list, so a node put into `nodes` by hand
-    needs no entry here.
+    restores that order whenever it inserts nodes.
     `reach` is the contact radius plus 1e-6 and the graph's rounding slack,
     which covers the rounding of `observe`'s range tests.
     """
@@ -159,7 +155,6 @@ class WorldState:
     tick: int = 0
     nodes: dict[str, _NodeState] = field(default_factory=dict)
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
-    tracks: dict[str, list[GraphPosition]] = field(default_factory=dict)
     reach: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -170,28 +165,17 @@ class WorldState:
 class InstanceResult:
     """One run: its batches in upload order and every recorded ground truth.
 
-    `tracks` maps each node that emitted to the true positions of its
-    emitted packages in seq order: a node's packages are emitted as a prefix
-    of its seqs 1..m, so index `seq - 1` holds seq's position. The simulator
-    fills it as it flushes each buffer, and every variant scored against the
-    instance slices it (`metrics.epoch_errors`).
+    `tracks` maps each inserted node to the true positions of every package
+    it recorded, emitted or not, in seq order: index `seq - 1` holds seq's
+    position. A node's batches emit a prefix 1..m of its seqs; the rest were
+    still buffered when the run ended. The scorers read truth from the
+    tracks by seq (`metrics.epoch_errors`, `metrics.package_errors`).
     """
 
     batches: list[Batch]
     ground_truth: list[GroundTruthRecord]
     truncated: bool
     tracks: dict[str, list[GraphPosition]]
-
-    @property
-    def emitted_truth(self) -> dict[tuple[str, int], GraphPosition]:
-        """The true position of every emitted package by `(node, seq)`, in
-        batch order, read from `tracks` on each access."""
-        tracks = self.tracks
-        return {
-            (batch.node, pkg.seq): tracks[batch.node][pkg.seq - 1]
-            for batch in self.batches
-            for pkg in batch.packages
-        }
 
     def streams(self) -> dict[str, list[Package]]:
         streams: dict[str, list[Package]] = {}
@@ -353,9 +337,9 @@ def record_and_emit(world: WorldState) -> list[Batch]:
     Records are built by `tuple.__new__`, without the `__new__` of `Package`
     or of the NamedTuples. `observe` returns tuples; more than one
     observation is sorted strongest-first here, with the parser's key, as
-    `Package` keeps them. Each package gets its own payload dict. A flush
-    extends the node's list in `world.tracks` by its packages' true
-    positions.
+    `Package` keeps them. Each package gets its own payload dict, and its
+    true position goes onto the node's track as its ground truth is
+    recorded.
     """
     batches = []
     tick = world.tick
@@ -365,7 +349,6 @@ def record_and_emit(world: WorldState) -> list[Batch]:
     recording = nodes and (due or any(st.at_root for st in nodes.values()))
     radio = observe(world) if recording else None
     truth = world.ground_truth
-    tracks = world.tracks
     new = tuple.__new__
     leaving = []
     for k, (node, st) in enumerate(nodes.items()):
@@ -377,7 +360,7 @@ def record_and_emit(world: WorldState) -> list[Batch]:
             seq = st.seq = st.seq + 1
             st.buffer.append(new(Package, (node, seq, float(tick), obs, contacts, {"tick": tick})))
             truth.append(new(GroundTruthRecord, (node, seq, tick, st.position)))
-            st.held.append(st.position)
+            st.track.append(st.position)
             if st.at_root:
                 leaving.append(node)
         if not st.buffer:
@@ -386,12 +369,7 @@ def record_and_emit(world: WorldState) -> list[Batch]:
             obs = _gateway_observations(graph, st.position)
         if obs:
             batches.append(Batch(node, tick, tuple(st.buffer)))
-            track = tracks.get(node)
-            if track is None:
-                track = tracks[node] = []
-            track += st.held
             st.buffer.clear()
-            st.held.clear()
     # Leaving only after every node recorded lets peers hear a node's final tick.
     for node in leaving:
         del nodes[node]
@@ -409,12 +387,14 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
     batches: list[Batch] = []
     pending = sorted(spec.insertions, key=lambda i: (i.tick, i.node))
     rank = {ins.node: k for k, ins in enumerate(spec.insertions)}
+    tracks: dict[str, list[GraphPosition]] = {}
     truncated = False
     while True:
         if pending and pending[0].tick == world.tick:
             while pending and pending[0].tick == world.tick:
                 ins = pending.pop(0)
-                world.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
+                st = world.nodes[ins.node] = _NodeState(_oriented(spec.graph, ins.position))
+                tracks[ins.node] = st.track
             world.nodes = dict(sorted(world.nodes.items(), key=lambda item: rank[item[0]]))
         batches.extend(record_and_emit(world))
         if not world.nodes and not pending:
@@ -423,7 +403,7 @@ def run_instance(spec: ScenarioSpec, seed: int) -> InstanceResult:
             truncated = True
             break
         step(world)
-    return InstanceResult(batches, world.ground_truth, truncated, world.tracks)
+    return InstanceResult(batches, world.ground_truth, truncated, tracks)
 
 
 # -- built-in scenarios -------------------------------------------------------
@@ -484,6 +464,6 @@ def scenario_from_json(obj: dict) -> ScenarioSpec:
 def load_scenario(text: str) -> ScenarioSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an int too long
         raise ScenarioError(f"invalid JSON in scenario file: {exc}") from exc
     return scenario_from_json(obj)

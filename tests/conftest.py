@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,23 @@ from gral.packages import GatewayObservation, NodeContact, Package
 from gral.sim import Insertion, ScenarioSpec
 
 CHAIN_RADIUS = math.sqrt(10.0)
+
+# Two texts that no JSON loader decodes: nesting deeper than the decoder's
+# recursion allows, and an integer longer than the default int-digit limit.
+DEEP_JSON = "[" * 100_000
+LONG_INT_JSON = '{"root": ' + "9" * 5000 + "}"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The interpreter's default int-digit limit, 4300, whatever the
+    environment sets (`PYTHONINTMAXSTRDIGITS`); restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture
@@ -84,6 +102,19 @@ def gated_tree_scenario(rng: random.Random) -> ScenarioSpec:
         gateway_radius_default=radius,
         measurement_interval=rng.randint(1, 2),
     )
+
+
+def ungated_root_scenario() -> ScenarioSpec:
+    """Two nodes down a gated source and middle to a root with no gateway:
+    what each records after the middle gateway is never emitted."""
+    g = build_graph(
+        [Junction("s", Gateway("gw-s", "s", 2.0)), Junction("m", Gateway("gw-m", "m", 2.0)),
+         Junction("r")],
+        [Link("s", "m", 20.0), Link("m", "r", 20.0)],
+        "r",
+    )
+    return ScenarioSpec(g, [Insertion("n1", g.position_at("s"), 0),
+                            Insertion("n2", g.position_at("s"), 3)])
 
 
 def swarm_like_scenario(rng: random.Random, depth: int, per_leaf: int) -> ScenarioSpec:

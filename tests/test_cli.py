@@ -15,6 +15,8 @@ from gral.graph import Gateway, Junction, Link, build_graph
 from gral.metrics import run_experiment
 from gral.sim import Insertion, ScenarioSpec, make_scenario, scenario_to_json
 
+from conftest import DEEP_JSON, LONG_INT_JSON
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -498,6 +500,24 @@ def test_scenario_error_does_not_depend_on_hash_seed(tmp_path):
         messages.add(proc.stderr)
     (message,) = messages
     assert message.startswith("error: base_step"), message
+
+
+@pytest.mark.parametrize("command", ["localize", "simulate", "evaluate"])
+@pytest.mark.parametrize("text", [DEEP_JSON, LONG_INT_JSON], ids=["deep-nesting", "long-integer"])
+def test_undecodable_graph_and_scenario_files_exit_1(
+    tmp_path, capsys, int_digit_limit, command, text
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {
+        "localize": ["--variant", "gral", "--graph", str(bad), "--packages", str(bad)],
+        "simulate": ["--scenario", str(bad), "--seed", "0"],
+        "evaluate": ["--scenario", str(bad), "--instances", "1"],
+    }[command]
+    assert run_cli(command, *argv, "--out", out) == 1
+    kind = "graph" if command == "localize" else "scenario"
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {kind} file: ")
 
 
 def test_flag_errors_exit_1():

@@ -22,6 +22,8 @@ from gral.packages import LocalizedMeasurement
 from gral.sim import GroundTruthRecord, make_scenario
 
 from conftest import (
+    DEEP_JSON,
+    LONG_INT_JSON,
     enumerate_simple_paths,
     gated_tree_scenario,
     oracle_confluence,
@@ -818,6 +820,16 @@ def test_graph_loader_rejects_non_finite(chain_graph, mutate, bad):
     mutate(obj, bad)
     with pytest.raises(GraphError, match="non-finite or nonpositive"):
         load_graph(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(DEEP_JSON, "maximum recursion depth exceeded"), (LONG_INT_JSON, r"Exceeds the limit \(4300")],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_graph_loader_rejects_undecodable_json(int_digit_limit, text, message):
+    with pytest.raises(GraphError, match="^invalid JSON in graph file: " + message):
+        load_graph(text)
 
 
 def _unchecked_parts(obj):

@@ -721,7 +721,7 @@ def test_rectification_never_cuts_at_a_confluence_off_the_epoch_route(variant):
     refined = {m.seq: m for m in run_pipeline(state, streams, variant)["n0"]}
     assert state.epoch_sets["n0"].epochs[0] is first
     # Seq 2 truly lies 7.54 from the root; a cut at the root would place it there.
-    truth = result.emitted_truth[("n0", 2)]
+    truth = result.tracks["n0"][1]
     assert graph.geodesic_distance(truth, root) == pytest.approx(7.537, abs=1e-3)
     assert refined[2].position == vanilla[2].position
     assert graph.geodesic_distance(refined[2].position, root) == pytest.approx(8.638, abs=1e-3)
@@ -1269,11 +1269,13 @@ def test_pipeline_checkpoint_shifts_later_arriver(chain_graph):
         if chain_graph.geodesic_distance(m_v.position, m_c.position) > 1e-9
     )
     assert moved > 0
-    # The pipeline stores what each node issues, in arrival order.
+    # The pipeline stores only checkpoints for a node still to come: the
+    # leader's to the trailer, and none of the trailer's to the leader,
+    # which was localized first and never reads them.
     assert state.checkpoints
-    assert state.checkpoints == [
-        ck for node in ("a-lead", "b-trail") for ck in issue_checkpoints(state, node)
-    ]
+    assert state.checkpoints == issue_checkpoints(state, "a-lead")
+    assert {ck.target for ck in state.checkpoints} == {"b-trail"}
+    assert {ck.target for ck in issue_checkpoints(state, "b-trail")} == {"a-lead"}
 
 
 def test_pipeline_method_tags(chain_graph):

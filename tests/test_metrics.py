@@ -11,9 +11,10 @@ from gral import localize, metrics
 from gral.epochs import is_complete
 from gral.localize import VARIANTS, BackendState, build_state, run_pipeline
 from gral.metrics import VariantResult, mae, normalized_mae, rmse, run_experiment
+from gral.packages import LocalizedMeasurement
 from gral.sim import ScenarioError, make_scenario, run_instance
 
-from conftest import gated_tree_scenario, swarm_like_scenario
+from conftest import gated_tree_scenario, swarm_like_scenario, ungated_root_scenario
 
 
 def test_zero_errors():
@@ -428,6 +429,32 @@ def test_instance_errors_keeps_its_samples_and_missing_count():
     assert missing == 1
 
 
+@pytest.mark.parametrize("case", ["truncated", "ungated-root"])
+def test_instance_errors_skip_recorded_packages_never_emitted(case):
+    spec = replace(make_scenario(4), max_ticks=150) if case == "truncated" else ungated_root_scenario()
+    result = run_instance(spec, 0)
+    streams = result.streams()
+    estimates = run_pipeline(build_state(spec.graph, streams), streams, "gral")
+    emitted = {(p.node, p.seq) for b in result.batches for p in b.packages}
+    buffered = [r for r in result.ground_truth if (r.node, r.seq) not in emitted]
+    assert buffered
+    # An estimate of each package still buffered at the end, at its true
+    # position: its node's track holds it, but it was never emitted.
+    for r in buffered:
+        estimate = LocalizedMeasurement(r.node, r.seq, float(r.tick), r.position, "gral")
+        estimates.setdefault(r.node, []).append(estimate)
+    truth = {(r.node, r.seq): r.position for r in result.ground_truth}
+    samples, missing = metrics.instance_errors(spec.graph, result, estimates)
+    expected = [
+        (m.node, m.seq, spec.graph.geodesic_distance(truth[(m.node, m.seq)], m.position))
+        for measurements in estimates.values()
+        for m in measurements
+        if (m.node, m.seq) in emitted
+    ]
+    assert expected and [(s.node, s.seq, s.error) for s in samples] == expected
+    assert missing == len(emitted) - len(expected)
+
+
 def rescored_experiment(monkeypatch, spec, n_instances):
     """`run_experiment`'s results, and the results rebuilt from its variants'
     estimates, each scored again through `instance_errors`."""
@@ -540,8 +567,8 @@ def test_experiment_finds_each_junction_path_once(monkeypatch):
 def epoch_scored_experiment(monkeypatch, spec, n_instances):
     """Per variant run, the errors `run_experiment` scored through
     its epoch memo and `package_errors` over the estimates `run_pipeline`
-    returned for that run, against the same instance's emitted truth: its
-    per-node tracks for the one, its `(node, seq)` map for the other."""
+    returned for that run, against the same instance's per-node tracks: by
+    epoch slices for the one, by each estimate's seq for the other."""
     runs, instances, estimates = [], [], []
     real_instance, real_pipeline = metrics.run_instance, metrics.run_pipeline
     real_epoch_errors = metrics.epoch_errors
@@ -556,8 +583,10 @@ def epoch_scored_experiment(monkeypatch, spec, n_instances):
 
     def capture_epoch_errors(state, truth, scored):
         errors = real_epoch_errors(state, truth, scored)
-        assert truth is instances[-1].tracks
-        expected = metrics.package_errors(spec.graph, instances[-1].emitted_truth, estimates[-1])
+        result = instances[-1]
+        assert truth is result.tracks
+        emitted = {b.node: b.packages[-1].seq for b in result.batches}
+        expected = metrics.package_errors(spec.graph, truth, emitted, estimates[-1])
         runs.append((errors, expected))
         return errors
 

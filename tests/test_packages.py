@@ -646,6 +646,18 @@ def test_deep_nesting_is_a_stream_format_error_on_its_line():
     assert (str(exc.value), exc.value.line) == ("line 2: invalid JSON: nested too deeply", 2)
 
 
+def test_an_overlong_integer_is_a_stream_format_error_on_its_line(int_digit_limit):
+    good = '{"node":"n","seq":1,"t":0.0,"obs":[],"contacts":[],"payload":1}'
+    long = good.replace('"seq":1', '"seq":2').replace('"payload":1', '"payload":' + "9" * 5000)
+    text = f"{good}\n{long}\n"
+    for data in (text, text.encode()):
+        with pytest.raises(StreamFormatError) as exc:
+            parse_package_stream(data)
+        assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: invalid JSON: Exceeds the limit (4300")
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
 def test_undecodable_bytes_name_their_line():
     first, second, third = serialize_packages(make_packages()).encode("utf-8").splitlines()
     bad = third.replace(b"[1,2]", b'"\xff"')

@@ -33,11 +33,14 @@ from gral.sim import (
 )
 
 from conftest import (
+    DEEP_JSON,
+    LONG_INT_JSON,
     gated_tree_scenario,
     random_position,
     random_tree,
     scaled_graph,
     swarm_like_scenario,
+    ungated_root_scenario,
 )
 
 
@@ -348,15 +351,6 @@ def test_pruned_contact_scan_matches_all_pairs(monkeypatch):
                 assert len(p.contacts) == len(flying[tick[(p.node, p.seq)]]) - 1
 
 
-def reconstructed_truth(result):
-    """The true position of each emitted package, in batch order, rebuilt
-    from the ground truth."""
-    truth = {(r.node, r.seq): r.position for r in result.ground_truth}
-    return [
-        ((p.node, p.seq), truth[(p.node, p.seq)]) for b in result.batches for p in b.packages
-    ]
-
-
 def test_emitted_truth_is_the_ground_truth_of_the_emitted_packages():
     cases = [(make_scenario(k), seed) for k in (1, 2, 3, 4) for seed in range(3)]
     cases += [(gated_tree_scenario(random.Random(seed)), seed) for seed in range(150)]
@@ -364,38 +358,35 @@ def test_emitted_truth_is_the_ground_truth_of_the_emitted_packages():
     truncated = replace(make_scenario(4), max_ticks=60)
     # No gateway at the root: the buffer filled after the last gateway is
     # never flushed.
-    g = build_graph(
-        [Junction("s", Gateway("gw-s", "s", 2.0)), Junction("m", Gateway("gw-m", "m", 2.0)),
-         Junction("r")],
-        [Link("s", "m", 20.0), Link("m", "r", 20.0)],
-        "r",
-    )
-    ungated = ScenarioSpec(g, [Insertion("n1", g.position_at("s"), 0),
-                               Insertion("n2", g.position_at("s"), 3)])
+    ungated = ungated_root_scenario()
     for spec, seed in cases + [(truncated, 0), (ungated, 0)]:
         result = run_instance(spec, seed)
-        # Derived from the tracks, the map keeps batch order.
-        assert list(result.emitted_truth.items()) == reconstructed_truth(result), seed
-        # Each node's track holds the ground truth of its seqs 1..m in seq
-        # order, and its batches emit exactly those seqs, in that order.
+        # Each node's track holds the ground truth of its seqs in seq order,
+        # and its batches emit a prefix 1..m of those seqs, in that order.
         recorded = {}
         for r in result.ground_truth:
             recorded.setdefault(r.node, []).append(r)
         emitted = {}
         for b in result.batches:
             emitted.setdefault(b.node, []).extend(p.seq for p in b.packages)
-        assert result.tracks.keys() == emitted.keys(), seed
+        assert result.tracks.keys() == recorded.keys(), seed
         for node, track in result.tracks.items():
-            assert emitted[node] == list(range(1, len(track) + 1)), (seed, node)
-            records = recorded[node][: len(track)]
-            assert [r.seq for r in records] == emitted[node], (seed, node)
+            records = recorded[node]
+            assert [r.seq for r in records] == list(range(1, len(track) + 1)), (seed, node)
             assert track == [r.position for r in records], (seed, node)
+            seqs = emitted.get(node, [])
+            assert seqs == list(range(1, len(seqs) + 1)), (seed, node)
     for spec, stops_early in ((truncated, True), (ungated, False)):
         result = run_instance(spec, 0)
         assert result.truncated is stops_early
-        assert result.batches and len(result.emitted_truth) < len(result.ground_truth)
-        # The packages still buffered at the end are in no track.
-        assert sum(map(len, result.tracks.values())) < len(result.ground_truth)
+        # The packages still buffered at the end are in their track and in
+        # no batch.
+        in_batches = {(p.node, p.seq) for b in result.batches for p in b.packages}
+        buffered = [r for r in result.ground_truth if (r.node, r.seq) not in in_batches]
+        assert result.batches and buffered
+        for r in buffered:
+            assert result.tracks[r.node][r.seq - 1] == r.position
+        assert sum(map(len, result.tracks.values())) == len(result.ground_truth)
 
 
 # Pinned with the simulator that called `observe` once per recording node,
@@ -774,6 +765,16 @@ def test_load_scenario_rejects_non_finite(mutate, message, bad):
     mutate(obj, bad)
     with pytest.raises(ScenarioError, match=message):
         load_scenario(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(DEEP_JSON, "maximum recursion depth exceeded"), (LONG_INT_JSON, r"Exceeds the limit \(4300")],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_load_scenario_rejects_undecodable_json(int_digit_limit, text, message):
+    with pytest.raises(ScenarioError, match="^invalid JSON in scenario file: " + message):
+        load_scenario(text)
 
 
 @pytest.mark.parametrize("bad", [2.7, math.nan, math.inf])

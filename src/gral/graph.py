@@ -98,11 +98,11 @@ class EnvironmentGraph:
         self.junctions = junctions
         self.links = links
         self.root = root
-        self.adjacency: dict[str, list[tuple[str, float]]] = {j: [] for j in junctions}
+        adjacency: dict[str, list[tuple[str, float]]] = {j: [] for j in junctions}
         self._link_length: dict[tuple[str, str], float] = {}
         for link in links:
-            self.adjacency[link.u].append((link.v, link.length))
-            self.adjacency[link.v].append((link.u, link.length))
+            adjacency[link.u].append((link.v, link.length))
+            adjacency[link.v].append((link.u, link.length))
             self._link_length[(link.u, link.v)] = link.length
             self._link_length[(link.v, link.u)] = link.length
         self.gateways: dict[str, Gateway] = {
@@ -118,7 +118,7 @@ class EnvironmentGraph:
         queue = deque([root])
         while queue:
             cur = queue.popleft()
-            for nxt, length in self.adjacency[cur]:
+            for nxt, length in adjacency[cur]:
                 if nxt not in self.parent:
                     self.parent[nxt] = cur
                     self.depth[nxt] = self.depth[cur] + 1

@@ -164,10 +164,9 @@ def baseline_epochs(graph: EnvironmentGraph, packages: list[Package]) -> tuple[E
 def baseline_localize(
     graph: EnvironmentGraph, packages: list[Package]
 ) -> list[LocalizedMeasurement]:
-    """The baseline's estimates for one node's stream: `baseline_epochs`, placed."""
+    """The baseline's estimates for one node's stream, from `run_pipeline`."""
     node = packages[0].node if packages else ""
-    state = BackendState(graph, {node: EpochSet(node, baseline_epochs(graph, packages))})
-    return localize_node(state, node, "baseline")
+    return run_pipeline(BackendState(graph), {node: packages}, "baseline")[node]
 
 
 def _positions(state: BackendState, epoch: Epoch) -> Optional[list[GraphPosition]]:

@@ -72,31 +72,6 @@ class VariantResult:
         return self.packages_localized / self.packages_total * 100.0
 
 
-def package_errors(
-    graph: EnvironmentGraph,
-    tracks: dict[str, list[GraphPosition]],
-    emitted: dict[str, int],
-    estimates: dict[str, list[LocalizedMeasurement]],
-) -> list[float]:
-    """Geodesic error of each estimate of an emitted package.
-
-    `tracks` holds each node's true positions in seq order
-    (`InstanceResult.tracks`), and `emitted` the last of the seqs 1..m each
-    node emitted. Errors come in estimate order; an estimate whose seq is
-    not one of its node's emitted seqs is skipped.
-    This kernel scores `instance_errors`: one lookup by seq and one geodesic
-    per estimate, and no record per package. It reads each estimate on its
-    own, not the epoch slices `run_experiment` scores by, so it checks them.
-    """
-    distance = graph.geodesic_distance
-    return [
-        distance(tracks[node][seq - 1], estimate)
-        for measurements in estimates.values()
-        for node, seq, _t, estimate, _method in measurements
-        if 0 < seq <= emitted.get(node, 0)
-    ]
-
-
 def epoch_errors(
     state: BackendState,
     tracks: dict[str, list[GraphPosition]],
@@ -109,8 +84,8 @@ def epoch_errors(
     its truth is the slice of the node's track from its first package's seq,
     cut to its length; a run that is not one of recorded packages in seq
     order raises ValueError. Positions come from `localize._positions`, so an
-    epoch not placed yet is placed here. After `run_pipeline`, these are
-    `package_errors` of the estimates it returned, in epoch order.
+    epoch not placed yet is placed here. After `run_pipeline`, these are the
+    errors `instance_errors` gives the estimates it returned, in epoch order.
     `scored` memoizes each epoch's errors. The states of one instance, whose
     variants share its epochs, share one `scored`: an epoch is scored by the
     first state that holds it, and the others extend their list by its
@@ -145,22 +120,22 @@ def instance_errors(
 ) -> tuple[list[ErrorSample], int]:
     """Per-package geodesic errors for one localized instance.
 
-    Returns the samples for localized packages and the count of packages that
-    were emitted but not localized. The errors are `package_errors`' against
-    the instance's tracks, each labelled with its package; an estimate of a
-    package that was recorded but never emitted is skipped.
+    Returns the samples for localized packages, in estimate order, and the
+    count of packages that were emitted but not localized. Each estimate is
+    scored on its own, by its seq in its node's track
+    (`InstanceResult.tracks`), not by the epoch slices `run_experiment`
+    scores, so it checks them. An estimate whose seq its node never emitted
+    is skipped: a node's batches emit its seqs 1..m, so its last gives m.
     """
-    # A node's batches emit its seqs 1..m in order: its last ends at m.
     emitted = {batch.node: batch.packages[-1].seq for batch in result.batches}
-    scored = [
-        m
+    distance, tracks = graph.geodesic_distance, result.tracks
+    samples = [
+        ErrorSample(node, seq, distance(tracks[node][seq - 1], estimate))
         for measurements in estimates.values()
-        for m in measurements
-        if 0 < m.seq <= emitted.get(m.node, 0)
+        for node, seq, _t, estimate, _method in measurements
+        if 0 < seq <= emitted.get(node, 0)
     ]
-    errors = package_errors(graph, result.tracks, emitted, estimates)
-    samples = [ErrorSample(m.node, m.seq, e) for m, e in zip(scored, errors, strict=True)]
-    return samples, sum(emitted.values()) - len({(m.node, m.seq) for m in scored})
+    return samples, sum(emitted.values()) - len({(s.node, s.seq) for s in samples})
 
 
 @_gc_paused

@@ -169,7 +169,7 @@ class InstanceResult:
     it recorded, emitted or not, in seq order: index `seq - 1` holds seq's
     position. A node's batches emit a prefix 1..m of its seqs; the rest were
     still buffered when the run ended. The scorers read truth from the
-    tracks by seq (`metrics.epoch_errors`, `metrics.package_errors`).
+    tracks by seq (`metrics.epoch_errors`, `metrics.instance_errors`).
     """
 
     batches: list[Batch]

@@ -233,14 +233,18 @@ def reference_geodesic(graph: EnvironmentGraph, p1: GraphPosition, p2: GraphPosi
 
 
 def enumerate_simple_paths(graph: EnvironmentGraph, u: str, v: str) -> list[list[str]]:
-    """All simple junction paths from u to v by exhaustive DFS (oracle)."""
+    """All simple junction paths from u to v by exhaustive DFS over the links (oracle)."""
     paths = []
+    neighbours: dict[str, list[str]] = {j: [] for j in graph.junctions}
+    for link in graph.links:
+        neighbours[link.u].append(link.v)
+        neighbours[link.v].append(link.u)
 
     def dfs(cur: str, seen: list[str]) -> None:
         if cur == v:
             paths.append(list(seen))
             return
-        for nxt, _length in graph.adjacency[cur]:
+        for nxt in neighbours[cur]:
             if nxt not in seen:
                 seen.append(nxt)
                 dfs(nxt, seen)

@@ -4,10 +4,12 @@ The hashes pin the summary and per-instance CSVs of scenarios 1-4 (3
 instances from seed 0), every variant's estimates on 150 seeded random
 gated trees, and every variant's estimates on swarm-like trees, where nodes
 travel in groups and hear each other on most packages. A change that alters any estimate, score or number format fails
-here; one that does so on purpose updates the hashes and says why.
+here; one that does so on purpose updates the hashes and says why. Every
+estimate hashed must also be a canonical position on the network.
 """
 
 import hashlib
+import math
 import random
 from itertools import pairwise
 from operator import attrgetter
@@ -67,6 +69,16 @@ TREE_COUNT = 150
 TREE_DIGEST = "d687647ad2abb406bf67e5c5bc44b920a1a769eae5bf4d508d0642eb05722b42"
 
 
+def add_estimates(digest, graph, estimates):
+    # Hash every estimate in node order. Each must lie on the network, at a
+    # finite offset and already in canonical form.
+    for node in sorted(estimates):
+        for m in estimates[node]:
+            digest.update(repr((m.node, m.seq, m.t, m.position, m.method)).encode())
+            assert math.isfinite(m.position.offset), m
+            assert graph.canonicalize(m.position) == m.position, m
+
+
 def test_random_tree_estimates_match_golden_digest():
     digest = hashlib.sha256()
     for seed in range(TREE_COUNT):
@@ -74,9 +86,7 @@ def test_random_tree_estimates_match_golden_digest():
         streams = run_instance(spec, seed).streams()
         for variant in VARIANTS:
             estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
-            for node in sorted(estimates):
-                for m in estimates[node]:
-                    digest.update(repr((m.node, m.seq, m.t, m.position, m.method)).encode())
+            add_estimates(digest, spec.graph, estimates)
     assert digest.hexdigest() == TREE_DIGEST
 
 
@@ -117,7 +127,5 @@ def test_dense_swarm_estimates_match_golden_digest():
         streams = run_instance(spec, seed).streams()
         for variant in VARIANTS:
             estimates = run_pipeline(build_state(spec.graph, streams), streams, variant)
-            for node in sorted(estimates):
-                for m in estimates[node]:
-                    digest.update(repr((m.node, m.seq, m.t, m.position, m.method)).encode())
+            add_estimates(digest, spec.graph, estimates)
     assert digest.hexdigest() == SWARM_DIGEST

@@ -566,7 +566,7 @@ def test_experiment_finds_each_junction_path_once(monkeypatch):
 
 def epoch_scored_experiment(monkeypatch, spec, n_instances):
     """Per variant run, the errors `run_experiment` scored through
-    its epoch memo and `package_errors` over the estimates `run_pipeline`
+    its epoch memo and `instance_errors` over the estimates `run_pipeline`
     returned for that run, against the same instance's per-node tracks: by
     epoch slices for the one, by each estimate's seq for the other."""
     runs, instances, estimates = [], [], []
@@ -585,8 +585,8 @@ def epoch_scored_experiment(monkeypatch, spec, n_instances):
         errors = real_epoch_errors(state, truth, scored)
         result = instances[-1]
         assert truth is result.tracks
-        emitted = {b.node: b.packages[-1].seq for b in result.batches}
-        expected = metrics.package_errors(spec.graph, truth, emitted, estimates[-1])
+        samples, _missing = metrics.instance_errors(spec.graph, result, estimates[-1])
+        expected = [s.error for s in samples]
         runs.append((errors, expected))
         return errors
 
@@ -599,11 +599,16 @@ def epoch_scored_experiment(monkeypatch, spec, n_instances):
     return runs
 
 
-def test_epoch_errors_equal_package_errors_of_the_returned_estimates(monkeypatch):
+def test_epoch_errors_equal_instance_errors_of_the_returned_estimates(monkeypatch):
     # The memo scores epochs, not estimates, so the order may differ; the
-    # errors, counted with their repeats, may not.
+    # errors, counted with their repeats, may not. On the dense swarms,
+    # checkpoints and rectification cut most epochs into fragments.
     specs = [make_scenario(k) for k in (1, 2, 3, 4)]
     specs += [gated_tree_scenario(random.Random(tree_seed)) for tree_seed in range(5, 25)]
+    specs += [
+        swarm_like_scenario(random.Random(0), 3, 2),
+        swarm_like_scenario(random.Random(1), 3, 4),
+    ]
     scored = 0
     for spec in specs:
         for errors, expected in epoch_scored_experiment(monkeypatch, spec, 3):
